@@ -10,9 +10,9 @@ from .errors import Unannotated
 from .graph_core import Graph, fundamental_cycle_edges
 from .spanning_trees import (
     DEFAULT_MAX_TREES,
+    SpanningTree,
+    _exchange_walk,
     _tree_split,
-    enumerate_spanning_trees,
-    type2_neighbors,
 )
 
 
@@ -55,17 +55,15 @@ class CliqueClass:
 def build_stag(g, max_trees=DEFAULT_MAX_TREES):
     """Aux(g): one vertex per spanning tree, edges via unit transformations.
 
-    Vertices are ordered by tree canonical key, so builds are reproducible."""
-    trees = enumerate_spanning_trees(g, max_trees)
-    index = {t.key: i for i, t in enumerate(trees)}
-    pairs = set()
-    for i, t in enumerate(trees):
-        for t2 in type2_neighbors(g, t):
-            j = index[t2.key]
-            if i < j:
-                pairs.add((i, j))
-    graph = Graph(range(len(trees)), ((k, u, v) for k, (u, v) in enumerate(sorted(pairs))))
-    return StagGraph(graph, tuple(trees), g)
+    One exchange walk finds the trees and their exchanges together: the
+    neighbours of T are T - f + e for each non-tree edge e and each tree
+    edge f on its fundamental cycle. The Kirchhoff count is the size guard
+    and the completeness check. Vertices are ordered by tree canonical key
+    and edges by vertex pair, so builds are reproducible."""
+    keys, pairs = _exchange_walk(g, max_trees)
+    trees = tuple(SpanningTree(g, k) for k in keys)
+    graph = Graph(range(len(trees)), ((k, u, v) for k, (u, v) in enumerate(pairs)))
+    return StagGraph(graph, trees, g)
 
 
 def neighborhood_partitions(s, v):

@@ -57,7 +57,7 @@ def _load_graph(path, override=None):
     fmt = _fmt_of(path, override)
     if fmt == "dot":
         raise ValueError("dot is export-only")
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return parse_graph(fh.read(), fmt)
 
 

@@ -52,14 +52,14 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             if u not in vset or v not in vset:
                 raise ValueError(f"edge ({u},{v}) touches unknown vertex")
-            pair = frozenset((u, v))
+            pair = (u, v) if u < v else (v, u)
             if pair in seen_pairs:
                 raise ValueError(f"duplicate edge ({u},{v})")
             if eid in seen_ids:
                 raise ValueError(f"duplicate edge id {eid}")
             seen_ids.add(eid)
             seen_pairs.add(pair)
-            es.append(Edge(int(eid), min(u, v), max(u, v)))
+            es.append(Edge(int(eid), *pair))
         self.vertices = vs
         self.edges = tuple(es)
         if names is None:
@@ -179,7 +179,11 @@ def parse_graph(text, fmt="edgelist"):
     JSON: {"vertices": [names], "edges": [[u, v], ...]}.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = text.count(b"\n", 0, exc.start) + 1
+            raise ParseError(line, f"invalid UTF-8 byte 0x{text[exc.start]:02x}") from exc
     if fmt == "edgelist":
         return _parse_edgelist(text)
     if fmt == "json":
@@ -190,6 +194,7 @@ def parse_graph(text, fmt="edgelist"):
 def _parse_edgelist(text):
     ids = {}
     pairs = []
+    seen = set()
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -204,8 +209,9 @@ def _parse_edgelist(text):
             if tok not in ids:
                 ids[tok] = len(ids)
         pair = frozenset((ids[u], ids[v]))
-        if any(frozenset(p) == pair for p in pairs):
+        if pair in seen:
             raise ParseError(ln, f"duplicate edge {u!r} {v!r}")
+        seen.add(pair)
         pairs.append((ids[u], ids[v]))
     if not ids:
         raise ParseError(0, "empty graph")
@@ -217,8 +223,13 @@ def _parse_json(text):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, f"invalid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(0, "invalid JSON: nested too deeply") from exc
     if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
         raise ParseError(0, "JSON graph needs 'vertices' and 'edges'")
+    for key in ("vertices", "edges"):
+        if not isinstance(doc[key], list):
+            raise ParseError(0, f"JSON '{key}' must be a list")
     names = [str(x) for x in doc["vertices"]]
     if not names:
         raise ParseError(0, "empty graph")
@@ -226,8 +237,9 @@ def _parse_json(text):
         raise ParseError(0, "duplicate vertex names")
     ids = {t: i for i, t in enumerate(names)}
     pairs = []
+    seen = set()
     for k, uv in enumerate(doc["edges"]):
-        if len(uv) != 2:
+        if not isinstance(uv, list) or len(uv) != 2:
             raise ParseError(k, f"edge {uv!r} is not a pair")
         u, v = str(uv[0]), str(uv[1])
         if u not in ids or v not in ids:
@@ -235,8 +247,9 @@ def _parse_json(text):
         if u == v:
             raise ParseError(k, f"self-loop at {u!r}")
         pair = frozenset((ids[u], ids[v]))
-        if any(frozenset(p) == pair for p in pairs):
+        if pair in seen:
             raise ParseError(k, f"duplicate edge {uv!r}")
+        seen.add(pair)
         pairs.append((ids[u], ids[v]))
     return Graph.from_pairs(pairs, vertices=range(len(names)), names={i: t for t, i in ids.items()})
 

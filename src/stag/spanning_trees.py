@@ -3,6 +3,7 @@ reverse-delete construction with a protected edge pair."""
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 
 from .errors import (
@@ -11,6 +12,7 @@ from .errors import (
     NotTwoConnected,
     NoWitness,
     TooManyTrees,
+    ValidationFailed,
 )
 from .graph_core import (
     block_decomposition,
@@ -199,24 +201,99 @@ def fundamental_cycle(g, t, eid):
 def enumerate_spanning_trees(g, max_trees=DEFAULT_MAX_TREES):
     """All spanning trees, sorted by canonical key.
 
-    Walks the edge-exchange structure breadth-first from one tree; the
-    Kirchhoff count acts as the size guard and a completeness check.
+    One exchange walk from a breadth-first tree reaches every tree: the
+    neighbours of T are T - f + e for each non-tree edge e and each tree
+    edge f on the fundamental cycle of e. The Kirchhoff count is the size
+    guard (TooManyTrees) and the completeness check (ValidationFailed).
+    """
+    keys, _ = _exchange_walk(g, max_trees)
+    return [SpanningTree(g, k) for k in keys]
+
+
+def _exchange_walk(g, max_trees):
+    """Every spanning tree of g and every exchange between two of them.
+
+    Returns (keys, pairs): the trees' sorted edge-id tuples in ascending
+    order, and an iterator over the index pairs (i, j), i < j, of trees
+    that differ by one exchange, in ascending order. During the walk a
+    tree is a bitmask over edge positions. Each tree is rooted once;
+    climbing the tree path between the ends of a non-tree edge e passes
+    exactly the tree edges f of its fundamental cycle, and each gives the
+    neighbour T - f + e. A pair is recorded from its lower discovery index
+    only, so each appears once. A pair is held as i * N + j (N the tree
+    count) in an int64 array, and ranked and sorted only when the iterator
+    is read, so enumeration alone keeps 8 bytes per exchange.
     """
     expected = count_spanning_trees(g)
     if expected > max_trees:
         raise TooManyTrees(f"{expected} trees exceed guard {max_trees}")
-    start = dfs_spanning_tree(g)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        for nxt in _type2_keys(g, cur):
-            fz = frozenset(nxt)
-            if fz not in seen:
-                seen.add(fz)
-                queue.append(fz)
-    assert len(seen) == expected, "exchange walk missed trees"
-    return [SpanningTree(g, k) for k in sorted(tuple(sorted(k)) for k in seen)]
+    n = g.n
+    vid = {v: k for k, v in enumerate(g.vertices)}
+    ends = [(vid[e.u], vid[e.v]) for e in g.edges]
+    bits = [1 << p for p in range(g.m)]
+    first = dfs_spanning_tree(g)
+    start = sum(bits[p] for p, e in enumerate(g.edges) if e.eid in first)
+    index = {start: 0}
+    masks = [start]
+    codes = array("q")
+    i = 0
+    while i < len(masks):
+        cur = masks[i]
+        adj = [[] for _ in range(n)]
+        chords = []
+        for p, (u, v) in enumerate(ends):
+            if cur & bits[p]:
+                adj[u].append((v, p))
+                adj[v].append((u, p))
+            else:
+                chords.append(p)
+        depth = [-1] * n
+        up = [0] * n
+        up_edge = [0] * n
+        depth[0] = 0
+        stack = [0]
+        while stack:
+            x = stack.pop()
+            for y, p in adj[x]:
+                if depth[y] < 0:
+                    depth[y] = depth[x] + 1
+                    up[y] = x
+                    up_edge[y] = p
+                    stack.append(y)
+        for p in chords:
+            base = cur | bits[p]
+            x, y = ends[p]
+            while x != y:
+                if depth[x] < depth[y]:
+                    x, y = y, x
+                nxt = base ^ bits[up_edge[x]]
+                j = index.get(nxt)
+                if j is None:
+                    j = index[nxt] = len(masks)
+                    masks.append(nxt)
+                if i < j:
+                    codes.append(i * expected + j)
+                x = up[x]
+        i += 1
+    if len(masks) != expected:
+        raise ValidationFailed(f"exchange walk found {len(masks)} of {expected} trees")
+    eids = [e.eid for e in g.edges]
+    keys = [tuple(sorted(eids[p] for p in range(g.m) if mask & bits[p])) for mask in masks]
+    order = sorted(range(expected), key=keys.__getitem__)
+    rank = [0] * expected
+    for r, old in enumerate(order):
+        rank[old] = r
+
+    def ranked_pairs():
+        ranked = []
+        for c in codes:
+            a, b = rank[c // expected], rank[c % expected]
+            ranked.append(a * expected + b if a < b else b * expected + a)
+        ranked.sort()
+        for c in ranked:
+            yield divmod(c, expected)
+
+    return [keys[k] for k in order], ranked_pairs()
 
 
 def serialize_trees(trees):

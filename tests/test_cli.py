@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from stag import ParseError, parse_graph
 from stag.cli import run
 
 
@@ -149,6 +150,36 @@ def test_input_error_exit_code(tmp_path):
     _write(bad, "a a\n")
     assert run(["count", "-i", str(bad)]) == 2
     assert run(["count", "-i", str(tmp_path / "missing.txt")]) == 2
+
+
+def _rejected_as_parse_error(tmp_path, capsys, data, fmt, where):
+    with pytest.raises(ParseError, match=f"^line {where}: "):
+        parse_graph(data, fmt)
+    path = tmp_path / ("g.json" if fmt == "json" else "g.txt")
+    path.write_bytes(data)
+    assert run(["count", "-i", str(path), "--json"]) == 2
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["status"] == "error"
+    assert verdict["message"].startswith(f"line {where}: ")
+
+
+def test_non_utf8_input_is_a_parse_error(tmp_path, capsys):
+    _rejected_as_parse_error(tmp_path, capsys, b"a b\n\xff c\n", "edgelist", 2)
+
+
+def test_json_edge_that_is_not_a_list_is_a_parse_error(tmp_path, capsys):
+    for edges in ([5], ["ab"]):
+        doc = {"vertices": ["a", "b"], "edges": edges}
+        _rejected_as_parse_error(tmp_path, capsys, json.dumps(doc).encode(), "json", 0)
+
+
+def test_json_vertices_or_edges_not_a_list_is_a_parse_error(tmp_path, capsys):
+    for doc in ({"vertices": "ab", "edges": []}, {"vertices": ["a", "b"], "edges": "ab"}):
+        _rejected_as_parse_error(tmp_path, capsys, json.dumps(doc).encode(), "json", 0)
+
+
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
+    _rejected_as_parse_error(tmp_path, capsys, b"[" * 100_000, "json", 0)
 
 
 def test_dot_export(tmp_path, c3_file):

@@ -52,8 +52,8 @@ def test_parse_edgelist_roundtrip(theta):
 def test_parse_edgelist_errors():
     with pytest.raises(ParseError):
         parse_graph("a a\n")
-    with pytest.raises(ParseError):
-        parse_graph("a b\nb a\n")
+    with pytest.raises(ParseError, match="^line 3: duplicate edge 'b' 'a'$"):
+        parse_graph("a b\nb c\nb a\n")
     with pytest.raises(ParseError):
         parse_graph("# nothing\n")
     with pytest.raises(ParseError):
@@ -72,6 +72,9 @@ def test_parse_json_errors():
         parse_graph("{", fmt="json")
     with pytest.raises(ParseError):
         parse_graph(json.dumps({"vertices": ["a"], "edges": [["a", "b"]]}), fmt="json")
+    dup = {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["b", "a"]]}
+    with pytest.raises(ParseError, match=r"^line 2: duplicate edge \['b', 'a'\]$"):
+        parse_graph(json.dumps(dup), fmt="json")
 
 
 def test_dot_export_mentions_every_edge(c4):

@@ -20,7 +20,8 @@ from stag import (
     type2_neighbors,
     witness_edge_for_pair,
 )
-from stag.errors import NoWitness
+from stag import spanning_trees
+from stag.errors import NoWitness, ValidationFailed
 from stag.generators import random_connected_graph, random_two_connected_graph
 from stag.oracles import brute_force_trees
 
@@ -64,6 +65,13 @@ def test_enumeration_matches_oracle():
 def test_enumeration_guard(k5):
     with pytest.raises(TooManyTrees):
         enumerate_spanning_trees(k5, max_trees=100)
+
+
+def test_walk_completeness_check_is_not_an_assert(k4, monkeypatch):
+    # a Kirchhoff count the walk cannot reach must fail loudly, also under -O
+    monkeypatch.setattr(spanning_trees, "count_spanning_trees", lambda g: 17)
+    with pytest.raises(ValidationFailed, match="16 of 17"):
+        enumerate_spanning_trees(k4)
 
 
 def test_dfs_tree_spans(theta):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -8,14 +9,20 @@ from stag import (
     Unannotated,
     build_stag,
     complete_graph,
+    count_spanning_trees,
     cycle_graph,
+    enumerate_spanning_trees,
     ground_truth_cliques,
     neighborhood_partitions,
     stag_to_dot,
     stag_to_json,
 )
 from stag.aux_graph import StagGraph
-from stag.generators import random_connected_graph
+from stag.generators import (
+    random_connected_graph,
+    random_multiblock_graph,
+    random_two_connected_graph,
+)
 from stag.oracles import brute_force_stag
 from stag.params import maximal_cliques
 
@@ -141,3 +148,44 @@ def test_stag_vertices_ordered_by_tree_key(theta):
     s = build_stag(theta)
     keys = [t.key for t in s.trees]
     assert keys == sorted(keys)
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("make, json_digest, dot_digest", [
+    (lambda: complete_graph(5),
+     "612d4233fd5af897d993c4ed06160d1263a4a595fde05c92e8f732907897cd4a",
+     "8fbb3ae3dea90321947e5f0cd42a641f606d81088b9431815788919549815791"),
+    (lambda: random_two_connected_graph(8, 12, 7),
+     "fd430584959ceced40ce879f34936b121f39701375ce90cdcca4b5563ad0fa43",
+     "9bcdc1b3a889ced7b0751da28fc5f43ddf031e4ec37852b4b368702d97f0c8e9"),
+    (lambda: random_multiblock_graph([4, 4, 4], 1),
+     "00e38be73218ff8cc2da41c0129dd41ad1d615fa676cb911687d23cb9c35289e",
+     "028b3866860a8b73e04ddb99fea3c0a56240ae8d29bb993d54731e2947b85405"),
+], ids=["k5", "2c-8-12-7", "blocks-444-1"])
+def test_aux_output_bytes_are_pinned(make, json_digest, dot_digest):
+    # Digests taken from the earlier two-pass build (enumerate, then each
+    # tree's type-2 neighbours); vertex order, edge ids and both text
+    # formats must not drift.
+    s = build_stag(make())
+    assert _sha256(stag_to_json(s)) == json_digest
+    assert _sha256(stag_to_dot(s)) == dot_digest
+
+
+def test_exchange_walk_matches_the_definition(k5, c6, theta):
+    rng = random.Random(4004)
+    pool = [k5, c6, theta]
+    while len(pool) < 13:
+        sizes = [rng.randint(3, 4) for _ in range(rng.randint(2, 3))]
+        g = random_multiblock_graph(sizes, rng.randrange(1 << 30))
+        if count_spanning_trees(g) <= 400:
+            pool.append(g)
+    for g in pool:
+        s = build_stag(g)
+        assert [t.key for t in enumerate_spanning_trees(g)] == [t.key for t in s.trees]
+        sets = [t.edge_set for t in s.trees]
+        want = {(i, j) for i, j in itertools.combinations(range(len(sets)), 2)
+                if len(sets[i] ^ sets[j]) == 2}
+        assert [(e.u, e.v) for e in s.graph.edges] == sorted(want)
