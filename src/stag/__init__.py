@@ -66,20 +66,7 @@ from .graph_core import (
     to_json,
 )
 from .params import ParamReport, exchange_diameter, maximal_cliques, param_report
-from .recognition import (
-    ExplicitTree,
-    InferredParams,
-    LabeledTreeEdge,
-    add_chords,
-    enumerate_preimages,
-    extend_to_maximal_clique,
-    infer_params,
-    invert,
-    invert_prime,
-    label_cut_cliques,
-    layout_tree,
-    recover_neighborhood_partitions,
-)
+from .recognition import enumerate_preimages, invert
 from .spanning_trees import (
     SpanningTree,
     count_spanning_trees,

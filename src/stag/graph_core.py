@@ -117,9 +117,6 @@ class Graph:
     def edge_ids(self):
         return tuple(e.eid for e in self.edges)
 
-    def neighbors(self, v):
-        return tuple(sorted(self._adj[v]))
-
     def adj(self, v):
         return self._adj[v]
 

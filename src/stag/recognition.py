@@ -1,479 +1,293 @@
 """Recognition of spanning tree auxiliary graphs and reconstruction of a
 minimal preimage.
 
-The prime case runs in two phases: recover the two clique partitions of a
-neighborhood, label each cut clique by the cycle cliques it meets, lay the
-labeled edges out as a tree in which every cycle's edges form a path, then
-close each path with a chord. Every candidate reconstruction is verified
-by rebuilding its auxiliary graph, so heuristic choices stay sound.
+In Aux(G) the neighborhood of a tree T is the line graph of T's
+fundamental graph B_T: tree edges on one side, non-tree edges on the
+other, f ~ e when f lies on the fundamental cycle of e (Maurer 1973,
+Matroid basis graphs I). `invert` reads a preimage off that structure in
+three deterministic stages, with no search budget:
+
+root
+    At the anchor x, each edge yz of N(x) spans the class {y, z} plus the
+    common neighbors of y and z inside N(x): the star of one node of B_T.
+    The classes must be cliques covering every neighbor once or twice;
+    a neighbor in one class hangs off a pendant root node. The root is
+    2-colored, and its components are the blocks of the preimage.
+layout
+    In each block one color holds the tree edges and the other the
+    non-tree edges (the smaller side first, then the other; swapping the
+    sides gives the dual matroid, which has the same Aux). A complete
+    search lays the tree edges out so that each non-tree edge's tree
+    edges form a path; the chord joins the path's ends.
+certificate
+    x maps to T0 and each neighbor to T0 - f + e, read from its root
+    nodes. The map extends along a BFS, each vertex from its grandparent
+    and their common neighbors, and is checked edge by edge against the
+    exchange walk of the reconstruction (McConnell, Mehlhorn, Naeher and
+    Schweitzer 2011, Certifying algorithms).
+
+Every rejection names the failed necessary condition.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from dataclasses import dataclass
+from collections import deque
 
-from .aux_graph import build_stag
-from .errors import Disconnected, NotAStag, NotMinimal
-from .factorization import prime_factorize
-from .graph_core import (
-    Graph,
-    are_isomorphic,
-    block_decomposition,
-    cycle_graph,
-    is_connected,
-    single_vertex_graph,
-)
-from .params import maximal_cliques
-from .spanning_trees import DEFAULT_MAX_TREES, count_spanning_trees
+from .errors import Disconnected, NotAStag, NotMinimal, TooManyTrees
+from .graph_core import Graph, block_decomposition, is_connected, single_vertex_graph
+from .spanning_trees import DEFAULT_MAX_TREES, _exchange_walk
 
-_PER_VERTEX_COVER_CAP = 500
-_ANCHOR_PARTITION_CAP = 20_000
-_ANCHOR_JOB_CAP = 500
-_LAYOUT_CAP = 50_000
-_TOTAL_LAYOUT_CAP = 500_000
+# -- root ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InferredParams:
-    """Preimage vertex/edge counts plus the per-vertex partition pairs."""
+def neighborhood_root(h, x):
+    """Root of N(x) as the line graph of a bipartite graph.
 
-    n: int
-    m: int
-    per_vertex_partitions: dict  # vertex -> (cut partition, cycle partition)
-
-
-@dataclass(frozen=True)
-class LabeledTreeEdge:
-    cut_id: int
-    label: frozenset  # cycle-clique ids this cut clique intersects
-
-
-@dataclass(frozen=True)
-class ExplicitTree:
-    n: int
-    edges: tuple  # (u, v, label frozenset, cut_id)
-
-
-# -- clique machinery ---------------------------------------------------------
-
-
-def _induced(h, vset):
-    vset = set(vset)
-    return Graph(
-        vset,
-        ((e.eid, e.u, e.v) for e in h.edges if e.u in vset and e.v in vset),
-        h.names,
-    )
-
-
-def extend_to_maximal_clique(h, seed):
-    """Unique maximal clique containing the seed clique, or NotAStag when
-    the extension is ambiguous."""
-    seed = frozenset(seed)
-    if len(seed) < 2:
-        raise ValueError("seed needs at least two vertices")
-    for u in seed:
-        for v in seed:
-            if u < v and not h.has_edge(u, v):
-                raise ValueError("seed is not a clique")
-    common = None
-    for u in seed:
-        nbrs = set(h.adj(u))
-        common = nbrs if common is None else common & nbrs
-    common -= seed
-    if not common:
-        return seed
-    closures = maximal_cliques(_induced(h, common))
-    if len(closures) > 1:
-        raise NotAStag("ambiguous extension")
-    return seed | closures[0]
-
-
-def _cliques_through(h, x):
-    """Maximal cliques of h containing x, each returned minus x."""
-    nbrs = h.neighbors(x)
-    if not nbrs:
-        return []
-    return sorted(maximal_cliques(_induced(h, nbrs)), key=sorted)
-
-
-def _double_partitions(h, x):
-    """Yield (cycle partition, cut partition) pairs of N(x).
-
-    Cycle classes are maximal-clique traces of size >= 2; cut classes are
-    maximal-clique traces or singletons, meeting each cycle class in at
-    most one vertex."""
-    nbrs = frozenset(h.adj(x))
-    if not nbrs:
-        yield ((), ())
-        return
-    cliques = _cliques_through(h, x)
-    cands = {y: [c for c in cliques if y in c] for y in nbrs}
-
-    def cover_cycle(uncovered, acc):
-        if not uncovered:
-            yield tuple(acc)
-            return
-        y = min(uncovered)
-        for c in cands[y]:
-            if len(c) >= 2 and c <= uncovered:
-                acc.append(c)
-                yield from cover_cycle(uncovered - c, acc)
-                acc.pop()
-
-    def cover_cut(uncovered, cycle_classes, acc):
-        if not uncovered:
-            yield tuple(acc)
-            return
-        y = min(uncovered)
-        options = [
-            c
-            for c in cands[y]
-            if c <= uncovered and all(len(c & cc) <= 1 for cc in cycle_classes)
-        ]
-        fy = frozenset((y,))
-        if fy not in options:
-            options.append(fy)
-        for c in options:
-            acc.append(c)
-            yield from cover_cut(uncovered - c, cycle_classes, acc)
-            acc.pop()
-
-    for cycle_p in cover_cycle(nbrs, []):
-        for cut_p in cover_cut(nbrs, cycle_p, []):
-            yield (
-                tuple(sorted(cycle_p, key=sorted)),
-                tuple(sorted(cut_p, key=sorted)),
-            )
-
-
-def recover_neighborhood_partitions(h, x):
-    """First consistent (cut partition, cycle partition) of N(x)."""
-    for cycle_p, cut_p in _double_partitions(h, x):
-        return cut_p, cycle_p
-    raise NotAStag(f"no consistent double partition at vertex {x}")
-
-
-def _count_candidates(h, cap=_PER_VERTEX_COVER_CAP):
-    """Per-vertex feasible (cycle count, cut count) pairs and one witness
-    partition pair per count pair; empty candidate list means rejection."""
-    per_vertex = {}
-    common = None
-    for v in h.vertices:
-        seen = {}
-        for i, (cycle_p, cut_p) in enumerate(_double_partitions(h, v)):
-            if i >= cap:
-                break
-            seen.setdefault((len(cycle_p), len(cut_p)), (cut_p, cycle_p))
-        if not seen:
-            return [], {}
-        per_vertex[v] = seen
-        common = set(seen) if common is None else common & set(seen)
-        if not common:
-            return [], {}
-    return sorted(common), per_vertex
-
-
-def infer_params(h):
-    """Preimage (n, m) from the partition class counts, consistent across
-    every vertex: n = cut classes + 1, m = cycle classes + n - 1."""
-    candidates, per_vertex = _count_candidates(h)
-    if not candidates:
-        raise NotAStag("inconsistent neighborhood partitions across vertices")
-    a, b = candidates[0]
-    n = b + 1
-    m = a + n - 1
-    partitions = {v: per_vertex[v][(a, b)] for v in h.vertices}
-    return InferredParams(n=n, m=m, per_vertex_partitions=partitions)
-
-
-# -- labeling and layout -------------------------------------------------------
-
-
-def _labels_from_partitions(cycle_p, cut_p):
-    """One label (set of intersected cycle ids) per cut class, with the
-    pairwise label lemma checks that need no layout."""
-    labels = []
-    for i, cut_cls in enumerate(cut_p):
-        label = frozenset(j for j, cyc_cls in enumerate(cycle_p) if cut_cls & cyc_cls)
-        if not label:
-            raise NotAStag("cut clique meets no cycle clique")
-        if len(label) != len(cut_cls):
-            # a tree edge's cut holds one edge per cycle through it, plus itself
-            raise NotAStag("cut clique size disagrees with its label")
-        labels.append(LabeledTreeEdge(i, label))
-    edge_sets = [frozenset(i for i, it in enumerate(labels) if j in it.label) for j in range(len(cycle_p))]
-    if len(set(edge_sets)) != len(edge_sets):
-        raise NotAStag("two cycles label an identical set of tree edges")
-    for j, cyc_cls in enumerate(cycle_p):
-        # a cycle of length k is one chord plus a k-1 edge tree path
-        if len(edge_sets[j]) != len(cyc_cls):
-            raise NotAStag("cycle clique size disagrees with its tree path")
-    return labels
-
-
-def label_cut_cliques(params, x):
-    """Labeled tree edges derived from the partitions recovered at x."""
-    cut_p, cycle_p = params.per_vertex_partitions[x]
-    return _labels_from_partitions(cycle_p, cut_p)
-
-
-def _layouts(items, n):
-    """Yield every tree placement of the labeled edges (vertices 0..n-1)
-    in which each cycle id's edges stay a connected path."""
-    if len(items) != n - 1 or not items:
-        return
-    pools = {}
-    for it in items:
-        pools.setdefault(it.label, deque()).append(it.cut_id)
-    for pool in pools.values():
-        pool_list = sorted(pool)
-        pool.clear()
-        pool.extend(pool_list)
-    labels = sorted(pools, key=sorted)
-    remaining = Counter()
-    for it in items:
-        remaining[it.label] += 1
-
-    placed = []  # (u, v, label, cut_id)
-    edges_at = {0: [], 1: []}
-    cyc_deg = Counter()  # (cycle id, vertex) -> degree within that cycle
-    cyc_on = Counter()  # cycle id -> number of placed edges
-
-    def attach_ok(label, u):
-        for c in label:
-            d = cyc_deg[(c, u)]
-            if d >= 2:
-                return False
-            if cyc_on[c] and d == 0:
-                return False  # would disconnect the cycle's path
-        return True
-
-    def rec():
-        if sum(remaining.values()) == 0:
-            yield ExplicitTree(n, tuple(placed))
-            return
-        for label in labels:
-            if not remaining[label]:
+    Returns (classes, ends, blocks): classes[i] is the star of root node i
+    as a frozenset of neighbors of x, ends[y] the two root nodes that the
+    neighbor y joins, and blocks the root's components by lowest node,
+    each as its two color classes (the lowest node in the first)."""
+    nbrs = h.adj(x)
+    classes = []
+    member = {y: [] for y in nbrs}
+    for y in sorted(nbrs):
+        near = sorted(z for z in h.adj(y) if z in nbrs)
+        if not near:
+            raise NotAStag(f"no triangle: edge {x}-{y} lies in no triangle")
+        for z in near:
+            if set(member[y]) & set(member[z]):
                 continue
-            for u in range(len(edges_at)):
-                if not attach_ok(label, u):
-                    continue
-                remaining[label] -= 1
-                cut_id = pools[label].popleft()
-                v = len(edges_at)
-                edges_at[v] = []
-                placed.append((u, v, label, cut_id))
-                edges_at[u].append(label)
-                for c in label:
-                    cyc_deg[(c, u)] += 1
-                    cyc_deg[(c, v)] += 1
-                    cyc_on[c] += 1
-                edges_at[v].append(label)
-                yield from rec()
-                edges_at[v].pop()
-                for c in label:
-                    cyc_deg[(c, u)] -= 1
-                    cyc_deg[(c, v)] -= 1
-                    cyc_on[c] -= 1
-                edges_at[u].pop()
-                placed.pop()
-                del edges_at[v]
-                pools[label].appendleft(cut_id)
-                remaining[label] += 1
-
-    # seed: fix the first item between vertices 0 and 1
-    first = items[0].label
-    remaining[first] -= 1
-    pools[first].remove(items[0].cut_id)
-    placed.append((0, 1, first, items[0].cut_id))
-    edges_at[0].append(first)
-    edges_at[1].append(first)
-    for c in first:
-        cyc_deg[(c, 0)] += 1
-        cyc_deg[(c, 1)] += 1
-        cyc_on[c] += 1
-    yield from rec()
-
-
-def layout_tree(items, n):
-    """First tree layout satisfying the consecutive-path constraints."""
-    for tree in _layouts(list(items), n):
-        return tree
-    raise NotAStag("no consistent layout")
-
-
-def add_chords(t):
-    """Close each cycle id's tree path with a chord; the result must stay
-    simple."""
-    pair_set = set()
-    pairs = []
-    for u, v, _, _ in t.edges:
-        pairs.append((u, v))
-        pair_set.add(frozenset((u, v)))
-    cycles = sorted({c for _, _, label, _ in t.edges for c in label})
-    for c in cycles:
-        sub = [(u, v) for u, v, label, _ in t.edges if c in label]
-        if len(sub) < 2:
-            raise NotAStag("chord would parallel a tree edge")
-        deg = Counter()
-        for u, v in sub:
-            deg[u] += 1
-            deg[v] += 1
-        ends = sorted(x for x, d in deg.items() if d == 1)
-        if len(ends) != 2 or any(d > 2 for d in deg.values()):
-            raise NotAStag("cycle edges do not form a path")
-        if not _path_connected(sub):
-            raise NotAStag("cycle edges do not form a path")
-        chord = frozenset(ends)
-        if chord in pair_set:
-            raise NotAStag("non-simple reconstruction")
-        pair_set.add(chord)
-        pairs.append((ends[0], ends[1]))
-    return Graph.from_pairs(pairs, vertices=range(t.n))
-
-
-def _path_connected(sub):
-    adj = {}
-    for u, v in sub:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    start = sub[0][0]
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return len(seen) == len(adj)
-
-
-# -- inversion --------------------------------------------------------------------
-
-
-def _anchor_vertex(h):
-    def signature(v):
-        return (h.degree(v), tuple(sorted(h.degree(w) for w in h.adj(v))), v)
-
-    return min(h.vertices, key=signature)
-
-
-def invert_prime(h, max_trees=DEFAULT_MAX_TREES):
-    """A 2-connected graph whose auxiliary graph is isomorphic to h.
-
-    Special cases: K1 maps to the one-vertex graph; a complete graph on
-    k >= 3 vertices maps to the k-cycle. Everything else goes through the
-    two-phase reconstruction with unconditional final verification."""
-    if not is_connected(h):
-        raise Disconnected("recognition needs a connected candidate")
-    if h.n == 1:
-        return single_vertex_graph()
-    if h.n == 2:
-        raise NotAStag("no simple graph has exactly two spanning trees")
-    if h.is_complete():
-        return cycle_graph(h.n)
-    candidates, _ = _count_candidates(h)
-    if not candidates:
-        raise NotAStag("inconsistent neighborhood partitions")
-    anchor = _anchor_vertex(h)
-    wanted = {}
-    for a, b in candidates:
-        n = b + 1
-        m = a + n - 1
-        if n >= 3 and m >= n and m <= n * (n - 1) // 2:
-            wanted[(a, b)] = (n, m)
-
-    # One layout generator per consistent (count pair, partition) job.
-    # Layouts are pulled in escalating rounds so that a cheap correct job
-    # wins before a spurious one drains the whole budget.
-    jobs = []
-    for i, (cycle_p, cut_p) in enumerate(_double_partitions(h, anchor)):
-        if i >= _ANCHOR_PARTITION_CAP or len(jobs) >= _ANCHOR_JOB_CAP:
-            break
-        key = (len(cycle_p), len(cut_p))
-        if key not in wanted:
+            cls = frozenset([y, z] + [w for w in near if w in h.adj(z)])
+            if any(v != w and v not in h.adj(w) for w in cls for v in cls):
+                raise NotAStag(
+                    f"not a line graph of a triangle-free graph: class "
+                    f"{sorted(cls)} of N({x}) is not a clique"
+                )
+            for w in cls:
+                member[w].append(len(classes))
+            classes.append(cls)
+    ends = {}
+    for y in sorted(nbrs):
+        if len(member[y]) == 1:
+            member[y].append(len(classes))
+            classes.append(frozenset((y,)))
+        if len(member[y]) > 2:
+            raise NotAStag(
+                f"not a line graph of a triangle-free graph: {y} lies in "
+                f"{len(member[y])} classes of N({x})"
+            )
+        ends[y] = tuple(member[y])
+    if len(set(ends.values())) != len(ends):
+        raise NotAStag(
+            f"not a line graph of a triangle-free graph: two neighbors of {x} "
+            f"lie in the same two classes"
+        )
+    color = [None] * len(classes)
+    blocks = []
+    for start in range(len(classes)):
+        if color[start] is not None:
             continue
-        try:
-            items = _labels_from_partitions(cycle_p, cut_p)
-        except NotAStag:
-            continue
-        n, m = wanted[key]
-        jobs.append((n, m, _layouts(items, n)))
-
-    def test(cand, m):
-        if cand.m != m or not is_connected(cand):
-            return False
-        if count_spanning_trees(cand) != h.n:
-            return False
-        aux = build_stag(cand, max_trees)
-        ok, _ = are_isomorphic(aux.graph, h)
-        return ok
-
-    pulled = 0
-    for quota in (20, 200, 2000, _LAYOUT_CAP):
-        live = []
-        for n, m, gen in jobs:
-            taken = 0
-            exhausted = False
-            while taken < quota:
-                tree = next(gen, None)
-                if tree is None:
-                    exhausted = True
-                    break
-                taken += 1
-                pulled += 1
-                try:
-                    cand = add_chords(tree)
-                except NotAStag:
-                    continue
-                if test(cand, m):
-                    return cand
-            if not exhausted:
-                live.append((n, m, gen))
-            if pulled >= _TOTAL_LAYOUT_CAP:
-                raise NotAStag("layout budget exhausted without a reconstruction")
-        jobs = live
-        if not jobs:
-            break
-    raise NotAStag("no consistent reconstruction")
+        color[start] = 0
+        comp = [start]
+        for a in comp:
+            for b in across(classes, ends, a):
+                if color[b] is None:
+                    color[b] = 1 - color[a]
+                    comp.append(b)
+                elif color[b] == color[a]:
+                    raise NotAStag(f"root not bipartite: the root of N({x}) has an odd cycle")
+        blocks.append(tuple(sorted(a for a in comp if color[a] == k) for k in (0, 1)))
+    return classes, ends, blocks
 
 
-def _assemble_blocks(blocks):
-    """Star assembly: every block's lowest vertex becomes one shared cut
-    vertex."""
-    if len(blocks) == 1:
-        return blocks[0]
-    pairs = []
-    next_id = 1
-    for b in blocks:
-        anchor = min(b.vertices)
-        vmap = {anchor: 0}
-        for v in b.vertices:
-            if v != anchor:
-                vmap[v] = next_id
-                next_id += 1
-        pairs.extend((vmap[e.u], vmap[e.v]) for e in b.edges)
-    return Graph.from_pairs(pairs, vertices=range(next_id))
+def across(classes, ends, a):
+    """The root nodes adjacent to node a."""
+    return {b for y in classes[a] for b in ends[y] if b != a}
+
+
+# -- layout -------------------------------------------------------------------
+
+
+def layout(tree, paths):
+    """Lay the tree nodes out as a tree on vertices 0..len(tree) in which
+    the tree nodes paths[c] of every cycle c form a path. The cycles must
+    connect all tree nodes, as they do in one component of a root.
+
+    Complete search: at each step the open cycle with the fewest legal
+    moves is extended by one of its remaining tree nodes, attached as a
+    new leaf at one end of its path. Returns (place, ends), place[f] the
+    vertex pair of tree node f in placement order and ends[c] the two
+    ends of c's path, or None when no such tree exists."""
+    labels = {f: [] for f in tree}
+    for c in sorted(paths):
+        for f in paths[c]:
+            labels[f].append(c)
+    remaining = {c: set(p) for c, p in paths.items()}
+    place = {}
+    ends = {}
+    undo = []
+
+    def attach(f, u):
+        v = len(place) + 1
+        place[f] = (u, v)
+        old = [(c, ends.get(c)) for c in labels[f]]
+        for c, a in old:
+            ends[c] = (u, v) if a is None else (v, a[1]) if a[0] == u else (a[0], v)
+            remaining[c].discard(f)
+        undo.append((f, old))
+
+    def detach():
+        f, old = undo.pop()
+        del place[f]
+        for c, a in old:
+            remaining[c].add(f)
+            if a is None:
+                del ends[c]
+            else:
+                ends[c] = a
+
+    def moves():
+        best = []
+        for c in sorted(ends):
+            if not remaining[c]:
+                continue
+            legal = [
+                (f, u)
+                for f in sorted(remaining[c])
+                for u in ends[c]
+                if all(d not in ends or u in ends[d] for d in labels[f])
+            ]
+            if not legal:
+                return []
+            if not best or len(legal) < len(best):
+                best = legal
+        return best
+
+    attach(tree[0], 0)
+    frames = []
+    while len(place) < len(tree):
+        frames.append(iter(moves()))
+        while (move := next(frames[-1], None)) is None:
+            frames.pop()
+            if not frames:
+                return None
+            detach()
+        attach(*move)
+    return place, ends
+
+
+def _block(tree, cycles, classes, ends):
+    """Layout of one root component with the given side as tree edges,
+    or None when that side does not describe a simple graph."""
+    paths = {c: across(classes, ends, c) for c in cycles}
+    if any(len(p) < 2 for p in paths.values()):
+        return None  # a chord would parallel a tree edge
+    if len({frozenset(p) for p in paths.values()}) != len(paths):
+        return None  # two chords would be parallel
+    return layout(tree, paths)
+
+
+# -- inversion ----------------------------------------------------------------
 
 
 def invert(h, max_trees=DEFAULT_MAX_TREES):
-    """Minimal preimage of an arbitrary candidate: factorize, invert each
-    prime factor, assemble the blocks, verify Aux-isomorphism."""
+    """Minimal preimage of h: a graph without bridges whose Aux is h.
+
+    Root: N(x) at x = h.vertices[0] is read as the line graph of the
+    fundamental graph of one tree T0; its components are the blocks.
+    Layout: each block's tree edges are laid out so that every non-tree
+    edge closes a path; the blocks share one vertex. Certificate: the
+    labeling of N(x) extends along a BFS to a map onto the spanning
+    trees of the result, checked edge by edge against its exchange walk.
+    A verdict of NotAStag names the necessary condition that failed;
+    more than max_trees vertices raise TooManyTrees."""
     if not is_connected(h):
         raise Disconnected("recognition needs a connected candidate")
     if h.n == 1:
         return single_vertex_graph()
-    factorization = prime_factorize(h)
-    blocks = [invert_prime(f, max_trees) for f in factorization.factors]
-    g = _assemble_blocks(blocks)
-    aux = build_stag(g, max_trees)
-    ok, _ = are_isomorphic(aux.graph, h)
-    if not ok:
-        raise NotAStag("final verification failed")
+    if h.n > max_trees:
+        raise TooManyTrees(f"{h.n} trees exceed guard {max_trees}")
+    x = h.vertices[0]
+    classes, ends, blocks = neighborhood_root(h, x)
+    pairs = []
+    eid = {}
+    tree_mask = 0
+    next_vertex = 1
+    for block in blocks:
+        sides = sorted(block, key=len)
+        for tree, cycles in (sides, sides[::-1]):
+            found = _block(tree, cycles, classes, ends)
+            if found is not None:
+                break
+        else:
+            raise NotAStag(
+                f"neither side is graphic: no tree realizes root block {block[0][0]} of N({x})"
+            )
+        place, path_ends = found
+        base = next_vertex - 1
+        for a, (u, v) in [*place.items(), *((c, path_ends[c]) for c in cycles)]:
+            eid[a] = len(pairs)
+            pairs.append((u + base if u else 0, v + base if v else 0))
+        tree_mask |= sum(1 << eid[a] for a in tree)
+        next_vertex += len(tree)
+    g = Graph.from_pairs(pairs, vertices=range(next_vertex))
+    phi = {y: tree_mask ^ (1 << eid[a]) ^ (1 << eid[b]) for y, (a, b) in ends.items()}
+    _certify(h, x, g, tree_mask, phi)
     return g
+
+
+def _certify(h, x, g, t0, phi):
+    """Check that h is Aux(g) under the map that sends x to the tree t0
+    and each neighbor y to the tree phi[y], extended along a BFS from x.
+
+    A vertex w two levels below its grandparent u differs from it by two
+    exchanges, and the common neighbors of u and w, one level between
+    them, take each half: phi(w) = phi(u) - removed + added. The map must
+    be a bijection onto the spanning trees of g that sends every edge of
+    h to one exchange, and g must have exactly h.m exchanges."""
+    parent = dict.fromkeys(phi, x)
+    queue = deque(sorted(phi))
+    phi[x] = t0
+    parent[x] = None
+    while queue:
+        v = queue.popleft()
+        for w in sorted(h.adj(v)):
+            if w in parent:
+                continue
+            parent[w] = v
+            u = parent[v]
+            adj_w = h.adj(w)
+            pu = phi[u]
+            removed = added = 0
+            for z in h.adj(u):
+                if z in adj_w:
+                    removed |= pu & ~phi[z]
+                    added |= phi[z] & ~pu
+            if removed.bit_count() != 2 or added.bit_count() != 2:
+                raise NotAStag(
+                    f"certificate does not extend: vertex {w} is not two exchanges "
+                    f"from vertex {u}"
+                )
+            phi[w] = pu ^ removed ^ added
+            queue.append(w)
+    try:
+        keys, exchanges = _exchange_walk(g, h.n)
+    except TooManyTrees:
+        raise NotAStag(
+            f"count mismatch: the reconstruction has more than {h.n} spanning trees"
+        ) from None
+    if len(keys) != h.n:
+        raise NotAStag(
+            f"count mismatch: the reconstruction has {len(keys)} spanning trees, not {h.n}"
+        )
+    if set(phi.values()) != {sum(1 << e for e in key) for key in keys}:
+        raise NotAStag("certificate does not extend: the map is not onto the spanning trees")
+    for e in h.edges:
+        if (phi[e.u] ^ phi[e.v]).bit_count() != 2:
+            raise NotAStag(f"certificate does not extend: edge {e.u}-{e.v} is not an exchange")
+    m = sum(1 for _ in exchanges)
+    if m != h.m:
+        raise NotAStag(f"count mismatch: the reconstruction has {m} exchanges, not {h.m}")
 
 
 def enumerate_preimages(g_min, budget):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from stag import ParseError, parse_graph
+from stag import ParseError, build_stag, complete_graph, parse_graph, to_edgelist
 from stag.cli import run
 
 
@@ -142,6 +142,10 @@ def test_guard_exit_code(tmp_path, capsys):
     k6 = tmp_path / "k6.txt"
     _write(k6, "\n".join(f"{u} {v}" for u in range(6) for v in range(u + 1, 6)) + "\n")
     rc = run(["trees", "-i", str(k6), "--max-trees", "100"])
+    assert rc == 3
+    aux_k4 = tmp_path / "aux_k4.txt"
+    _write(aux_k4, to_edgelist(build_stag(complete_graph(4)).graph))
+    rc = run(["invert", "-i", str(aux_k4), "--max-trees", "10"])
     assert rc == 3
 
 

@@ -1,5 +1,7 @@
+import itertools
 import random
 
+import networkx as nx
 import pytest
 
 from stag import (
@@ -12,112 +14,165 @@ from stag import (
     complete_graph,
     cycle_graph,
     enumerate_preimages,
-    extend_to_maximal_clique,
-    infer_params,
     invert,
-    invert_prime,
-    label_cut_cliques,
-    recover_neighborhood_partitions,
+    neighborhood_partitions,
     single_vertex_graph,
 )
 from stag.generators import random_multiblock_graph, random_two_connected_graph
 from stag.oracles import brute_force_is_stag
-from stag.recognition import add_chords, layout_tree
+from stag.recognition import across, layout, neighborhood_root
+
+REJECTIONS = (
+    "no triangle",
+    "not a line graph",
+    "root not bipartite",
+    "neither side is graphic",
+    "certificate does not extend",
+    "count mismatch",
+)
 
 
-def test_extend_triangle_in_k4(k4):
-    assert extend_to_maximal_clique(k4, {0, 1, 2}) == {0, 1, 2, 3}
-
-
-def test_extend_is_identity_on_maximal(c4):
-    h = build_stag(c4).graph  # K4
-    assert extend_to_maximal_clique(h, {0, 1, 2}) == {0, 1, 2, 3}
-
-
-def test_extend_ambiguous_edge_seed(diamond):
-    # both triangles of the diamond contain the hinge edge
-    with pytest.raises(NotAStag):
-        extend_to_maximal_clique(diamond, {0, 2})
-
-
-def test_extend_rejects_non_clique(c4):
-    with pytest.raises(ValueError):
-        extend_to_maximal_clique(c4, {0, 2})
-    with pytest.raises(ValueError):
-        extend_to_maximal_clique(c4, {0})
+def _root_matches_ground_truth(s, x):
+    """The root's sides are the cut and cycle classes of N(x), up to
+    swapping, and its graph is the networkx inverse line graph of N(x)."""
+    classes, ends, blocks = neighborhood_root(s.graph, x)
+    assert len(blocks) == 1
+    sides = {frozenset(classes[a] for a in side) for side in blocks[0]}
+    truth = neighborhood_partitions(s, x)
+    assert sides == {
+        frozenset(ws for _, ws in truth.cut_classes),
+        frozenset(ws for _, ws in truth.cycle_classes),
+    }
+    nbrs = s.graph.adj(x)
+    line = nx.Graph()
+    line.add_nodes_from(nbrs)
+    line.add_edges_from((e.u, e.v) for e in s.graph.edges if e.u in nbrs and e.v in nbrs)
+    assert nx.is_isomorphic(nx.Graph(list(ends.values())), nx.inverse_line_graph(line))
 
 
 def test_recovered_partitions_on_aux_c4(c4):
-    h = build_stag(c4).graph
-    cut_p, cycle_p = recover_neighborhood_partitions(h, 0)
-    assert len(cut_p) == 3
-    assert len(cycle_p) == 1
-    assert set().union(*cut_p) == set(h.adj(0))
-    assert set().union(*cycle_p) == set(h.adj(0))
+    s = build_stag(c4)  # K4
+    for x in s.graph.vertices:
+        _root_matches_ground_truth(s, x)
+
+
+def test_root_sides_are_the_cut_and_cycle_classes():
+    graphs = [
+        complete_graph(5),
+        complete_graph(6),
+        random_two_connected_graph(6, 12, 0),
+        random_two_connected_graph(7, 14, 3),
+    ]
+    for g in graphs:
+        s = build_stag(g)
+        n = s.graph.n
+        for x in sorted({0, 1, n // 3, n // 2, n - 1}):
+            _root_matches_ground_truth(s, x)
 
 
 def test_recovered_partitions_reject_non_stag(p4):
-    with pytest.raises(NotAStag):
-        recover_neighborhood_partitions(p4, 1)
+    with pytest.raises(NotAStag, match="no triangle"):
+        neighborhood_root(p4, 1)
+    # the hub of the wheel W5 sees C5, the line graph of an odd cycle
+    wheel = Graph.from_pairs([(0, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)])
+    with pytest.raises(NotAStag, match="root not bipartite"):
+        neighborhood_root(wheel, 0)
+    assert brute_force_is_stag(wheel) is None
 
 
-def test_infer_params_matches_origin(c4, k4, theta, diamond):
+def test_invert_recovers_preimage_counts(c4, k4, theta, diamond):
     for g in (c4, k4, theta, diamond):
-        h = build_stag(g).graph
-        inferred = infer_params(h)
-        assert (inferred.n, inferred.m) == (g.n, g.m)
-
-
-def test_labels_cover_every_cut_clique(theta):
-    h = build_stag(theta).graph
-    params = infer_params(h)
-    x = h.vertices[0]
-    items = label_cut_cliques(params, x)
-    assert len(items) == params.n - 1
-    assert all(it.label for it in items)
+        g2 = invert(build_stag(g).graph)
+        assert (g2.n, g2.m) == (g.n, g.m)
 
 
 def test_layout_and_chords_rebuild_a_cycle(c5):
     h = build_stag(c5).graph  # K5
-    params = infer_params(h)
-    items = label_cut_cliques(params, h.vertices[0])
-    tree = layout_tree(items, params.n)
-    g = add_chords(tree)
+    classes, ends, [block] = neighborhood_root(h, 0)
+    # one cycle class of four neighbors; four singleton cut classes
+    cycles, tree = sorted(block, key=len)
+    paths = {c: across(classes, ends, c) for c in cycles}
+    place, path_ends = layout(tree, paths)
+    g = Graph.from_pairs(list(place.values()) + [path_ends[c] for c in cycles])
     assert are_isomorphic(g, c5)[0]
 
 
 def test_layout_infeasible_labels():
-    from stag.recognition import LabeledTreeEdge
-
-    items = [
-        LabeledTreeEdge(0, frozenset([0])),
-        LabeledTreeEdge(1, frozenset([0])),
-        LabeledTreeEdge(2, frozenset([0])),
-    ]
     # three edges of one cycle id must come out as a path
-    tree = layout_tree(items, 4)
-    sub = [(u, v) for u, v, label, _ in tree.edges if 0 in label]
+    place, ends = layout([0, 1, 2], {3: {0, 1, 2}})
     degs = {}
-    for u, v in sub:
+    for u, v in place.values():
         degs[u] = degs.get(u, 0) + 1
         degs[v] = degs.get(v, 0) + 1
     assert sorted(degs.values()) == [1, 1, 2, 2]
+    assert sorted(ends[3]) == sorted(v for v, d in degs.items() if d == 1)
 
-    with pytest.raises(NotAStag):
-        layout_tree(items, 5)  # wrong vertex count, no layout exists
+    # the Fano plane's fundamental circuits: every pair and the triple
+    # cannot all be paths in one tree
+    assert layout([0, 1, 2], {3: {0, 1}, 4: {1, 2}, 5: {0, 2}, 6: {0, 1, 2}}) is None
 
 
-def test_invert_prime_fixtures(c3, c4, c5, k4, diamond, theta):
+def test_invert_fixtures(c3, c4, c5, k4, diamond, theta):
     for g in (c3, c4, c5, k4, diamond, theta):
         h = build_stag(g).graph
-        g2 = invert_prime(h)
+        g2 = invert(h)
         assert are_isomorphic(build_stag(g2).graph, h)[0]
 
 
-def test_invert_prime_complete_input():
+def test_invert_complete_input():
     # K_n is Aux(C_n)
-    g = invert_prime(complete_graph(6))
-    assert are_isomorphic(g, cycle_graph(6))[0]
+    for k in (3, 5, 6):
+        assert are_isomorphic(invert(complete_graph(k)), cycle_graph(k))[0]
+
+
+def test_fano_basis_graph_is_not_graphic_on_either_side():
+    lines = [{0, 1, 2}, {0, 3, 4}, {0, 5, 6}, {1, 3, 5}, {1, 4, 6}, {2, 3, 6}, {2, 4, 5}]
+    bases = [set(b) for b in itertools.combinations(range(7), 3) if set(b) not in lines]
+    assert len(bases) == 28
+    h = Graph.from_pairs(
+        [(i, j) for i, j in itertools.combinations(range(28), 2) if len(bases[i] & bases[j]) == 2]
+    )
+    with pytest.raises(NotAStag, match="neither side is graphic"):
+        invert(h)
+    assert brute_force_is_stag(h) is None
+
+
+def test_invert_prefers_the_smaller_side():
+    # the triangular prism (6 vertices, 9 edges) and its planar dual, the
+    # triangular bipyramid (5 vertices, 9 edges), share their Aux
+    prism = Graph.from_pairs(
+        [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
+    )
+    h = build_stag(prism).graph
+    g = invert(h)
+    assert (g.n, g.m) == (5, 9)
+    assert are_isomorphic(build_stag(g).graph, h)[0]
+
+
+def test_one_edge_perturbations_agree_with_the_oracle():
+    rng = random.Random(47)
+    for _ in range(12):
+        n = rng.randint(3, 5)
+        g = random_two_connected_graph(n, rng.randint(n, min(n + 2, n * (n - 1) // 2)),
+                                       rng.randrange(1 << 30))
+        h = build_stag(g).graph
+        pairs = [(e.u, e.v) for e in h.edges]
+        u, v = rng.sample(h.vertices, 2)
+        if (min(u, v), max(u, v)) in pairs:
+            pairs.remove((min(u, v), max(u, v)))
+        else:
+            pairs.append((u, v))
+        h2 = Graph.from_pairs(pairs, vertices=h.vertices)
+        try:
+            g2 = invert(h2)
+        except NotAStag as exc:
+            assert str(exc).startswith(REJECTIONS), str(exc)
+            assert brute_force_is_stag(h2) is None
+        except Disconnected:
+            continue
+        else:
+            assert are_isomorphic(build_stag(g2).graph, h2)[0]
+            assert brute_force_is_stag(h2) is not None
 
 
 def test_invert_k1_and_k2():
