@@ -60,7 +60,7 @@ def build_stag(g, max_trees=DEFAULT_MAX_TREES):
     edge f on its fundamental cycle. The Kirchhoff count is the size guard
     and the completeness check. Vertices are ordered by tree canonical key
     and edges by vertex pair, so builds are reproducible."""
-    keys, pairs = _exchange_walk(g, max_trees)
+    keys, pairs, _ = _exchange_walk(g, max_trees)
     trees = tuple(SpanningTree(g, k) for k in keys)
     graph = Graph(range(len(trees)), ((k, u, v) for k, (u, v) in enumerate(pairs)))
     return StagGraph(graph, trees, g)

@@ -9,8 +9,7 @@ read-only operations.
 from __future__ import annotations
 
 import json
-import sys
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -43,34 +42,27 @@ class Graph:
         vs = tuple(sorted({int(v) for v in vertices}))
         if not vs:
             raise ValueError("graph must have at least one vertex")
-        vset = set(vs)
-        es = []
-        seen_ids = set()
-        seen_pairs = set()
+        adj = {v: {} for v in vs}
+        by_id = {}
         for eid, u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if u not in vset or v not in vset:
+            if u not in adj or v not in adj:
                 raise ValueError(f"edge ({u},{v}) touches unknown vertex")
-            pair = (u, v) if u < v else (v, u)
-            if pair in seen_pairs:
+            if v in adj[u]:
                 raise ValueError(f"duplicate edge ({u},{v})")
-            if eid in seen_ids:
+            if eid in by_id:
                 raise ValueError(f"duplicate edge id {eid}")
-            seen_ids.add(eid)
-            seen_pairs.add(pair)
-            es.append(Edge(int(eid), *pair))
+            e = Edge(int(eid), *((u, v) if u < v else (v, u)))
+            adj[e.u][e.v] = adj[e.v][e.u] = e.eid
+            by_id[e.eid] = e
         self.vertices = vs
-        self.edges = tuple(es)
+        self.edges = tuple(by_id.values())
         if names is None:
             names = {v: str(v) for v in vs}
         self.names = {v: str(names.get(v, v)) for v in vs}
-        adj = {v: {} for v in vs}
-        for e in es:
-            adj[e.u][e.v] = e.eid
-            adj[e.v][e.u] = e.eid
         self._adj = adj
-        self._by_id = {e.eid: e for e in es}
+        self._by_id = by_id
 
     # -- construction helpers -------------------------------------------------
 
@@ -533,9 +525,11 @@ def product_coordinates(g1, g2):
 
 
 def are_isomorphic(g1, g2, max_n=5000):
-    """Isomorphism test via color refinement plus backtracking.
+    """Isomorphism test: colour refinement of the disjoint union by class
+    splitting, then a search that matches g1's vertices in a fixed BFS order.
 
-    Returns (True, mapping g1-vertex -> g2-vertex) or (False, None).
+    Returns (True, mapping g1-vertex -> g2-vertex) or (False, None). The
+    mapping depends only on the two graphs, so repeated calls agree.
     """
     if g1.n > max_n or g2.n > max_n:
         raise TooLarge(f"isomorphism guard {max_n} exceeded")
@@ -543,75 +537,139 @@ def are_isomorphic(g1, g2, max_n=5000):
         return False, None
     if g1.degree_sequence() != g2.degree_sequence():
         return False, None
-    c1, c2 = _joint_refine(g1, g2)
-    if c1 is None:
-        return False, None
-    mapping = _iso_backtrack(g1, g2, c1, c2)
-    if mapping is None:
-        return False, None
-    return True, mapping
-
-
-def _joint_refine(g1, g2):
-    colors1 = {v: g1.degree(v) for v in g1.vertices}
-    colors2 = {v: g2.degree(v) for v in g2.vertices}
-    ncolors = len(set(colors1.values()) | set(colors2.values()))
-    while True:
-        sig1 = {
-            v: (colors1[v], tuple(sorted(colors1[w] for w in g1.adj(v))))
-            for v in g1.vertices
-        }
-        sig2 = {
-            v: (colors2[v], tuple(sorted(colors2[w] for w in g2.adj(v))))
-            for v in g2.vertices
-        }
-        palette = {s: i for i, s in enumerate(sorted(set(sig1.values()) | set(sig2.values())))}
-        colors1 = {v: palette[sig1[v]] for v in g1.vertices}
-        colors2 = {v: palette[sig2[v]] for v in g2.vertices}
-        hist1 = sorted(colors1.values())
-        hist2 = sorted(colors2.values())
-        if hist1 != hist2:
-            return None, None
-        if len(palette) == ncolors:
-            return colors1, colors2
-        ncolors = len(palette)
-
-
-def _iso_backtrack(g1, g2, colors1, colors2):
-    by_color = {}
-    for v, c in colors2.items():
-        by_color.setdefault(c, []).append(v)
-    class_size = {c: len(vs) for c, vs in by_color.items()}
-    order = sorted(g1.vertices, key=lambda v: (class_size[colors1[v]], colors1[v], v))
     n = g1.n
-    mapping = {}
-    used = set()
+    idx1 = {v: i for i, v in enumerate(g1.vertices)}
+    idx2 = {v: n + i for i, v in enumerate(g2.vertices)}
+    adj = [[idx1[w] for w in g1.adj(v)] for v in g1.vertices]
+    adj += [[idx2[w] for w in g2.adj(v)] for v in g2.vertices]
+    colour = _joint_refine(adj, n)
+    if colour is None:
+        return False, None
+    image = _iso_backtrack(adj, n, colour)
+    if image is None:
+        return False, None
+    return True, {v: g2.vertices[image[i] - n] for i, v in enumerate(g1.vertices)}
 
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * n + 100))
 
-    def place(i):
-        if i == n:
-            return True
-        # prefer vertices with most mapped neighbors (more constrained)
-        v = max(
-            (x for x in order if x not in mapping),
-            key=lambda x: (sum(1 for w in g1.adj(x) if w in mapping), -class_size[colors1[x]]),
-        )
-        want = {mapping[w] for w in g1.adj(v) if w in mapping}
-        for cand in by_color[colors1[v]]:
-            if cand in used:
+def _joint_refine(adj, n):
+    """Coarsest equitable partition of two n-vertex graphs with the same
+    degree sequence, held as one adjacency list (vertices 0..n-1, then
+    n..2n-1), as a class id per vertex; None as soon as a class holds
+    unequal numbers from each side.
+
+    Classes start as degree classes. A splitter class S splits every class
+    by its members' neighbour counts in S. The largest part keeps the class
+    id and the worklist status; every other part gets a new id and joins
+    the worklist (Paige and Tarjan 1987). Only vertices with a neighbour in
+    S are touched, except a remainder smaller than the part that stays, so
+    the total work is O((n + m) log n).
+    """
+    ids = {}
+    colour = [ids.setdefault(len(a), len(ids)) for a in adj]
+    members = [set() for _ in ids]
+    for v, c in enumerate(colour):
+        members[c].add(v)
+    work = list(range(len(members)))
+    while work:
+        s = work.pop()
+        count = {}
+        for x in members[s]:
+            for y in adj[x]:
+                count[y] = count.get(y, 0) + 1
+        touched = {}
+        for y, k in count.items():
+            touched.setdefault(colour[y], {}).setdefault(k, []).append(y)
+        for c, by_count in touched.items():
+            parts = [by_count[k] for k in sorted(by_count)]
+            rest = len(members[c]) - sum(map(len, parts))
+            if rest == 0 and len(parts) == 1:
                 continue
-            have = {w for w in g2.adj(cand) if w in used}
-            if have != want:
-                continue
-            mapping[v] = cand
-            used.add(cand)
-            if place(i + 1):
-                return True
-            del mapping[v]
-            used.discard(cand)
-        return False
+            big = max(parts, key=len)
+            if rest < len(big):
+                parts.remove(big)
+                if rest:
+                    parts.append([v for v in members[c] if v not in count])
+                members[c] = set(big)
+            else:
+                for part in parts:
+                    members[c].difference_update(part)
+            for part in parts:
+                if 2 * sum(1 for v in part if v < n) != len(part):
+                    return None
+                d = len(members)
+                members.append(set(part))
+                for v in part:
+                    colour[v] = d
+                work.append(d)
+    return colour
 
-    if place(0):
-        return dict(mapping)
+
+def _iso_backtrack(adj, n, colour):
+    """Image in n..2n-1 of each vertex 0..n-1 under an isomorphism that
+    keeps colours, or None (the adjacency list is _joint_refine's).
+
+    The matching order is fixed once: a BFS of the first graph, component
+    by component, each rooted at the unplaced vertex of smallest colour
+    class, then smallest id. A vertex's candidates are the unused
+    neighbours of its BFS parent's image with its colour; a root takes its
+    whole class. A candidate c is accepted when the images of the vertex's
+    earlier neighbours (back) are all adjacent to c and c has no other
+    mapped neighbour: mapped[c] counts them. An explicit stack of
+    candidate iterators replaces recursion (Juttner and Madarasi 2018).
+    """
+    size = Counter(colour)
+    pos = [-1] * n
+    parent = [None] * n
+    order = []
+    for r in sorted(range(n), key=lambda v: (size[colour[v]], v)):
+        if pos[r] >= 0:
+            continue
+        k = pos[r] = len(order)
+        order.append(r)
+        while k < len(order):
+            x = order[k]
+            k += 1
+            for y in adj[x]:
+                if pos[y] < 0:
+                    pos[y] = len(order)
+                    order.append(y)
+                    parent[y] = x
+    back = [[w for w in adj[v] if pos[w] < pos[v]] for v in order]
+    by_colour = {}
+    for c in range(n, 2 * n):
+        by_colour.setdefault(colour[c], []).append(c)
+    linked = [None] * n + [set(a) for a in adj[n:]]
+    image = [None] * n
+    used = [False] * (2 * n)
+    mapped = [0] * (2 * n)
+
+    def candidates(v):
+        p = parent[v]
+        pool = by_colour[colour[v]] if p is None else adj[image[p]]
+        return (c for c in pool if not used[c] and colour[c] == colour[v])
+
+    stack = [candidates(order[0])]
+    while stack:
+        d = len(stack) - 1
+        v = order[d]
+        c = image[v]
+        if c is not None:
+            image[v] = None
+            used[c] = False
+            for y in adj[c]:
+                mapped[y] -= 1
+        want = back[d]
+        for c in stack[d]:
+            if mapped[c] == len(want) and all(image[w] in linked[c] for w in want):
+                break
+        else:
+            stack.pop()
+            continue
+        image[v] = c
+        used[c] = True
+        for y in adj[c]:
+            mapped[y] += 1
+        if d + 1 == n:
+            return image
+        stack.append(candidates(order[d + 1]))
     return None

@@ -271,7 +271,7 @@ def _certify(h, x, g, t0, phi):
             phi[w] = pu ^ removed ^ added
             queue.append(w)
     try:
-        keys, exchanges = _exchange_walk(g, h.n)
+        keys, _, m = _exchange_walk(g, h.n)
     except TooManyTrees:
         raise NotAStag(
             f"count mismatch: the reconstruction has more than {h.n} spanning trees"
@@ -285,7 +285,6 @@ def _certify(h, x, g, t0, phi):
     for e in h.edges:
         if (phi[e.u] ^ phi[e.v]).bit_count() != 2:
             raise NotAStag(f"certificate does not extend: edge {e.u}-{e.v} is not an exchange")
-    m = sum(1 for _ in exchanges)
     if m != h.m:
         raise NotAStag(f"count mismatch: the reconstruction has {m} exchanges, not {h.m}")
 

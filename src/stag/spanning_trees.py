@@ -206,23 +206,24 @@ def enumerate_spanning_trees(g, max_trees=DEFAULT_MAX_TREES):
     edge f on the fundamental cycle of e. The Kirchhoff count is the size
     guard (TooManyTrees) and the completeness check (ValidationFailed).
     """
-    keys, _ = _exchange_walk(g, max_trees)
+    keys, _, _ = _exchange_walk(g, max_trees)
     return [SpanningTree(g, k) for k in keys]
 
 
 def _exchange_walk(g, max_trees):
     """Every spanning tree of g and every exchange between two of them.
 
-    Returns (keys, pairs): the trees' sorted edge-id tuples in ascending
-    order, and an iterator over the index pairs (i, j), i < j, of trees
-    that differ by one exchange, in ascending order. During the walk a
-    tree is a bitmask over edge positions. Each tree is rooted once;
-    climbing the tree path between the ends of a non-tree edge e passes
-    exactly the tree edges f of its fundamental cycle, and each gives the
-    neighbour T - f + e. A pair is recorded from its lower discovery index
-    only, so each appears once. A pair is held as i * N + j (N the tree
-    count) in an int64 array, and ranked and sorted only when the iterator
-    is read, so enumeration alone keeps 8 bytes per exchange.
+    Returns (keys, pairs, count): the trees' sorted edge-id tuples in
+    ascending order, an iterator over the index pairs (i, j), i < j, of
+    trees that differ by one exchange, in ascending order, and the number
+    of those pairs. During the walk a tree is a bitmask over edge
+    positions. Each tree is rooted once; climbing the tree path between
+    the ends of a non-tree edge e passes exactly the tree edges f of its
+    fundamental cycle, and each gives the neighbour T - f + e. A pair is
+    recorded from its lower discovery index only, so each appears once. A
+    pair is held as i * N + j (N the tree count) in an int64 array, and
+    ranked and sorted only when the iterator is read, so enumeration and
+    counting alone keep 8 bytes per exchange.
     """
     expected = count_spanning_trees(g)
     if expected > max_trees:
@@ -293,7 +294,7 @@ def _exchange_walk(g, max_trees):
         for c in ranked:
             yield divmod(c, expected)
 
-    return [keys[k] for k in order], ranked_pairs()
+    return [keys[k] for k in order], ranked_pairs(), len(codes)
 
 
 def serialize_trees(trees):

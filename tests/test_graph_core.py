@@ -1,7 +1,9 @@
 import itertools
 import json
 import random
+import sys
 
+import networkx as nx
 import pytest
 
 from stag import (
@@ -11,6 +13,7 @@ from stag import (
     are_isomorphic,
     block_decomposition,
     bridges,
+    build_stag,
     cartesian_product,
     circumference,
     common_cycle_classes,
@@ -35,6 +38,19 @@ def test_graph_rejects_self_loops_and_duplicates():
         Graph.from_pairs([(0, 0)])
     with pytest.raises(ValueError):
         Graph.from_pairs([(0, 1), (1, 0)])
+
+
+def test_graph_error_precedence():
+    # Edges are checked in input order; within one edge a repeated pair is
+    # reported before a repeated id.
+    with pytest.raises(ValueError, match=r"^duplicate edge \(1,0\)$"):
+        Graph([0, 1, 2], [(0, 0, 1), (0, 1, 0)])
+    with pytest.raises(ValueError, match=r"^duplicate edge id 0$"):
+        Graph([0, 1, 2], [(0, 0, 1), (0, 1, 2), (1, 1, 0)])
+    with pytest.raises(ValueError, match=r"^self-loop at vertex 2$"):
+        Graph([0, 1, 2], [(0, 0, 1), (0, 2, 2), (0, 0, 1)])
+    with pytest.raises(ValueError, match=r"^edge \(0,5\) touches unknown vertex$"):
+        Graph([0, 1, 2], [(0, 0, 1), (0, 0, 5), (0, 1, 0)])
 
 
 def test_edge_ids_are_stable(k4):
@@ -230,3 +246,91 @@ def test_are_isomorphic_random_permutations():
         assert ok
         for e in g.edges:
             assert h.has_edge(mapping[e.u], mapping[e.v])
+
+
+def _relabelled(g, rng):
+    perm = list(g.vertices)
+    rng.shuffle(perm)
+    to = dict(zip(g.vertices, perm))
+    return Graph(g.vertices, [(e.eid, to[e.u], to[e.v]) for e in g.edges])
+
+
+def _assert_mapping(g, h, mapping):
+    assert sorted(mapping) == list(g.vertices)
+    assert sorted(mapping.values()) == list(h.vertices)
+    for e in g.edges:
+        assert h.has_edge(mapping[e.u], mapping[e.v])
+
+
+def _to_nx(g):
+    x = nx.Graph()
+    x.add_nodes_from(g.vertices)
+    x.add_edges_from(e.endpoints() for e in g.edges)
+    return x
+
+
+def _degree_preserving_swap(g, rng):
+    """g after one double edge swap ab, cd -> ad, cb, where one applies."""
+    pairs = sorted(e.endpoints() for e in g.edges)
+    for _ in range(20 if len(pairs) > 1 else 0):
+        (a, b), (c, d) = rng.sample(pairs, 2)
+        if len({a, b, c, d}) == 4 and not g.has_edge(a, d) and not g.has_edge(c, b):
+            kept = [p for p in pairs if p not in ((a, b), (c, d))]
+            return Graph.from_pairs(kept + [(a, d), (c, b)], vertices=g.vertices)
+    return g
+
+
+def _shrikhande():
+    gens = [(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)]
+    pairs = {
+        frozenset((4 * a + b, 4 * ((a + x) % 4) + (b + y) % 4))
+        for a in range(4) for b in range(4) for x, y in gens
+    }
+    return Graph.from_pairs(sorted(tuple(sorted(p)) for p in pairs), vertices=range(16))
+
+
+def test_are_isomorphic_agrees_with_networkx():
+    rng = random.Random(11)
+    pairs = [(single_vertex_graph(), single_vertex_graph())]
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        slots = list(itertools.combinations(range(n), 2))
+        g = Graph.from_pairs(rng.sample(slots, rng.randint(0, len(slots))), vertices=range(n))
+        pairs.append((g, _relabelled(g, rng)))
+        pairs.append((g, _relabelled(_degree_preserving_swap(g, rng), rng)))
+    k44, shrikhande = cartesian_product(complete_graph(4), complete_graph(4)), _shrikhande()
+    pairs += [(k44, shrikhande), (shrikhande, k44), (shrikhande, _relabelled(shrikhande, rng))]
+    same_degrees_negative = disconnected = 0
+    for g, h in pairs:
+        ok, mapping = are_isomorphic(g, h)
+        assert ok == nx.is_isomorphic(_to_nx(g), _to_nx(h))
+        if ok:
+            _assert_mapping(g, h, mapping)
+        else:
+            assert mapping is None
+            same_degrees_negative += g.degree_sequence() == h.degree_sequence()
+        disconnected += not is_connected(g)
+    assert k44.degree_sequence() == shrikhande.degree_sequence()
+    assert not are_isomorphic(k44, shrikhande)[0]
+    assert same_degrees_negative >= 50 and disconnected >= 100
+
+
+def test_are_isomorphic_long_inputs_keep_the_recursion_limit():
+    limit = sys.getrecursionlimit()
+    p = path_graph(4000)
+    q = _relabelled(p, random.Random(5))
+    c = cycle_graph(4000)
+    for g, h in [(p, q), (c, c)]:
+        ok, mapping = are_isomorphic(g, h)
+        assert ok
+        _assert_mapping(g, h, mapping)
+    assert sys.getrecursionlimit() == limit
+
+
+def test_are_isomorphic_aux_k6_relabelled():
+    aux = build_stag(complete_graph(6)).graph
+    other = _relabelled(aux, random.Random(6))
+    ok, mapping = are_isomorphic(aux, other)
+    assert ok
+    _assert_mapping(aux, other, mapping)
+    assert are_isomorphic(aux, other) == (True, mapping)
