@@ -7,13 +7,8 @@ import json
 from dataclasses import dataclass
 
 from .errors import Unannotated
-from .graph_core import Graph, fundamental_cycle_edges
-from .spanning_trees import (
-    DEFAULT_MAX_TREES,
-    SpanningTree,
-    _exchange_walk,
-    _tree_split,
-)
+from .graph_core import Graph, bfs, fundamental_cycle_edges
+from .spanning_trees import DEFAULT_MAX_TREES, SpanningTree, _exchange_walk
 
 
 @dataclass(frozen=True)
@@ -102,7 +97,7 @@ def ground_truth_cliques(s):
     for t in s.trees:
         tset = t.edge_set
         for f in t.key:
-            comp = _tree_split(g, tset, f)
+            comp = bfs(g, g.edge(f).u, tset - {f})
             cut_eids = [
                 e.eid for e in g.edges if (e.u in comp) != (e.v in comp)
             ]

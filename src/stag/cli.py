@@ -218,12 +218,15 @@ def _build_parser():
         p = sub.add_parser(name)
         p.add_argument("-o", "--output")
         p.add_argument("--format", choices=["edgelist", "json", "dot"])
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--max-trees", type=int, default=100_000)
-        p.add_argument("--max-n", type=int, default=4096 if name == "factor" else 12)
-        p.add_argument("--oracle", action="store_true")
         p.add_argument("--json", action="store_true", dest="verdict_json")
+        if name in ("count", "trees", "invert"):
+            p.add_argument("--oracle", action="store_true")
+        if name in ("aux", "trees", "invert", "params", "verify-roundtrip"):
+            p.add_argument("--max-trees", type=int, default=100_000)
+        if name in ("factor", "params"):
+            p.add_argument("--max-n", type=int, default=4096 if name == "factor" else 12)
         if name == "random":
+            p.add_argument("--seed", type=int, default=0)
             p.add_argument("--n", type=int, required=True)
             p.add_argument("--m", type=int, required=True)
             p.add_argument("--two-connected", action="store_true")

@@ -10,13 +10,12 @@ each is accepted only if exact product coordinates can be extracted.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 
 from .aux_graph import StagGraph, build_stag
 from .errors import Disconnected, TooLarge, ValidationFailed
-from .graph_core import Graph, block_decomposition, cartesian_product, is_connected
+from .graph_core import Graph, bfs, block_decomposition, cartesian_product, is_connected
 from .spanning_trees import DEFAULT_MAX_TREES
 
 DEFAULT_MAX_N = 4096
@@ -84,22 +83,13 @@ def _square_classes(g):
 
 
 def _components(g, eids):
-    """Vertex -> component id over the subgraph restricted to eids."""
+    """Vertex -> component id (its first vertex) over the subgraph
+    restricted to eids."""
     allowed = set(eids)
     comp = {}
-    cid = 0
     for s in g.vertices:
-        if s in comp:
-            continue
-        comp[s] = cid
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            for y, eid in g.adj(x).items():
-                if eid in allowed and y not in comp:
-                    comp[y] = cid
-                    queue.append(y)
-        cid += 1
+        if s not in comp:
+            comp.update(dict.fromkeys(bfs(g, s, allowed), s))
     return comp
 
 

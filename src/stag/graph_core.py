@@ -9,7 +9,7 @@ read-only operations.
 from __future__ import annotations
 
 import json
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -76,9 +76,9 @@ class Graph:
         return cls(vs, [(i, u, v) for i, (u, v) in enumerate(pairs)], names)
 
     def subgraph_edges(self, eids, vertices=None):
-        """Subgraph keeping the given edge ids (and their endpoints)."""
-        eids = set(eids)
-        es = [e for e in self.edges if e.eid in eids]
+        """Subgraph keeping the given edge ids (and their endpoints), in
+        ascending id order; ids not in the graph are skipped."""
+        es = [self._by_id[i] for i in sorted(set(eids)) if i in self._by_id]
         if vertices is None:
             vertices = {x for e in es for x in (e.u, e.v)}
         return Graph(vertices, [(e.eid, e.u, e.v) for e in es], self.names)
@@ -272,16 +272,24 @@ def to_dot(g):
 # -- connectivity and blocks -----------------------------------------------------
 
 
+def bfs(g, source, eids=None):
+    """Breadth-first tree from source as {vertex: (parent, edge id)} in
+    discovery order, the source mapped to (None, None). With eids (a set),
+    only those edges are followed."""
+    tree = {source: (None, None)}
+    order = [source]
+    adj = g._adj
+    for x in order:
+        nbrs = adj[x]
+        for y in nbrs:
+            if y not in tree and (eids is None or nbrs[y] in eids):
+                tree[y] = (x, nbrs[y])
+                order.append(y)
+    return tree
+
+
 def is_connected(g):
-    seen = {g.vertices[0]}
-    queue = deque(seen)
-    while queue:
-        x = queue.popleft()
-        for y in g.adj(x):
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return len(seen) == g.n
+    return len(bfs(g, g.vertices[0])) == g.n
 
 
 @dataclass(frozen=True)
@@ -393,7 +401,8 @@ class EdgeCut:
 
 def minimal_edge_cuts(g, max_n=12):
     """All inclusion-minimal edge cuts, by brute force over bipartitions
-    whose sides both induce connected subgraphs."""
+    whose sides both induce connected subgraphs: a BFS from each side over
+    the edges off the cut reaches that whole side."""
     if g.n > max_n:
         raise TooLarge(f"n={g.n} exceeds guard {max_n}")
     if not is_connected(g):
@@ -402,31 +411,16 @@ def minimal_edge_cuts(g, max_n=12):
         return []
     v0 = g.vertices[0]
     others = g.vertices[1:]
-    found = {}
+    every = set(g.edge_ids())
+    cuts = []
     for mask in range(2 ** len(others) - 1):
         side1 = {v0} | {others[i] for i in range(len(others)) if mask >> i & 1}
-        side2 = set(g.vertices) - side1
-        if not _induced_connected(g, side1) or not _induced_connected(g, side2):
-            continue
         cut = frozenset(e.eid for e in g.edges if (e.u in side1) != (e.v in side1))
-        if cut not in found:
-            found[cut] = EdgeCut(cut, (frozenset(side1), frozenset(side2)))
-    return sorted(found.values(), key=lambda c: (len(c.edge_ids), sorted(c.edge_ids)))
-
-
-def _induced_connected(g, vset):
-    if not vset:
-        return False
-    start = next(iter(vset))
-    seen = {start}
-    queue = deque(seen)
-    while queue:
-        x = queue.popleft()
-        for y in g.adj(x):
-            if y in vset and y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return len(seen) == len(vset)
+        rest = every - cut
+        w = next(v for v in others if v not in side1)
+        if len(bfs(g, v0, rest)) == len(side1) and len(bfs(g, w, rest)) == g.n - len(side1):
+            cuts.append(EdgeCut(cut, (frozenset(side1), frozenset(g.vertices) - side1)))
+    return sorted(cuts, key=lambda c: (len(c.edge_ids), sorted(c.edge_ids)))
 
 
 def circumference(g, max_n=12):
@@ -452,31 +446,15 @@ def circumference(g, max_n=12):
     return best
 
 
-def tree_path_edges(g, tree_eids, a, b):
-    """Edge-id sequence of the unique a..b path in the spanning tree."""
-    tadj = {v: [] for v in g.vertices}
-    for eid in tree_eids:
-        e = g.edge(eid)
-        tadj[e.u].append((e.v, eid))
-        tadj[e.v].append((e.u, eid))
-    parent = {a: (None, None)}
-    queue = deque([a])
-    while queue:
-        x = queue.popleft()
-        if x == b:
-            break
-        for y, eid in tadj[x]:
-            if y not in parent:
-                parent[y] = (x, eid)
-                queue.append(y)
+def tree_path_edges(g, eids, a, b):
+    """Edge-id sequence of a shortest a..b path in the subgraph on the edge
+    set eids: the unique one when eids is a spanning tree."""
+    tree = bfs(g, a, eids)
     path = []
-    x = b
-    while x != a:
-        px, eid = parent[x]
+    while b != a:
+        b, eid = tree[b]
         path.append(eid)
-        x = px
-    path.reverse()
-    return path
+    return path[::-1]
 
 
 def fundamental_cycle_edges(g, tree_eids, eid):

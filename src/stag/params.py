@@ -3,12 +3,12 @@ degree bounds, diameter bound and the clique-number identity."""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 
 from .aux_graph import build_stag
 from .errors import Acyclic
-from .graph_core import circumference, minimal_edge_cuts
+from .graph_core import bfs, circumference, minimal_edge_cuts
 from .spanning_trees import DEFAULT_MAX_TREES
 
 
@@ -27,40 +27,18 @@ class ParamReport:
 
 
 def _all_pairs_diameter(g):
+    """Largest eccentricity: the eccentricity of s is the number of hops
+    from the last vertex a BFS from s discovers back to s."""
     diam = 0
     for s in g.vertices:
-        dist = {s: 0}
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            for y in g.adj(x):
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        diam = max(diam, max(dist.values()))
+        tree = bfs(g, s)
+        x = next(reversed(tree))
+        hops = 0
+        while x != s:
+            x = tree[x][0]
+            hops += 1
+        diam = max(diam, hops)
     return diam
-
-
-def max_clique_size(g):
-    """Bron-Kerbosch with pivoting, returning only the maximum size."""
-    adj = {v: set(g.adj(v)) for v in g.vertices}
-    best = 0
-
-    def expand(r, p, x):
-        nonlocal best
-        if not p and not x:
-            best = max(best, len(r))
-            return
-        if len(r) + len(p) <= best:
-            return
-        pivot = max(p | x, key=lambda u: len(adj[u] & p))
-        for v in list(p - adj[pivot]):
-            expand(r | {v}, p & adj[v], x & adj[v])
-            p.discard(v)
-            x.add(v)
-
-    expand(set(), set(g.vertices), set())
-    return best
 
 
 def maximal_cliques(g):
@@ -83,13 +61,11 @@ def maximal_cliques(g):
 
 
 def exchange_diameter(s):
-    """max over tree pairs of half the symmetric edge-set difference."""
-    trees = s.trees
-    best = 0
-    for i in range(len(trees)):
-        for j in range(i + 1, len(trees)):
-            best = max(best, len(trees[i].edge_set ^ trees[j].edge_set) // 2)
-    return best
+    """max over tree pairs of half the symmetric edge-set difference, with
+    trees held as bitmasks over edge positions."""
+    bit = {eid: 1 << p for p, eid in enumerate(s.origin.edge_ids())}
+    masks = [sum(bit[eid] for eid in t.key) for t in s.trees]
+    return max(((a ^ b).bit_count() for a, b in combinations(masks, 2)), default=0) // 2
 
 
 def param_report(g, max_trees=DEFAULT_MAX_TREES, max_n=12):
@@ -100,7 +76,7 @@ def param_report(g, max_trees=DEFAULT_MAX_TREES, max_n=12):
     degs = [aux.degree(v) for v in aux.vertices]
     delta, big_delta = min(degs), max(degs)
     diam = _all_pairs_diameter(aux)
-    omega = max_clique_size(aux)
+    omega = max(map(len, maximal_cliques(aux)))
     try:
         circ = circumference(g, max_n) if g.m else None
     except Acyclic:

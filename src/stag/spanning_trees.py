@@ -4,7 +4,6 @@ reverse-delete construction with a protected edge pair."""
 from __future__ import annotations
 
 from array import array
-from collections import deque
 
 from .errors import (
     Disconnected,
@@ -15,10 +14,13 @@ from .errors import (
     ValidationFailed,
 )
 from .graph_core import (
+    bfs,
     block_decomposition,
+    bridges,
     fundamental_cycle_edges,
     is_connected,
     is_two_connected,
+    tree_path_edges,
 )
 
 DEFAULT_MAX_TREES = 100_000
@@ -40,9 +42,9 @@ class SpanningTree:
         t = cls(host, edge_ids)
         if len(t.key) != host.n - 1:
             raise ValueError(f"expected {host.n - 1} edges, got {len(t.key)}")
-        if len(set(t.key)) != len(t.key):
+        if len(t.edge_set) != len(t.key):
             raise ValueError("repeated edge id")
-        if not _spans(host, t.key):
+        if len(bfs(host, host.vertices[0], t.edge_set)) != host.n:
             raise ValueError("edge set does not span the host acyclically")
         return t
 
@@ -63,26 +65,6 @@ class SpanningTree:
 
     def __repr__(self):
         return f"SpanningTree{self.key}"
-
-
-def _spans(g, eids):
-    parent = {v: v for v in g.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    merged = 0
-    for eid in eids:
-        e = g.edge(eid)
-        ru, rv = find(e.u), find(e.v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-        merged += 1
-    return merged == g.n - 1
 
 
 def count_spanning_trees(g):
@@ -121,48 +103,18 @@ def count_spanning_trees(g):
 
 def dfs_spanning_tree(g):
     """One spanning tree (edge-id frozenset) by breadth-first search."""
-    seen = {g.vertices[0]}
-    eids = set()
-    queue = deque(seen)
-    while queue:
-        x = queue.popleft()
-        for y, eid in sorted(g.adj(x).items()):
-            if y not in seen:
-                seen.add(y)
-                eids.add(eid)
-                queue.append(y)
-    if len(seen) != g.n:
+    tree = bfs(g, g.vertices[0])
+    if len(tree) != g.n:
         raise Disconnected("spanning trees need a connected graph")
-    return frozenset(eids)
-
-
-def _tree_split(g, tree_eids, removed_eid):
-    """Vertex set of the removed edge's u-side component in tree - edge."""
-    e = g.edge(removed_eid)
-    tadj = {v: [] for v in g.vertices}
-    for eid in tree_eids:
-        if eid == removed_eid:
-            continue
-        t = g.edge(eid)
-        tadj[t.u].append(t.v)
-        tadj[t.v].append(t.u)
-    comp = {e.u}
-    queue = deque(comp)
-    while queue:
-        x = queue.popleft()
-        for y in tadj[x]:
-            if y not in comp:
-                comp.add(y)
-                queue.append(y)
-    return comp
+    return frozenset(eid for _, eid in tree.values()) - {None}
 
 
 def _type2_keys(g, tree_eids):
     res = set()
     tset = frozenset(tree_eids)
     for f in tset:
-        comp = _tree_split(g, tset, f)
         base = tset - {f}
+        comp = bfs(g, g.edge(f).u, base)
         for e in g.edges:
             if e.eid in tset:
                 continue
@@ -354,7 +306,7 @@ def reverse_delete_tree(g, protected_pair=None):
     target = g.n - 1
     while len(surviving) > target:
         pick = None
-        nonbridge = _non_bridges(g, surviving)
+        nonbridge = surviving - set(bridges(g.subgraph_edges(surviving, vertices=g.vertices)))
         for d in sorted(nonbridge):
             if protected_pair is None:
                 pick = d
@@ -367,39 +319,7 @@ def reverse_delete_tree(g, protected_pair=None):
                 break
         if pick is None:
             raise NoWitness("no deletable edge preserves the protected cycle")
-        cycle = _cycle_through(g, surviving, pick)
+        e = g.edge(pick)
         surviving.discard(pick)
-        trace.append((pick, tuple(cycle)))
+        trace.append((pick, (pick, *tree_path_edges(g, surviving, e.u, e.v))))
     return SpanningTree.of(g, surviving), trace
-
-
-def _non_bridges(g, eids):
-    sub = g.subgraph_edges(eids, vertices=g.vertices)
-    out = []
-    for b in block_decomposition(sub).blocks:
-        if b.m > 1:
-            out.extend(e.eid for e in b.edges)
-    return out
-
-
-def _cycle_through(g, eids, d):
-    e = g.edge(d)
-    rest = eids - {d}
-    # BFS path between the endpoints avoiding d
-    parent = {e.u: (None, None)}
-    queue = deque([e.u])
-    while queue:
-        x = queue.popleft()
-        if x == e.v:
-            break
-        for y, eid in g.adj(x).items():
-            if eid in rest and y not in parent:
-                parent[y] = (x, eid)
-                queue.append(y)
-    path = []
-    x = e.v
-    while x != e.u:
-        px, eid = parent[x]
-        path.append(eid)
-        x = px
-    return [d] + path[::-1]

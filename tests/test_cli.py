@@ -156,6 +156,11 @@ def test_input_error_exit_code(tmp_path):
     assert run(["count", "-i", str(tmp_path / "missing.txt")]) == 2
 
 
+def test_flags_a_command_does_not_read_are_rejected(c3_file):
+    assert run(["aux", "-i", str(c3_file), "--oracle"]) == 2
+    assert run(["count", "-i", str(c3_file), "--seed", "1"]) == 2
+
+
 def _rejected_as_parse_error(tmp_path, capsys, data, fmt, where):
     with pytest.raises(ParseError, match=f"^line {where}: "):
         parse_graph(data, fmt)

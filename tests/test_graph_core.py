@@ -30,7 +30,9 @@ from stag import (
     to_json,
 )
 from stag.errors import Acyclic
+from stag.factorization import _components
 from stag.generators import random_connected_graph
+from stag.graph_core import bfs, tree_path_edges
 
 
 def test_graph_rejects_self_loops_and_duplicates():
@@ -102,6 +104,59 @@ def test_is_connected(p3):
     assert is_connected(p3)
     assert not is_connected(Graph([0, 1, 2], [(0, 0, 1)]))
     assert is_connected(single_vertex_graph())
+
+
+def _edge_restricted_inputs():
+    """Seeded connected graphs, each with a random edge subset and that
+    subset as a networkx graph on all vertices."""
+    rng = random.Random(31)
+    for _ in range(40):
+        n = rng.randint(1, 9)
+        g = random_connected_graph(n, rng.randint(n - 1, n * (n - 1) // 2), rng.randrange(1 << 30))
+        eids = set(rng.sample(g.edge_ids(), rng.randint(0, g.m)))
+        sub = nx.Graph()
+        sub.add_nodes_from(g.vertices)
+        sub.add_edges_from(g.edge(eid).endpoints() for eid in eids)
+        yield g, eids, sub
+
+
+def test_bfs_with_an_edge_filter_reaches_the_component():
+    for g, eids, sub in _edge_restricted_inputs():
+        assert list(bfs(g, g.vertices[0])) == list(bfs(g, g.vertices[0], set(g.edge_ids())))
+        assert len(bfs(g, g.vertices[-1])) == g.n
+        for s in g.vertices:
+            tree = bfs(g, s, eids)
+            assert set(tree) == nx.node_connected_component(sub, s)
+            assert next(iter(tree)) == s and tree[s] == (None, None)
+            seen = {s}
+            for v, (p, eid) in list(tree.items())[1:]:
+                assert p in seen and eid in eids and g.edge(eid).pair == {p, v}
+                seen.add(v)
+
+
+def test_tree_path_edges_is_a_shortest_path():
+    for g, eids, sub in _edge_restricted_inputs():
+        for a, b in itertools.product(g.vertices, repeat=2):
+            if not nx.has_path(sub, a, b):
+                continue
+            path = tree_path_edges(g, eids, a, b)
+            assert len(path) == nx.shortest_path_length(sub, a, b)
+            x = a
+            for eid in path:
+                assert eid in eids
+                x = g.edge(eid).other(x)
+            assert x == b
+
+
+def test_components_match_networkx():
+    for g, eids, sub in _edge_restricted_inputs():
+        comp = _components(g, eids)
+        groups = {}
+        for v, c in comp.items():
+            groups.setdefault(c, set()).add(v)
+        assert sorted(map(sorted, groups.values())) == sorted(
+            map(sorted, nx.connected_components(sub))
+        )
 
 
 def test_block_decomposition_bowtie(bowtie):

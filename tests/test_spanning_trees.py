@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import networkx as nx
 import pytest
 
 from stag import (
@@ -8,10 +9,12 @@ from stag import (
     NotTwoConnected,
     SpanningTree,
     TooManyTrees,
+    build_stag,
     complete_graph,
     count_spanning_trees,
     dfs_spanning_tree,
     enumerate_spanning_trees,
+    exchange_diameter,
     fundamental_cycle,
     reverse_delete_tree,
     serialize_trees,
@@ -24,6 +27,7 @@ from stag import spanning_trees
 from stag.errors import NoWitness, ValidationFailed
 from stag.generators import random_connected_graph, random_two_connected_graph
 from stag.oracles import brute_force_trees
+from stag.params import _all_pairs_diameter
 
 
 def test_frozen_counts(c3, k4, diamond, theta, bowtie, k5):
@@ -84,6 +88,22 @@ def test_spanning_tree_validation(c4):
         SpanningTree.of(c4, (0, 1, 2, 3))
     with pytest.raises(ValueError):
         SpanningTree.of(c4, (0, 0, 1))
+    with pytest.raises(ValueError):
+        SpanningTree.of(c4, [0, 1, 9])
+
+
+def test_diameters_of_aux_match_networkx():
+    rng = random.Random(37)
+    for _ in range(12):
+        n = rng.randint(2, 6)
+        m = rng.randint(n - 1, min(9, n * (n - 1) // 2))
+        g = random_connected_graph(n, m, rng.randrange(1 << 30))
+        s = build_stag(g)
+        aux = nx.Graph()
+        aux.add_nodes_from(s.graph.vertices)
+        aux.add_edges_from(e.endpoints() for e in s.graph.edges)
+        assert _all_pairs_diameter(s.graph) == nx.diameter(aux)
+        assert exchange_diameter(s) == nx.diameter(aux)
 
 
 def test_fundamental_cycle(c4, k4):
