@@ -70,7 +70,6 @@ from .recognition import enumerate_preimages, invert
 from .spanning_trees import (
     SpanningTree,
     count_spanning_trees,
-    dfs_spanning_tree,
     enumerate_spanning_trees,
     fundamental_cycle,
     reverse_delete_tree,

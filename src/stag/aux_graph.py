@@ -57,8 +57,7 @@ def build_stag(g, max_trees=DEFAULT_MAX_TREES):
     and edges by vertex pair, so builds are reproducible."""
     keys, pairs, _ = _exchange_walk(g, max_trees)
     trees = tuple(SpanningTree(g, k) for k in keys)
-    graph = Graph(range(len(trees)), ((k, u, v) for k, (u, v) in enumerate(pairs)))
-    return StagGraph(graph, trees, g)
+    return StagGraph(Graph._trusted(len(trees), pairs), trees, g)
 
 
 def neighborhood_partitions(s, v):
@@ -118,9 +117,10 @@ def ground_truth_cliques(s):
 
 
 def stag_to_json(s):
+    names = {v: str(v) for v in s.graph.vertices}
     doc = {
-        "vertices": [str(v) for v in s.graph.vertices],
-        "edges": [[str(e.u), str(e.v)] for e in s.graph.edges],
+        "vertices": list(names.values()),
+        "edges": [[names[u], names[v]] for _, u, v in s.graph.edges],
         "trees": [list(t.key) for t in s.trees] if s.annotated else None,
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"

@@ -15,7 +15,14 @@ from functools import reduce
 
 from .aux_graph import StagGraph, build_stag
 from .errors import Disconnected, TooLarge, ValidationFailed
-from .graph_core import Graph, bfs, block_decomposition, cartesian_product, is_connected
+from .graph_core import (
+    Graph,
+    _UnionFind,
+    bfs,
+    block_decomposition,
+    cartesian_product,
+    is_connected,
+)
 from .spanning_trees import DEFAULT_MAX_TREES
 
 DEFAULT_MAX_N = 4096
@@ -32,25 +39,6 @@ class Factorization:
     @property
     def is_prime(self):
         return len(self.factors) == 1
-
-
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-        self.count = len(self.parent)
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-            self.count -= 1
 
 
 def _square_classes(g):
@@ -108,17 +96,8 @@ def _try_extract(g, color):
         comp = _components(g, by_color[i])
         layer = sorted(v for v in g.vertices if comp[v] == comp[v0])
         lset = set(layer)
-        factors.append(
-            Graph(
-                layer,
-                (
-                    (e.eid, e.u, e.v)
-                    for e in g.edges
-                    if color[e.eid] == i and e.u in lset and e.v in lset
-                ),
-                g.names,
-            )
-        )
+        es = [e for e in g.edges if color[e.eid] == i and e.u in lset and e.v in lset]
+        factors.append(Graph(layer, es, g.names))
     total = 1
     for f in factors:
         total *= f.n

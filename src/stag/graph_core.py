@@ -12,12 +12,12 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import Acyclic, Disconnected, HasBridge, ParseError, TooLarge
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     eid: int
     u: int
     v: int
@@ -58,11 +58,27 @@ class Graph:
             by_id[e.eid] = e
         self.vertices = vs
         self.edges = tuple(by_id.values())
-        if names is None:
-            names = {v: str(v) for v in vs}
-        self.names = {v: str(names.get(v, v)) for v in vs}
+        self.names = {v: str(v if names is None else names.get(v, v)) for v in vs}
         self._adj = adj
         self._by_id = by_id
+
+    @classmethod
+    def _trusted(cls, n, pairs, names=None):
+        """Graph on vertices 0..n-1 whose edge k is the k-th (u, v) of pairs,
+        without Graph's checks. The caller guarantees n >= 1, integers
+        0 <= u < v < n, no repeated pair and names None or a str per vertex:
+        only build_stag (pairs from the exchange walk) and the two parsers
+        (which raise ParseError first) may call it."""
+        g = object.__new__(cls)
+        g.vertices = tuple(range(n))
+        new = tuple.__new__
+        g.edges = edges = tuple([new(Edge, (k, u, v)) for k, (u, v) in enumerate(pairs)])
+        g.names = {v: str(v) for v in g.vertices} if names is None else names
+        g._adj = adj = {v: {} for v in g.vertices}
+        for k, u, v in edges:
+            adj[u][v] = adj[v][u] = k
+        g._by_id = dict(enumerate(edges))
+        return g
 
     # -- construction helpers -------------------------------------------------
 
@@ -81,7 +97,7 @@ class Graph:
         es = [self._by_id[i] for i in sorted(set(eids)) if i in self._by_id]
         if vertices is None:
             vertices = {x for e in es for x in (e.u, e.v)}
-        return Graph(vertices, [(e.eid, e.u, e.v) for e in es], self.names)
+        return Graph(vertices, es, self.names)
 
     def relabeled(self):
         """Dense relabeling 0..n-1; returns (graph, old->new map)."""
@@ -182,8 +198,7 @@ def parse_graph(text, fmt="edgelist"):
 
 def _parse_edgelist(text):
     ids = {}
-    pairs = []
-    seen = set()
+    pairs = {}  # insertion-ordered, so edge ids follow the input
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -194,17 +209,15 @@ def _parse_edgelist(text):
         u, v = tokens
         if u == v:
             raise ParseError(ln, f"self-loop at {u!r}")
-        for tok in (u, v):
-            if tok not in ids:
-                ids[tok] = len(ids)
-        pair = frozenset((ids[u], ids[v]))
-        if pair in seen:
+        a = ids.setdefault(u, len(ids))
+        b = ids.setdefault(v, len(ids))
+        pair = (a, b) if a < b else (b, a)
+        if pair in pairs:
             raise ParseError(ln, f"duplicate edge {u!r} {v!r}")
-        seen.add(pair)
-        pairs.append((ids[u], ids[v]))
+        pairs[pair] = None
     if not ids:
         raise ParseError(0, "empty graph")
-    return Graph.from_pairs(pairs, vertices=range(len(ids)), names={i: t for t, i in ids.items()})
+    return Graph._trusted(len(ids), pairs, dict(enumerate(ids)))
 
 
 def _parse_json(text):
@@ -222,25 +235,25 @@ def _parse_json(text):
     names = [str(x) for x in doc["vertices"]]
     if not names:
         raise ParseError(0, "empty graph")
-    if len(set(names)) != len(names):
-        raise ParseError(0, "duplicate vertex names")
     ids = {t: i for i, t in enumerate(names)}
-    pairs = []
-    seen = set()
+    if len(ids) != len(names):
+        raise ParseError(0, "duplicate vertex names")
+    pairs = {}
     for k, uv in enumerate(doc["edges"]):
         if not isinstance(uv, list) or len(uv) != 2:
             raise ParseError(k, f"edge {uv!r} is not a pair")
         u, v = str(uv[0]), str(uv[1])
-        if u not in ids or v not in ids:
+        a = ids.get(u)
+        b = ids.get(v)
+        if a is None or b is None:
             raise ParseError(k, f"edge {uv!r} references unknown vertex")
-        if u == v:
+        if a == b:
             raise ParseError(k, f"self-loop at {u!r}")
-        pair = frozenset((ids[u], ids[v]))
-        if pair in seen:
+        pair = (a, b) if a < b else (b, a)
+        if pair in pairs:
             raise ParseError(k, f"duplicate edge {uv!r}")
-        seen.add(pair)
-        pairs.append((ids[u], ids[v]))
-    return Graph.from_pairs(pairs, vertices=range(len(names)), names={i: t for t, i in ids.items()})
+        pairs[pair] = None
+    return Graph._trusted(len(names), pairs, dict(enumerate(names)))
 
 
 def to_edgelist(g):
@@ -286,6 +299,28 @@ def bfs(g, source, eids=None):
                 tree[y] = (x, nbrs[y])
                 order.append(y)
     return tree
+
+
+class _UnionFind:
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+        self.count = len(self.parent)
+
+    def find(self, x):
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a, b):
+        """Merge the sets of a and b; True if they were two sets."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        self.count -= 1
+        return True
 
 
 def is_connected(g):
@@ -486,17 +521,6 @@ def cartesian_product(g1, g2):
         for b in v2:
             pairs.append((idx[(e.u, b)], idx[(e.v, b)]))
     return Graph.from_pairs(pairs, vertices=range(len(idx)), names=names)
-
-
-def product_coordinates(g1, g2):
-    """Map from product vertex id (as built by cartesian_product) to the
-    (g1 vertex, g2 vertex) pair."""
-    n2 = g2.n
-    return {
-        i * n2 + j: (a, b)
-        for i, a in enumerate(g1.vertices)
-        for j, b in enumerate(g2.vertices)
-    }
 
 
 # -- isomorphism --------------------------------------------------------------------

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .aux_graph import build_stag
-from .errors import Acyclic
-from .graph_core import bfs, circumference, minimal_edge_cuts
+from .errors import Acyclic, Disconnected
+from .graph_core import circumference, minimal_edge_cuts
 from .spanning_trees import DEFAULT_MAX_TREES
 
 
@@ -27,17 +27,23 @@ class ParamReport:
 
 
 def _all_pairs_diameter(g):
-    """Largest eccentricity: the eccentricity of s is the number of hops
-    from the last vertex a BFS from s discovers back to s."""
+    """Largest eccentricity, by a BFS from every vertex at once: reach[k]
+    is the bitmask of vertices within d hops of vertex k, and each level
+    ORs in the neighbours' masks until every mask is full."""
+    idx = {v: k for k, v in enumerate(g.vertices)}
+    nbrs = [[idx[w] for w in g.adj(v)] for v in g.vertices]
+    reach = [1 << k for k in range(g.n)]
+    full = (1 << g.n) - 1
     diam = 0
-    for s in g.vertices:
-        tree = bfs(g, s)
-        x = next(reversed(tree))
-        hops = 0
-        while x != s:
-            x = tree[x][0]
-            hops += 1
-        diam = max(diam, hops)
+    while pending := [k for k in range(g.n) if reach[k] != full]:
+        nxt = reach[:]
+        for k in pending:
+            for w in nbrs[k]:
+                nxt[k] |= reach[w]
+        if nxt == reach:
+            raise Disconnected("diameter needs a connected graph")
+        reach = nxt
+        diam += 1
     return diam
 
 

@@ -302,10 +302,7 @@ def enumerate_preimages(g_min, budget):
             if len(out) >= budget:
                 break
             w = max(g.vertices) + 1
-            g2 = Graph(
-                g.vertices + (w,),
-                [(e.eid, e.u, e.v) for e in g.edges] + [(g.m, v, w)],
-            )
+            g2 = Graph(g.vertices + (w,), [*g.edges, (g.m, v, w)])
             out.append(g2)
             frontier.append(g2)
     return out

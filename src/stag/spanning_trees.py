@@ -14,6 +14,7 @@ from .errors import (
     ValidationFailed,
 )
 from .graph_core import (
+    _UnionFind,
     bfs,
     block_decomposition,
     bridges,
@@ -101,14 +102,6 @@ def count_spanning_trees(g):
     return sign * mat[size - 1][size - 1]
 
 
-def dfs_spanning_tree(g):
-    """One spanning tree (edge-id frozenset) by breadth-first search."""
-    tree = bfs(g, g.vertices[0])
-    if len(tree) != g.n:
-        raise Disconnected("spanning trees need a connected graph")
-    return frozenset(eid for _, eid in tree.values()) - {None}
-
-
 def _type2_keys(g, tree_eids):
     res = set()
     tset = frozenset(tree_eids)
@@ -151,13 +144,9 @@ def fundamental_cycle(g, t, eid):
 
 
 def enumerate_spanning_trees(g, max_trees=DEFAULT_MAX_TREES):
-    """All spanning trees, sorted by canonical key.
-
-    One exchange walk from a breadth-first tree reaches every tree: the
-    neighbours of T are T - f + e for each non-tree edge e and each tree
-    edge f on the fundamental cycle of e. The Kirchhoff count is the size
-    guard (TooManyTrees) and the completeness check (ValidationFailed).
-    """
+    """All spanning trees, sorted by canonical key, from the exchange walk
+    (_exchange_walk). The Kirchhoff count is the size guard (TooManyTrees)
+    and the completeness check (ValidationFailed)."""
     keys, _, _ = _exchange_walk(g, max_trees)
     return [SpanningTree(g, k) for k in keys]
 
@@ -168,14 +157,19 @@ def _exchange_walk(g, max_trees):
     Returns (keys, pairs, count): the trees' sorted edge-id tuples in
     ascending order, an iterator over the index pairs (i, j), i < j, of
     trees that differ by one exchange, in ascending order, and the number
-    of those pairs. During the walk a tree is a bitmask over edge
-    positions. Each tree is rooted once; climbing the tree path between
-    the ends of a non-tree edge e passes exactly the tree edges f of its
-    fundamental cycle, and each gives the neighbour T - f + e. A pair is
-    recorded from its lower discovery index only, so each appears once. A
-    pair is held as i * N + j (N the tree count) in an int64 array, and
-    ranked and sorted only when the iterator is read, so enumeration and
-    counting alone keep 8 bytes per exchange.
+    of those pairs. A tree is a bitmask over edge positions (g.edges order).
+
+    The walk starts from B_min, Kruskal's tree in position order, and
+    follows only the exchanges T - f + e with pos(f) < pos(e). An exchange
+    increases from exactly one of its ends, so it is recorded once. Every
+    tree B is reached, by induction on |B - B_min|: for e in B - B_min,
+    symmetric exchange (Brualdi 1969) gives f in B_min - B with B - e + f
+    and B_min - f + e both trees, so pos(f) < pos(e) as B_min is the unique
+    minimum, and B is an increasing exchange from B - e + f. The tree edges
+    on the path between the ends of a non-tree edge e are the f of its
+    fundamental cycle. A pair is held as i * N + j (N trees) in an int64
+    array, and ranked and sorted only when the iterator is read, so
+    enumeration and counting alone keep 8 bytes per exchange.
     """
     expected = count_spanning_trees(g)
     if expected > max_trees:
@@ -184,8 +178,8 @@ def _exchange_walk(g, max_trees):
     vid = {v: k for k, v in enumerate(g.vertices)}
     ends = [(vid[e.u], vid[e.v]) for e in g.edges]
     bits = [1 << p for p in range(g.m)]
-    first = dfs_spanning_tree(g)
-    start = sum(bits[p] for p, e in enumerate(g.edges) if e.eid in first)
+    uf = _UnionFind(range(n))
+    start = sum(bits[p] for p, (u, v) in enumerate(ends) if uf.union(u, v))
     index = {start: 0}
     masks = [start]
     codes = array("q")
@@ -219,12 +213,13 @@ def _exchange_walk(g, max_trees):
             while x != y:
                 if depth[x] < depth[y]:
                     x, y = y, x
-                nxt = base ^ bits[up_edge[x]]
-                j = index.get(nxt)
-                if j is None:
-                    j = index[nxt] = len(masks)
-                    masks.append(nxt)
-                if i < j:
+                f = up_edge[x]
+                if f < p:
+                    nxt = base ^ bits[f]
+                    j = index.get(nxt)
+                    if j is None:
+                        j = index[nxt] = len(masks)
+                        masks.append(nxt)
                     codes.append(i * expected + j)
                 x = up[x]
         i += 1

@@ -7,6 +7,7 @@ import networkx as nx
 import pytest
 
 from stag import (
+    Edge,
     Graph,
     HasBridge,
     ParseError,
@@ -31,8 +32,9 @@ from stag import (
 )
 from stag.errors import Acyclic
 from stag.factorization import _components
-from stag.generators import random_connected_graph
+from stag.generators import random_connected_graph, random_two_connected_graph
 from stag.graph_core import bfs, tree_path_edges
+from stag.spanning_trees import _exchange_walk
 
 
 def test_graph_rejects_self_loops_and_duplicates():
@@ -59,6 +61,33 @@ def test_edge_ids_are_stable(k4):
     assert list(k4.edge_ids()) == list(range(6))
     e = k4.edge(3)
     assert e.other(e.u) == e.v
+
+
+def test_edge_keeps_its_api_and_works_as_a_dict_key(k4):
+    e = Edge(7, 1, 4)
+    assert (e.eid, e.u, e.v) == (7, 1, 4)
+    assert e.endpoints() == (1, 4)
+    assert e.other(1) == 4 and e.other(4) == 1
+    assert e.pair == frozenset((1, 4))
+    assert {e: "x"}[Edge(7, 1, 4)] == "x"
+    assert Edge(7, 1, 4) != Edge(8, 1, 4)
+    by_edge = {k4.edge(eid): eid for eid in k4.edge_ids()}
+    assert all(by_edge[e] == e.eid for e in k4.edges)
+    assert len({k4.edge(0), k4.edge(0), k4.edge(1)}) == 2
+
+
+def test_trusted_constructor_matches_graph(k4, k5):
+    for g in (k4, k5, random_two_connected_graph(6, 9, 3), random_two_connected_graph(7, 10, 8)):
+        keys, pairs, _ = _exchange_walk(g, 10_000)
+        pairs = list(pairs)
+        fast = Graph._trusted(len(keys), pairs)
+        slow = Graph(range(len(keys)), [(k, u, v) for k, (u, v) in enumerate(pairs)])
+        assert fast.vertices == slow.vertices
+        assert fast.edges == slow.edges
+        assert all(type(e) is Edge for e in fast.edges)
+        assert all(fast.adj(v) == slow.adj(v) for v in slow.vertices)
+        assert all(fast.edge(k) == slow.edge(k) for k in slow.edge_ids())
+        assert fast.names == slow.names
 
 
 def test_parse_edgelist_roundtrip(theta):

@@ -6,13 +6,13 @@ import pytest
 
 from stag import (
     EdgeInTree,
+    Graph,
     NotTwoConnected,
     SpanningTree,
     TooManyTrees,
     build_stag,
     complete_graph,
     count_spanning_trees,
-    dfs_spanning_tree,
     enumerate_spanning_trees,
     exchange_diameter,
     fundamental_cycle,
@@ -24,8 +24,12 @@ from stag import (
     witness_edge_for_pair,
 )
 from stag import spanning_trees
-from stag.errors import NoWitness, ValidationFailed
-from stag.generators import random_connected_graph, random_two_connected_graph
+from stag.errors import Disconnected, NoWitness, ValidationFailed
+from stag.generators import (
+    random_connected_graph,
+    random_multiblock_graph,
+    random_two_connected_graph,
+)
 from stag.oracles import brute_force_trees
 from stag.params import _all_pairs_diameter
 
@@ -78,9 +82,35 @@ def test_walk_completeness_check_is_not_an_assert(k4, monkeypatch):
         enumerate_spanning_trees(k4)
 
 
-def test_dfs_tree_spans(theta):
-    t = dfs_spanning_tree(theta)
-    SpanningTree.of(theta, t)  # validates
+def _walk_inputs():
+    rng = random.Random(44)
+    for _ in range(6):
+        n = rng.randint(3, 7)
+        m = rng.randint(n, min(11, n * (n - 1) // 2))
+        yield random_two_connected_graph(n, m, rng.randrange(1 << 30))
+    for sizes in ((3, 4), (4, 3, 3), (5, 3)):
+        yield random_multiblock_graph(sizes, rng.randrange(1 << 30))
+    # edge ids in an order unrelated to the edges' positions in g.edges
+    h = random_two_connected_graph(6, 10, 5)
+    ids = rng.sample(range(100), h.m)
+    yield Graph(h.vertices, [(ids[k], e.u, e.v) for k, e in enumerate(h.edges)])
+
+
+def test_exchange_walk_emits_each_exchange_once():
+    for g in _walk_inputs():
+        keys, pairs, count = spanning_trees._exchange_walk(g, 10_000)
+        pairs = list(pairs)
+        assert count == len(pairs) == len(set(pairs))
+        assert len(keys) == count_spanning_trees(g)
+        trees = brute_force_trees(g)
+        assert keys == [t.key for t in trees]
+        exchanges = {
+            (i, j)
+            for i, j in itertools.combinations(range(len(trees)), 2)
+            if len(trees[i].edge_set ^ trees[j].edge_set) == 2
+        }
+        assert count == len(exchanges)
+        assert pairs == sorted(exchanges)
 
 
 def test_spanning_tree_validation(c4):
@@ -94,9 +124,9 @@ def test_spanning_tree_validation(c4):
 
 def test_diameters_of_aux_match_networkx():
     rng = random.Random(37)
-    for _ in range(12):
-        n = rng.randint(2, 6)
-        m = rng.randint(n - 1, min(9, n * (n - 1) // 2))
+    for _ in range(110):
+        n = rng.randint(2, 8)
+        m = rng.randint(n - 1, min(n + 3, n * (n - 1) // 2))
         g = random_connected_graph(n, m, rng.randrange(1 << 30))
         s = build_stag(g)
         aux = nx.Graph()
@@ -104,6 +134,8 @@ def test_diameters_of_aux_match_networkx():
         aux.add_edges_from(e.endpoints() for e in s.graph.edges)
         assert _all_pairs_diameter(s.graph) == nx.diameter(aux)
         assert exchange_diameter(s) == nx.diameter(aux)
+    with pytest.raises(Disconnected):
+        _all_pairs_diameter(Graph([0, 1, 2], [(0, 0, 1)]))
 
 
 def test_fundamental_cycle(c4, k4):
