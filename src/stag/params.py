@@ -4,11 +4,10 @@ degree bounds, diameter bound and the clique-number identity."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .aux_graph import build_stag
 from .errors import Acyclic, Disconnected
-from .graph_core import circumference, minimal_edge_cuts
+from .graph_core import bfs, circumference, minimal_edge_cuts
 from .spanning_trees import DEFAULT_MAX_TREES
 
 
@@ -67,11 +66,48 @@ def maximal_cliques(g):
 
 
 def exchange_diameter(s):
-    """max over tree pairs of half the symmetric edge-set difference, with
-    trees held as bitmasks over edge positions."""
-    bit = {eid: 1 << p for p, eid in enumerate(s.origin.edge_ids())}
-    masks = [sum(bit[eid] for eid in t.key) for t in s.trees]
-    return max(((a ^ b).bit_count() for a, b in combinations(masks, 2)), default=0) // 2
+    """Largest |T1 - T2| over two spanning trees of s.origin.
+
+    That is max |T1 ∪ T2| - (n - 1), and as every forest of a connected
+    graph extends to a spanning tree, max |T1 ∪ T2| is the largest union of
+    two forests: the rank of the union of the cycle matroid with itself
+    (Nash-Williams 1964; Edmonds 1965). Edges are offered one at a time and
+    kept when a shortest augmenting path exists (matroid partition): from an
+    edge x, forest i is a sink if F_i + x is a forest; otherwise x may enter
+    F_i in place of any y on the cycle of F_i + x, and y must then move to
+    the other forest. An edge refused once stays refused, as the union of
+    the two forests only grows.
+    """
+    g = s.origin
+    home = {}  # edge id -> the forest (0 or 1) holding it
+    for e in g.edges:
+        _augment(g, home, e.eid)
+    return len(home) - (g.n - 1)
+
+
+def _augment(g, home, eid):
+    """Add eid to the two forests in home along a shortest augmenting path,
+    found by a BFS over edges; leave home as it is when there is none."""
+    forests = [{f for f, h in home.items() if h == i} for i in (0, 1)]
+    came_from = {eid: None}
+    queue = [eid]
+    for x in queue:
+        u, v = g.edge(x).endpoints()
+        for i in (0, 1):
+            if home.get(x) == i:
+                continue
+            tree = bfs(g, u, forests[i])
+            if v not in tree:
+                while x is not None:
+                    home[x], i = i, home.get(x)
+                    x = came_from[x]
+                return
+            w = v
+            while w != u:
+                w, y = tree[w]
+                if y not in came_from:
+                    came_from[y] = x
+                    queue.append(y)
 
 
 def param_report(g, max_trees=DEFAULT_MAX_TREES, max_n=12):

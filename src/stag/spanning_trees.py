@@ -69,37 +69,64 @@ class SpanningTree:
 
 
 def count_spanning_trees(g):
-    """Matrix-Tree count via fraction-free (Bareiss) integer elimination."""
+    """Matrix-Tree count: the determinant of the reduced Laplacian, by a
+    sparse symmetric fraction-free (Bareiss 1968) elimination.
+
+    Order: vertices by ascending degree, ties in vertex order; the last (a
+    highest-degree vertex) is the ground whose row and column are removed.
+    For connected g the reduced Laplacian is positive definite under any
+    symmetric permutation, so every pivot p_k, a leading principal minor,
+    is positive: there is no pivot search, no row swap and no sign.
+
+    After k steps, entry (i, j) with i, j >= k is the minor on rows
+    0..k-1, i and columns 0..k-1, j: an integer, symmetric in i and j. So
+    row i keeps only its columns j >= i, as a dict of nonzero entries, and
+    reads a_ik from the pivot row k. Step k sends a_ij to
+    (a_ij p_k - a_ik a_kj) / p_(k-1). Where a_ik = 0 that is a scaling by
+    p_k / p_(k-1), and successive scalings telescope: a row that holds its
+    entries after t steps is brought to k steps by p_(k-1) / p_(t-1), with
+    p_(-1) = 1. So each row records its step count and is touched only when
+    it becomes the pivot or its pivot-column entry is nonzero. Eliminating
+    part of a Laplacian leaves a Laplacian (off-diagonal entries <= 0, the
+    two terms above never cancel), so the rows updated at step k are
+    exactly the columns of the pivot row.
+    """
     if not is_connected(g):
         raise Disconnected("spanning trees need a connected graph")
     size = g.n - 1
     if size == 0:
         return 1
-    idx = {v: i for i, v in enumerate(g.vertices[:-1])}
-    mat = [[0] * size for _ in range(size)]
-    for v, i in idx.items():
-        mat[i][i] = g.degree(v)
+    deg = [g.degree(v) for v in g.vertices]
+    order = sorted(range(g.n), key=deg.__getitem__)
+    pos = {g.vertices[k]: i for i, k in enumerate(order)}
+    rows = [{i: deg[k]} for i, k in enumerate(order[:-1])]
     for e in g.edges:
-        if e.u in idx and e.v in idx:
-            mat[idx[e.u]][idx[e.v]] -= 1
-            mat[idx[e.v]][idx[e.u]] -= 1
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if mat[k][k] == 0:
-            for j in range(k + 1, size):
-                if mat[j][k] != 0:
-                    mat[k], mat[j] = mat[j], mat[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
-            mat[i][k] = 0
-        prev = mat[k][k]
-    return sign * mat[size - 1][size - 1]
+        i, j = sorted((pos[e.u], pos[e.v]))
+        if j < size:
+            rows[i][j] = -1
+    # scale[t] = p_(t-1), scale[0] = 1; seen[i] = steps applied to row i
+    scale = [1]
+    seen = [0] * size
+    for k in range(size):
+        prev = scale[k]
+        pivot = _catch_up(rows[k], prev, scale[seen[k]])
+        rows[k] = None
+        p = pivot.pop(k)
+        scale.append(p)
+        below = sorted(pivot.items())
+        for r, (i, a) in enumerate(below):
+            row = _catch_up(rows[i], prev, scale[seen[i]])
+            new = {j: (row.pop(j, 0) * p - a * b) // prev for j, b in below[r:]}
+            for j, x in row.items():
+                new[j] = x * p // prev
+            rows[i] = new
+            seen[i] = k + 1
+    return p
+
+
+def _catch_up(row, s, t):
+    """row * s / t, exact: the telescoped scalings of the skipped steps."""
+    return row if s == t else {j: x * s // t for j, x in row.items()}
 
 
 def _type2_keys(g, tree_eids):

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from stag import ParseError, build_stag, complete_graph, parse_graph, to_edgelist
+from stag import ParseError, TooManyTrees, build_stag, complete_graph, parse_graph, to_edgelist
 from stag.cli import run
+from stag.generators import random_multiblock_graph
 
 
 def _write(path, text):
@@ -147,6 +148,19 @@ def test_guard_exit_code(tmp_path, capsys):
     _write(aux_k4, to_edgelist(build_stag(complete_graph(4)).graph))
     rc = run(["invert", "-i", str(aux_k4), "--max-trees", "10"])
     assert rc == 3
+
+
+def test_guard_on_a_long_block_chain(tmp_path, capsys):
+    # 60 blocks, 361 vertices: the count alone decides the guard
+    chain = random_multiblock_graph([7] * 60, 3)
+    with pytest.raises(TooManyTrees):
+        build_stag(chain)
+    p = tmp_path / "chain.txt"
+    _write(p, to_edgelist(chain))
+    assert run(["aux", "-i", str(p), "--json"]) == 3
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["status"] == "error"
+    assert "exceed guard 100000" in verdict["message"]
 
 
 def test_input_error_exit_code(tmp_path):

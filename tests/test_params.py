@@ -1,8 +1,13 @@
 import json
 import random
+from itertools import combinations
 
 from stag import build_stag, exchange_diameter, maximal_cliques, param_report
-from stag.generators import random_connected_graph, random_two_connected_graph
+from stag.generators import (
+    random_connected_graph,
+    random_multiblock_graph,
+    random_two_connected_graph,
+)
 from stag.params import report_to_json, report_to_text
 
 
@@ -17,6 +22,28 @@ def test_exchange_diameter_equals_graph_diameter(c4, k4, theta):
         s = build_stag(g)
         r = param_report(g)
         assert r.diam_aux == exchange_diameter(s)
+
+
+def _pair_loop_diameter(s):
+    """max over tree pairs of half the symmetric edge-set difference."""
+    bit = {eid: 1 << p for p, eid in enumerate(s.origin.edge_ids())}
+    masks = [sum(bit[eid] for eid in t.key) for t in s.trees]
+    return max(((a ^ b).bit_count() for a, b in combinations(masks, 2)), default=0) // 2
+
+
+def test_exchange_diameter_matches_the_pair_loop():
+    rng = random.Random(29)
+    graphs = []
+    for _ in range(100):
+        n = rng.randint(1, 8)
+        m = rng.randint(n - 1, min(n + 6, n * (n - 1) // 2))
+        graphs.append(random_connected_graph(n, m, rng.randrange(1 << 30)))
+    for _ in range(30):
+        sizes = [rng.randint(3, 4) for _ in range(rng.randint(2, 3))]
+        graphs.append(random_multiblock_graph(sizes, rng.randrange(1 << 30)))
+    for g in graphs:
+        s = build_stag(g)
+        assert exchange_diameter(s) == _pair_loop_diameter(s)
 
 
 def test_report_values_c4(c4):

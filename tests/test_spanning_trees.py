@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import networkx as nx
 import pytest
@@ -10,9 +12,11 @@ from stag import (
     NotTwoConnected,
     SpanningTree,
     TooManyTrees,
+    block_decomposition,
     build_stag,
     complete_graph,
     count_spanning_trees,
+    cycle_graph,
     enumerate_spanning_trees,
     exchange_diameter,
     fundamental_cycle,
@@ -55,8 +59,82 @@ def test_count_trivia(p4):
 
 
 def test_cayley_formula():
-    for n in range(2, 8):
+    for n in range(2, 13):
         assert count_spanning_trees(complete_graph(n)) == n ** (n - 2)
+
+
+def test_closed_forms():
+    for n in range(3, 30):
+        assert count_spanning_trees(cycle_graph(n)) == n
+    for a in range(1, 7):
+        for b in range(1, 7):
+            kab = Graph.from_pairs([(u, a + v) for u in range(a) for v in range(b)])
+            assert count_spanning_trees(kab) == a ** (b - 1) * b ** (a - 1)
+    for seed in range(20):
+        assert count_spanning_trees(random_connected_graph(seed + 1, seed, seed)) == 1
+
+
+def _fraction_count(g):
+    """Kirchhoff's count by Gaussian elimination over Fractions with row
+    swaps. It grounds the first vertex of lowest degree; the code under test
+    grounds the last of highest degree, another vertex whenever n >= 2."""
+    ground = min(g.vertices, key=g.degree)
+    idx = {v: i for i, v in enumerate(v for v in g.vertices if v != ground)}
+    size = len(idx)
+    a = [[0] * size for _ in range(size)]
+    for e in g.edges:
+        for x, y in ((e.u, e.v), (e.v, e.u)):
+            if x in idx:
+                a[idx[x]][idx[x]] += 1
+                if y in idx:
+                    a[idx[x]][idx[y]] -= 1
+    det = Fraction(1)
+    for k in range(size):
+        r = next((r for r in range(k, size) if a[r][k]), None)
+        if r is None:
+            return 0
+        if r != k:
+            a[k], a[r] = a[r], a[k]
+            det = -det
+        det *= a[k][k]
+        pivot = [(c, a[k][c]) for c in range(k, size) if a[k][c]]
+        for r in range(k + 1, size):
+            if a[r][k]:
+                f = Fraction(a[r][k]) / a[k][k]
+                for c, x in pivot:
+                    a[r][c] -= f * x
+    assert det.denominator == 1
+    return int(det)
+
+
+def _shuffled(g, rng):
+    """g with its vertex order, edge order and edge ids shuffled."""
+    vertices = list(g.vertices)
+    rng.shuffle(vertices)
+    ids = rng.sample(range(3 * g.m + 1), g.m)
+    edges = [(ids[k], e.u, e.v) for k, e in enumerate(g.edges)]
+    rng.shuffle(edges)
+    return Graph(vertices, edges)
+
+
+def test_count_matches_fraction_elimination():
+    rng = random.Random(71)
+    for k in range(200):
+        n = rng.randint(1, 40)
+        top = n * (n - 1) // 2
+        # trees, sparse, mid and complete graphs in turn
+        m = [n - 1, min(top, rng.randint(n - 1, 2 * n)), rng.randint(n - 1, top), top][k % 4]
+        g = random_connected_graph(n, m, rng.randrange(1 << 30))
+        expected = _fraction_count(g)
+        assert count_spanning_trees(g) == expected
+        assert count_spanning_trees(_shuffled(g, rng)) == expected
+
+
+def test_count_is_the_product_over_blocks():
+    g = random_multiblock_graph([7] * 60, 3)
+    blocks = block_decomposition(g).blocks
+    assert len(blocks) == 60
+    assert count_spanning_trees(g) == math.prod(map(count_spanning_trees, blocks))
 
 
 def test_enumeration_matches_oracle():
