@@ -53,8 +53,9 @@ def build_stag(g, max_trees=DEFAULT_MAX_TREES):
     One exchange walk finds the trees and their exchanges together: the
     neighbours of T are T - f + e for each non-tree edge e and each tree
     edge f on its fundamental cycle. The Kirchhoff count is the size guard
-    and the completeness check. Vertices are ordered by tree canonical key
-    and edges by vertex pair, so builds are reproducible."""
+    and the completeness check. The walk emits the trees by canonical key
+    and the edges by vertex pair, already in that order, so builds are
+    reproducible and nothing is sorted after it."""
     keys, pairs, _ = _exchange_walk(g, max_trees)
     trees = tuple(SpanningTree(g, k) for k in keys)
     return StagGraph(Graph._trusted(len(trees), pairs), trees, g)
@@ -117,13 +118,12 @@ def ground_truth_cliques(s):
 
 
 def stag_to_json(s):
-    names = {v: str(v) for v in s.graph.vertices}
-    doc = {
-        "vertices": list(names.values()),
-        "edges": [[names[u], names[v]] for _, u, v in s.graph.edges],
-        "trees": [list(t.key) for t in s.trees] if s.annotated else None,
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    """Compact JSON with sorted keys. Vertices are ints, so their quoted
+    decimal names need no escaping and the edge array is joined from them."""
+    names = {v: f'"{v}"' for v in s.graph.vertices}
+    edges = ",".join([f"[{names[u]},{names[v]}]" for _, u, v in s.graph.edges])
+    trees = json.dumps([t.key for t in s.trees] if s.annotated else None, separators=(",", ":"))
+    return f'{{"edges":[{edges}],"trees":{trees},"vertices":[{",".join(names.values())}]}}\n'
 
 
 def stag_to_dot(s):

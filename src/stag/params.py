@@ -47,21 +47,37 @@ def _all_pairs_diameter(g):
 
 
 def maximal_cliques(g):
-    """All maximal cliques (vertex frozensets), Bron-Kerbosch with pivot."""
-    adj = {v: set(g.adj(v)) for v in g.vertices}
+    """All maximal cliques (vertex frozensets), Bron-Kerbosch with the
+    Tomita pivot (most neighbours in P), on int bitmasks over vertex
+    positions. Bits are walked lowest first, as low = mask & -mask."""
+    vs = g.vertices
+    idx = {v: k for k, v in enumerate(vs)}
+    adj = [sum(1 << idx[w] for w in g.adj(v)) for v in vs]
     out = []
 
     def expand(r, p, x):
-        if not p and not x:
-            out.append(frozenset(r))
+        if not p:
+            if not x:
+                out.append(frozenset(r))
             return
-        pivot = max(p | x, key=lambda u: len(adj[u] & p))
-        for v in list(p - adj[pivot]):
-            expand(r | {v}, p & adj[v], x & adj[v])
-            p.discard(v)
-            x.add(v)
+        best = -1
+        rest = p | x
+        while rest:
+            low = rest & -rest
+            a = adj[low.bit_length() - 1]
+            if (c := (a & p).bit_count()) > best:
+                best, pivot_nbrs = c, a
+            rest ^= low
+        cand = p & ~pivot_nbrs
+        while cand:
+            low = cand & -cand
+            v = low.bit_length() - 1
+            expand((*r, vs[v]), p & adj[v], x & adj[v])
+            p ^= low
+            x |= low
+            cand ^= low
 
-    expand(set(), set(g.vertices), set())
+    expand((), (1 << len(vs)) - 1, 0)
     return out
 
 

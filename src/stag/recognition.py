@@ -302,7 +302,8 @@ def enumerate_preimages(g_min, budget):
             if len(out) >= budget:
                 break
             w = max(g.vertices) + 1
-            g2 = Graph(g.vertices + (w,), [*g.edges, (g.m, v, w)])
+            eid = max(g.edge_ids(), default=-1) + 1
+            g2 = Graph(g.vertices + (w,), [*g.edges, (eid, v, w)])
             out.append(g2)
             frontier.append(g2)
     return out

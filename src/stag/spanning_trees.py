@@ -3,7 +3,8 @@ reverse-delete construction with a protected edge pair."""
 
 from __future__ import annotations
 
-from array import array
+from heapq import heappop, heappush
+from itertools import chain, repeat
 
 from .errors import (
     Disconnected,
@@ -184,35 +185,45 @@ def _exchange_walk(g, max_trees):
     Returns (keys, pairs, count): the trees' sorted edge-id tuples in
     ascending order, an iterator over the index pairs (i, j), i < j, of
     trees that differ by one exchange, in ascending order, and the number
-    of those pairs. A tree is a bitmask over edge positions (g.edges order).
+    of those pairs.
 
-    The walk starts from B_min, Kruskal's tree in position order, and
-    follows only the exchanges T - f + e with pos(f) < pos(e). An exchange
-    increases from exactly one of its ends, so it is recorded once. Every
-    tree B is reached, by induction on |B - B_min|: for e in B - B_min,
-    symmetric exchange (Brualdi 1969) gives f in B_min - B with B - e + f
-    and B_min - f + e both trees, so pos(f) < pos(e) as B_min is the unique
-    minimum, and B is an increasing exchange from B - e + f. The tree edges
-    on the path between the ends of a non-tree edge e are the f of its
-    fundamental cycle. A pair is held as i * N + j (N trees) in an int64
-    array, and ranked and sorted only when the iterator is read, so
-    enumeration and counting alone keep 8 bytes per exchange.
+    A tree is a bitmask in which the edge at position p of the edges sorted
+    by id is bit m - 1 - p, so a greater key is a smaller mask. The walk
+    starts from the greatest tree, Kruskal's over the positions in
+    descending order, and pops masks from a min-heap, so trees come out in
+    descending key order. By induction: a tree T that is not the greatest
+    has an exchange T - f + e with a greater key, as a matroid basis is
+    lexicographically greatest iff no single exchange makes it greater
+    (Gale 1968); that tree was popped before T and pushed it. From each
+    tree the walk follows only the exchanges to smaller keys, T - f + e
+    with pos(e) < pos(f), so each exchange is recorded once, at its
+    greater end. The tree edges on the path between the ends of a non-tree
+    edge e are the f of its fundamental cycle. The k-th tree popped takes
+    rank N - 1 - k (N trees) and appends it to the row of each smaller
+    neighbour. When a tree is popped every greater neighbour has been, so
+    its row holds their ranks, each once, in descending order, and the
+    rows read backwards are the pairs in ascending order.
     """
     expected = count_spanning_trees(g)
     if expected > max_trees:
         raise TooManyTrees(f"{expected} trees exceed guard {max_trees}")
-    n = g.n
+    n, m = g.n, g.m
     vid = {v: k for k, v in enumerate(g.vertices)}
-    ends = [(vid[e.u], vid[e.v]) for e in g.edges]
-    bits = [1 << p for p in range(g.m)]
+    edges = sorted(g.edges)
+    ends = [(vid[e.u], vid[e.v]) for e in edges]
+    bits = [1 << (m - 1 - p) for p in range(m)]
     uf = _UnionFind(range(n))
-    start = sum(bits[p] for p, (u, v) in enumerate(ends) if uf.union(u, v))
-    index = {start: 0}
-    masks = [start]
-    codes = array("q")
-    i = 0
-    while i < len(masks):
-        cur = masks[i]
+    start = sum(bits[p] for p in reversed(range(m)) if uf.union(*ends[p]))
+    pending = {start: []}
+    heap = [start]
+    masks = []
+    rows = []
+    rank = expected
+    while heap:
+        cur = heappop(heap)
+        rank -= 1
+        masks.append(cur)
+        rows.append(pending.pop(cur))
         adj = [[] for _ in range(n)]
         chords = []
         for p, (u, v) in enumerate(ends):
@@ -241,34 +252,21 @@ def _exchange_walk(g, max_trees):
                 if depth[x] < depth[y]:
                     x, y = y, x
                 f = up_edge[x]
-                if f < p:
+                if f > p:
                     nxt = base ^ bits[f]
-                    j = index.get(nxt)
-                    if j is None:
-                        j = index[nxt] = len(masks)
-                        masks.append(nxt)
-                    codes.append(i * expected + j)
+                    row = pending.get(nxt)
+                    if row is None:
+                        pending[nxt] = [rank]
+                        heappush(heap, nxt)
+                    else:
+                        row.append(rank)
                 x = up[x]
-        i += 1
     if len(masks) != expected:
         raise ValidationFailed(f"exchange walk found {len(masks)} of {expected} trees")
-    eids = [e.eid for e in g.edges]
-    keys = [tuple(sorted(eids[p] for p in range(g.m) if mask & bits[p])) for mask in masks]
-    order = sorted(range(expected), key=keys.__getitem__)
-    rank = [0] * expected
-    for r, old in enumerate(order):
-        rank[old] = r
-
-    def ranked_pairs():
-        ranked = []
-        for c in codes:
-            a, b = rank[c // expected], rank[c % expected]
-            ranked.append(a * expected + b if a < b else b * expected + a)
-        ranked.sort()
-        for c in ranked:
-            yield divmod(c, expected)
-
-    return [keys[k] for k in order], ranked_pairs(), len(codes)
+    eids = [e.eid for e in edges]
+    keys = [tuple([eids[p] for p in range(m) if mask & bits[p]]) for mask in reversed(masks)]
+    pairs = chain.from_iterable(zip(repeat(u), reversed(row)) for u, row in enumerate(reversed(rows)))
+    return keys, pairs, sum(map(len, rows))
 
 
 def serialize_trees(trees):

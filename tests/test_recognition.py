@@ -243,6 +243,16 @@ def test_enumerate_preimages(c3):
         assert are_isomorphic(build_stag(g).graph, base)[0]
 
 
+def test_enumerate_preimages_with_non_contiguous_edge_ids():
+    g = Graph([0, 1, 2], [(0, 0, 1), (1, 1, 2), (3, 0, 2)])
+    more = enumerate_preimages(g, 4)
+    assert len(more) == 4
+    base = build_stag(g).graph
+    for h in more:
+        assert set(g.edge_ids()) < set(h.edge_ids())
+        assert are_isomorphic(build_stag(h).graph, base)[0]
+
+
 def test_enumerate_preimages_rejects_bridged(triangle_pendant):
     with pytest.raises(NotMinimal):
         enumerate_preimages(triangle_pendant, 3)

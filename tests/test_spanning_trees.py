@@ -34,7 +34,7 @@ from stag.generators import (
     random_multiblock_graph,
     random_two_connected_graph,
 )
-from stag.oracles import brute_force_trees
+from stag.oracles import brute_force_stag, brute_force_trees
 from stag.params import _all_pairs_diameter
 
 
@@ -189,6 +189,16 @@ def test_exchange_walk_emits_each_exchange_once():
         }
         assert count == len(exchanges)
         assert pairs == sorted(exchanges)
+
+
+def test_exchange_walk_matches_brute_force_stag():
+    # K6 and a chain of three blocks: trees in key order, pairs already sorted
+    for g in (complete_graph(6), random_multiblock_graph([4, 4, 4], 0)):
+        keys, pairs, count = spanning_trees._exchange_walk(g, 10_000)
+        s = brute_force_stag(g)
+        assert keys == [t.key for t in s.trees]
+        assert list(pairs) == [(e.u, e.v) for e in s.graph.edges]
+        assert count == s.graph.m
 
 
 def test_spanning_tree_validation(c4):

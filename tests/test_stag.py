@@ -6,6 +6,7 @@ import random
 import pytest
 
 from stag import (
+    Graph,
     Unannotated,
     build_stag,
     complete_graph,
@@ -14,6 +15,7 @@ from stag import (
     enumerate_spanning_trees,
     ground_truth_cliques,
     neighborhood_partitions,
+    product_of_block_stags,
     stag_to_dot,
     stag_to_json,
 )
@@ -142,6 +144,34 @@ def test_stag_json_and_dot(c3):
 
     bare = StagGraph(s.graph, None, None)
     assert json.loads(stag_to_json(bare))["trees"] is None
+
+
+def _reference_json(s):
+    """The document built whole and encoded by json.dumps."""
+    doc = {
+        "vertices": [str(v) for v in s.graph.vertices],
+        "edges": [[str(e.u), str(e.v)] for e in s.graph.edges],
+        "trees": [list(t.key) for t in s.trees] if s.annotated else None,
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_stag_to_json_matches_json_dumps():
+    rng = random.Random(808)
+    stags = [build_stag(random_connected_graph(1, 0, 1))]
+    for _ in range(8):
+        n = rng.randint(2, 7)
+        m = rng.randint(n - 1, min(n + 3, n * (n - 1) // 2))
+        stags.append(build_stag(random_connected_graph(n, m, rng.randrange(1 << 30))))
+    chain = random_multiblock_graph([3, 4, 3], rng.randrange(1 << 30))
+    stags.append(build_stag(chain))
+    # unannotated: the block product carries no trees
+    stags.append(product_of_block_stags(chain))
+    # vertex ids that are not 0..n-1
+    stags.append(StagGraph(Graph([-3, 5, 12], [(7, -3, 12), (2, 5, 12)]), None, None))
+    for s in stags:
+        assert stag_to_json(s) == _reference_json(s)
+    assert json.loads(stag_to_json(stags[-2]))["trees"] is None
 
 
 def test_stag_vertices_ordered_by_tree_key(theta):
