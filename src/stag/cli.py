@@ -177,6 +177,9 @@ def _cmd_params(args):
 
 
 def _cmd_verify_roundtrip(args):
+    """A second route, deliberately independent of invert's certificate:
+    rebuild Aux of invert's preimage and compare it with Aux(G) by
+    are_isomorphic."""
     g = _load_graph(args.input, args.format)
     s = build_stag(g, max_trees=args.max_trees)
     g2 = invert(s.graph, max_trees=args.max_trees)

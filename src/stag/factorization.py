@@ -1,17 +1,28 @@
 """Cartesian-product prime factorization and the block-product construction.
 
-The factor edge-classes come from the square/triangle relation: two
-incident edges are related if they span a triangle, have no completing
-square, or complete more than one square; opposite edges of a unique
-square are related. The transitive closure may still be finer than the
-true product coloring, so candidate coarsenings are tried finest-first and
-each is accepted only if exact product coordinates can be extracted.
+The prime factors are the classes of the product relation
+sigma = (Theta | tau)*: Theta is the Djokovic-Winkler relation, tau relates
+incident edges on no common chordless square (Feder 1992; Imrich & Klavzar
+2000). No search is needed:
+
+1. Square classes relate incident edges that span a triangle, no square
+   or more than one, and opposite edges of a unique square. They contain
+   tau and lie inside sigma.
+2. Extraction rebuilds the product from an edge colouring and checks it
+   edge by edge. A product colouring no coarser than sigma is sigma, so if
+   the square classes extract, they are the answer.
+3. Only otherwise the Theta closure joins each edge xy of one BFS tree to
+   every edge uv with d(x,u) + d(y,v) != d(x,v) + d(y,u), which with tau
+   closes to sigma (Feder), and extraction runs again as the certificate.
+   If it fails, ValidationFailed names the failed check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import combinations, islice
+from math import prod
 
 from .aux_graph import StagGraph, build_stag
 from .errors import Disconnected, TooLarge, ValidationFailed
@@ -26,7 +37,6 @@ from .graph_core import (
 from .spanning_trees import DEFAULT_MAX_TREES
 
 DEFAULT_MAX_N = 4096
-_FULL_SEARCH_CLASSES = 8
 
 
 @dataclass(eq=False)
@@ -50,24 +60,56 @@ def _square_classes(g):
         if uf.count == 1:
             break
         inc = sorted(g.adj(u).items())  # (neighbor, eid)
-        for i in range(len(inc)):
-            v, e = inc[i]
-            for j in range(i + 1, len(inc)):
-                w, f = inc[j]
-                if w in adjset[v]:
-                    uf.union(e, f)
-                    continue
-                common = (adjset[v] & adjset[w]) - {u}
-                if len(common) != 1:
-                    uf.union(e, f)
-                else:
-                    x = next(iter(common))
-                    uf.union(e, g.eid_between(w, x))
-                    uf.union(f, g.eid_between(v, x))
+        for (v, e), (w, f) in combinations(inc, 2):
+            if w in adjset[v]:
+                uf.union(e, f)
+                continue
+            common = (adjset[v] & adjset[w]) - {u}
+            if len(common) != 1:
+                uf.union(e, f)
+            else:
+                x = next(iter(common))
+                uf.union(e, g.eid_between(w, x))
+                uf.union(f, g.eid_between(v, x))
     groups = {}
     for eid in g.edge_ids():
         groups.setdefault(uf.find(eid), []).append(eid)
     return [frozenset(grp) for _, grp in sorted(groups.items())]
+
+
+def _distances(g, s):
+    """Distance from s to every vertex, read off the BFS tree."""
+    d = {}
+    for v, (p, _) in bfs(g, s).items():
+        d[v] = 0 if p is None else d[p] + 1
+    return d
+
+
+def _theta_closure(g, classes):
+    """Merge the square classes along Theta between the edges of the BFS
+    tree from g.vertices[0] and all edges. Returns each class's group,
+    the groups numbered by their largest class: the order in which a
+    finest-first search over set partitions lists them."""
+    uf = _UnionFind(range(len(classes)))
+    members = [[g.edge(eid).endpoints() for eid in c] for c in classes]
+    cls = {eid: i for i, c in enumerate(classes) for eid in c}
+    px = None
+    # BFS order lists a vertex's children together: one BFS per parent
+    for y, (x, eid) in islice(bfs(g, g.vertices[0]).items(), 1, None):
+        if uf.count == 1:
+            break
+        if x != px:
+            px, dx = x, _distances(g, x)
+        dy = _distances(g, y)
+        # xy Theta uv iff d(x,u) - d(y,u) != d(x,v) - d(y,v)
+        delta = {v: dx[v] - dy[v] for v in dy}
+        a = cls[eid]
+        for c, pairs in enumerate(members):
+            if uf.find(c) != uf.find(a) and any(delta[u] != delta[v] for u, v in pairs):
+                uf.union(a, c)
+    last = {uf.find(c): c for c in range(len(classes))}
+    rank = {r: b for b, r in enumerate(sorted(last, key=last.get))}
+    return [rank[uf.find(c)] for c in range(len(classes))]
 
 
 def _components(g, eids):
@@ -82,86 +124,42 @@ def _components(g, eids):
 
 
 def _try_extract(g, color):
-    """Extract factors + coordinates for an edge coloring, or None.
+    """Factors and coordinates for an edge colouring {eid: 0..k-1}.
 
-    A coloring is accepted only when every vertex gets a unique coordinate
-    tuple and the edge set matches the rebuilt product exactly."""
+    The colouring is accepted only when every vertex gets a unique
+    coordinate tuple and the edge set matches the rebuilt product exactly;
+    otherwise ValidationFailed names the check that failed."""
     k = 1 + max(color.values())
-    v0 = g.vertices[0]
-    by_color = {i: [] for i in range(k)}
-    for eid, c in color.items():
-        by_color[c].append(eid)
     factors = []
     for i in range(k):
-        comp = _components(g, by_color[i])
-        layer = sorted(v for v in g.vertices if comp[v] == comp[v0])
-        lset = set(layer)
-        es = [e for e in g.edges if color[e.eid] == i and e.u in lset and e.v in lset]
+        layer = bfs(g, g.vertices[0], {eid for eid, c in color.items() if c == i})
+        es = [e for e in g.edges if color[e.eid] == i and e.u in layer and e.v in layer]
         factors.append(Graph(layer, es, g.names))
-    total = 1
-    for f in factors:
-        total *= f.n
+    total = prod(f.n for f in factors)
     if total != g.n:
-        return None
+        raise ValidationFailed(f"the factors span {total} vertices, the graph {g.n}")
     coords = {v: [None] * k for v in g.vertices}
     for i in range(k):
-        other_eids = [eid for eid, c in color.items() if c != i]
-        comp = _components(g, other_eids)
-        rep = {}
-        for x in factors[i].vertices:
-            if comp[x] in rep:
-                return None
-            rep[comp[x]] = x
+        comp = _components(g, [eid for eid, c in color.items() if c != i])
+        rep = {comp[x]: x for x in factors[i].vertices}
+        if len(rep) != factors[i].n:
+            raise ValidationFailed(f"a layer of the other factors meets factor {i} twice")
         for v in g.vertices:
             if comp[v] not in rep:
-                return None
+                raise ValidationFailed(f"a layer of the other factors misses factor {i}")
             coords[v][i] = rep[comp[v]]
     coords = {v: tuple(c) for v, c in coords.items()}
     if len(set(coords.values())) != g.n:
-        return None
+        raise ValidationFailed("two vertices get the same coordinates")
     for e in g.edges:
         i = color[e.eid]
         cu, cv = coords[e.u], coords[e.v]
-        for j in range(k):
-            if j == i:
-                if not factors[j].has_edge(cu[j], cv[j]):
-                    return None
-            elif cu[j] != cv[j]:
-                return None
-    expected_m = 0
-    for i, f in enumerate(factors):
-        expected_m += f.m * (total // f.n)
+        if cu[:i] + cu[i + 1 :] != cv[:i] + cv[i + 1 :] or not factors[i].has_edge(cu[i], cv[i]):
+            raise ValidationFailed(f"edge {e.eid} is not a step along factor {i}")
+    expected_m = sum(f.m * (total // f.n) for f in factors)
     if expected_m != g.m:
-        return None
+        raise ValidationFailed(f"the product has {expected_m} edges, the graph {g.m}")
     return factors, coords
-
-
-def _set_partitions(items):
-    """All set partitions of items, as lists of lists."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-        yield [[first]] + part
-
-
-def _candidate_colorings(classes):
-    """Coarsenings of the square classes, finest first."""
-    k = len(classes)
-    if k <= _FULL_SEARCH_CLASSES:
-        parts = sorted(_set_partitions(list(range(k))), key=lambda p: -len(p))
-        for part in parts:
-            yield part
-    else:
-        # greedy fallback: finest, then merge class pairs until trivial
-        current = [[i] for i in range(k)]
-        yield current
-        while len(current) > 1:
-            current = [current[0] + current[1]] + current[2:]
-            yield current
 
 
 def _canon_key(g):
@@ -173,8 +171,8 @@ def _canon_key(g):
 def prime_factorize(g, max_n=DEFAULT_MAX_N):
     """Prime factorization under the Cartesian product.
 
-    Factors are emitted in descending vertex count. The trivial coloring
-    always validates, so a prime verdict is the guaranteed fallback."""
+    Factors are emitted in descending vertex count, ties broken by
+    _canon_key and then by the colour order."""
     if g.n > max_n:
         raise TooLarge(f"n={g.n} exceeds guard {max_n}")
     if not is_connected(g):
@@ -182,39 +180,22 @@ def prime_factorize(g, max_n=DEFAULT_MAX_N):
     if g.n == 1:
         return Factorization((g,), {g.vertices[0]: (g.vertices[0],)})
     classes = _square_classes(g)
-    for grouping in _candidate_colorings(classes):
-        color = {}
-        for b, group in enumerate(grouping):
-            for ci in group:
-                for eid in classes[ci]:
-                    color[eid] = b
-        got = _try_extract(g, color)
-        if got is None:
-            continue
-        factors, coords = got
-        order = sorted(range(len(factors)), key=lambda i: (-factors[i].n, _canon_key(factors[i])))
-        factors = tuple(factors[i] for i in order)
-        coords = {v: tuple(c[i] for i in order) for v, c in coords.items()}
-        return Factorization(factors, coords)
-    raise ValidationFailed("no coloring validated")  # unreachable: trivial coloring validates
+    color = {eid: i for i, c in enumerate(classes) for eid in c}
+    try:
+        factors, coords = _try_extract(g, color)
+    except ValidationFailed:
+        group = _theta_closure(g, classes)
+        color = {eid: group[i] for eid, i in color.items()}
+        factors, coords = _try_extract(g, color)
+    order = sorted(range(len(factors)), key=lambda i: (-factors[i].n, _canon_key(factors[i])))
+    factors = tuple(factors[i] for i in order)
+    coords = {v: tuple(c[i] for i in order) for v, c in coords.items()}
+    return Factorization(factors, coords)
 
 
 def is_prime(g, max_n=DEFAULT_MAX_N):
-    """True iff g has no nontrivial Cartesian factorization."""
-    if not is_connected(g):
-        raise Disconnected("primality needs a connected graph")
-    if g.n == 1:
-        return True  # identity, prime by convention
-    classes = _square_classes(g)
-    if len(classes) == 1:
-        return True
-    class_of = {}
-    for i, cl in enumerate(classes):
-        for eid in cl:
-            class_of[eid] = i
-    for v in g.vertices:
-        if len({class_of[eid] for eid in g.incident_eids(v)}) == 1:
-            return True  # all edges at one vertex share a factor
+    """True iff g has no nontrivial Cartesian factorization (K1 is prime
+    by convention)."""
     return prime_factorize(g, max_n).is_prime
 
 

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 from .aux_graph import StagGraph
 from .errors import TooLarge
-from .graph_core import Graph, are_isomorphic, block_decomposition, is_connected
-from .spanning_trees import SpanningTree, count_spanning_trees
+from .graph_core import Graph
+from .spanning_trees import SpanningTree
 
 
 def brute_force_trees(g, max_m=24):
@@ -55,12 +56,37 @@ def brute_force_stag(g, max_trees=2000):
     return StagGraph(graph, tuple(trees), g)
 
 
+def _nx_graph(g):
+    import networkx as nx
+
+    out = nx.empty_graph(g.vertices)
+    out.add_edges_from(e.endpoints() for e in g.edges)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _atlas_preimages():
+    """(tree count, graph) for each connected bridgeless atlas graph on 3
+    to 7 vertices, the trees counted by brute force once per process."""
+    import networkx as nx
+
+    out = []
+    for nxg in nx.graph_atlas_g():
+        n = nxg.number_of_nodes()
+        if n < 3 or not nx.is_connected(nxg) or nx.has_bridges(nxg):
+            continue  # a bridge is a K2 block: not a minimal preimage
+        g = Graph(range(n), ((i, u, v) for i, (u, v) in enumerate(sorted(map(sorted, nxg.edges())))))
+        out.append((len(brute_force_trees(g)), g))
+    return tuple(out)
+
+
 def brute_force_is_stag(h, n_max=7):
     """Search all connected minimal-preimage graphs (no K2 block) on up to
     n_max vertices for one whose Aux is isomorphic to h; None if absent.
 
-    Enumeration reuses the networkx graph atlas (all graphs on <= 7
-    vertices); Aux construction and isomorphism stay in-house."""
+    Independent of the fast paths: the networkx graph atlas (all graphs on
+    <= 7 vertices) supplies the candidates and the bridge test, trees are
+    counted and Aux built by brute force, and networkx tests isomorphism."""
     if n_max > 7:
         raise TooLarge("preimage search is bounded at 7 vertices")
     target = h.n
@@ -68,19 +94,9 @@ def brute_force_is_stag(h, n_max=7):
         return Graph([0], []) if h.m == 0 else None
     import networkx as nx
 
-    for nxg in nx.graph_atlas_g():
-        n = nxg.number_of_nodes()
-        if n < 3 or n > n_max:
-            continue
-        if not nx.is_connected(nxg):
-            continue
-        g = Graph(range(n), ((i, u, v) for i, (u, v) in enumerate(sorted(map(sorted, nxg.edges())))))
-        if any(b.m == 1 for b in block_decomposition(g).blocks):
-            continue  # has a K2 block, not a minimal preimage
-        if count_spanning_trees(g) != target:
-            continue
-        aux = brute_force_stag(g, max_trees=max(target, 1))
-        ok, _ = are_isomorphic(aux.graph, h)
-        if ok:
-            return g
+    hx = _nx_graph(h)
+    for count, g in _atlas_preimages():
+        if count == target and g.n <= n_max:
+            if nx.is_isomorphic(_nx_graph(brute_force_stag(g, max_trees=target).graph), hx):
+                return g
     return None

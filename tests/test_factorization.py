@@ -1,9 +1,15 @@
 import random
+from functools import lru_cache
+from math import isqrt
 
+import networkx as nx
 import pytest
 
+import stag.factorization
 from stag import (
+    Graph,
     TooLarge,
+    ValidationFailed,
     are_isomorphic,
     build_stag,
     cartesian_product,
@@ -15,7 +21,12 @@ from stag import (
     product_of_block_stags,
     single_vertex_graph,
 )
-from stag.generators import random_multiblock_graph, random_two_connected_graph
+from stag.factorization import _canon_key, _square_classes, _try_extract
+from stag.generators import (
+    random_connected_graph,
+    random_multiblock_graph,
+    random_two_connected_graph,
+)
 
 
 def _product(graphs):
@@ -23,6 +34,46 @@ def _product(graphs):
     for g in graphs[1:]:
         out = cartesian_product(out, g)
     return out
+
+
+def _mobius_ladder(n=8):
+    """The cycle C_n plus the chords i -- i + n/2."""
+    return Graph.from_pairs([(i, (i + 1) % n) for i in range(n)] + [(i, i + n // 2) for i in range(n // 2)])
+
+
+def _cube(k):
+    return _product([complete_graph(2)] * k)
+
+
+def _twisted(big_n, k, mask=None):
+    """C_N box Q_k with the closing cycle edge joining x to x XOR mask
+    (default 2^k - 1, every coordinate flipped). With the default mask the
+    graph is prime, and it has k + 1 square classes unless it is
+    twisted(3, 1) = K_{3,3}."""
+    q = 1 << k
+    mask = q - 1 if mask is None else mask
+    pairs = []
+    for i in range(big_n):
+        for x in range(q):
+            pairs += [(i * q + x, i * q + (x ^ b)) for b in (1 << j for j in range(k)) if x < x ^ b]
+            pairs.append((i * q + x, (i + 1) * q + x if i + 1 < big_n else x ^ mask))
+    return Graph.from_pairs(pairs, vertices=range(big_n * q))
+
+
+def _relabelled(g, rng):
+    """g under a random injection into 0..3n-1: sparse ids, another first vertex."""
+    perm = rng.sample(range(3 * g.n), g.n)
+    return Graph.from_pairs([(perm[e.u], perm[e.v]) for e in g.edges])
+
+
+@pytest.fixture
+def m8():
+    return _mobius_ladder()
+
+
+@pytest.fixture
+def twisted():
+    return _twisted
 
 
 def test_prime_small_graphs(c5, k4, p4):
@@ -115,3 +166,171 @@ def test_pendant_edge_does_not_change_stag(k4, triangle_pendant, c3):
     s_c3 = build_stag(c3).graph
     s_pendant = build_stag(triangle_pendant).graph
     assert are_isomorphic(s_c3, s_pendant)[0]
+
+
+def test_is_prime_keeps_the_guard():
+    with pytest.raises(TooLarge):
+        is_prime(cycle_graph(5), max_n=4)
+
+
+def test_mobius_ladder_is_prime_with_two_square_classes(m8, twisted):
+    assert len(_square_classes(m8)) == 2
+    assert is_prime(m8)
+    for big_n, k in ((4, 1), (3, 2), (4, 3), (5, 4)):
+        g = twisted(big_n, k)
+        assert len(_square_classes(g)) == k + 1
+        assert is_prime(g)
+
+
+def test_mobius_ladder_times_q7_has_eight_factors(m8):
+    g = cartesian_product(m8, _cube(7))
+    fz = prime_factorize(g)
+    assert [f.n for f in fz.factors] == [8] + [2] * 7
+    assert all(f.m == 1 for f in fz.factors[1:])
+    assert are_isomorphic(fz.factors[0], m8)[0]
+    assert not is_prime(g)
+
+
+def test_failed_extraction_is_no_prime_verdict(m8, monkeypatch):
+    # with the Theta step disabled, the two square classes of M8 stay apart
+    monkeypatch.setattr(stag.factorization, "_theta_closure", lambda g, classes: list(range(len(classes))))
+    with pytest.raises(ValidationFailed, match="factors span 16 vertices"):
+        prime_factorize(m8)
+
+
+# -- the exhaustive search the factorization used to run, as the reference ----
+
+
+def _set_partitions(items):
+    """All set partitions of items, as lists of lists."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+        yield [[first]] + part
+
+
+def _reference_factorize(g):
+    """(factors, coordinates) of the first coarsening of the square classes,
+    finest first, that extracts."""
+    classes = _square_classes(g)
+    assert len(classes) <= 8
+    for part in sorted(_set_partitions(list(range(len(classes)))), key=lambda p: -len(p)):
+        color = {eid: b for b, group in enumerate(part) for ci in group for eid in classes[ci]}
+        try:
+            factors, coords = _try_extract(g, color)
+        except ValidationFailed:
+            continue
+        order = sorted(range(len(factors)), key=lambda i: (-factors[i].n, _canon_key(factors[i])))
+        return [factors[i] for i in order], {v: tuple(c[i] for i in order) for v, c in coords.items()}
+    raise AssertionError("the trivial colouring always extracts")
+
+
+def _reference_corpus():
+    rng = random.Random(47)
+    m8 = _mobius_ladder()
+    corpus = [cartesian_product(m8, _cube(k)) for k in range(1, 7)]
+    corpus += [_twisted(3, 6), _twisted(4, 5), _twisted(5, 3), cartesian_product(m8, m8)]
+    for _ in range(30):
+        k = rng.randint(1, 4)
+        corpus.append(_twisted(rng.randint(3, 5), k, rng.randrange(1 << k)))
+    for _ in range(20):
+        parts, count = [m8] if rng.random() < 0.3 else [], rng.randint(2, 3)
+        while len(parts) < count:
+            n = rng.randint(2, 5)
+            parts.append(random_connected_graph(n, rng.randint(n - 1, n * (n - 1) // 2), rng.randrange(1 << 30)))
+        corpus.append(_product(parts))
+    return [_relabelled(g, rng) if rng.random() < 0.5 else g for g in corpus]
+
+
+def test_same_output_as_the_exhaustive_search():
+    reached_theta = 0
+    for g in _reference_corpus():
+        factors, coords = _reference_factorize(g)
+        fz = prime_factorize(g)
+        assert len(fz.factors) == len(factors)
+        assert all(a.same_labeled(b) for a, b in zip(fz.factors, factors))
+        assert fz.coordinates == coords
+        reached_theta += len(factors) < len(_square_classes(g))
+    assert reached_theta >= 20
+
+
+# -- a networkx product oracle --------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _connected_atlas():
+    """Connected atlas graphs (all graphs on at most 7 vertices) by order."""
+    out = {}
+    for h in nx.graph_atlas_g()[1:]:
+        if nx.is_connected(h):
+            out.setdefault(h.number_of_nodes(), []).append(h)
+    return out
+
+
+def _nx_prime_sizes(h):
+    """Sorted vertex counts of the prime factors of a connected networkx
+    graph: h is composite iff some connected atlas graphs H1, H2 with
+    n1 * n2 = n have a Cartesian product isomorphic to h."""
+    atlas = _connected_atlas()
+    n, m = h.number_of_nodes(), h.number_of_edges()
+    degrees = sorted(d for _, d in h.degree())
+    for n1 in range(2, isqrt(n) + 1):
+        if n % n1:
+            continue
+        assert n // n1 in atlas, "the oracle is exact only for factors within the atlas"
+        for h1 in atlas[n1]:
+            for h2 in atlas[n // n1]:
+                if (
+                    n1 * h2.number_of_edges() + h1.number_of_edges() * (n // n1) == m
+                    and sorted(a + b for _, a in h1.degree() for _, b in h2.degree()) == degrees
+                    and nx.is_isomorphic(nx.cartesian_product(h1, h2), h)
+                ):
+                    return sorted(_nx_prime_sizes(h1) + _nx_prime_sizes(h2))
+    return [n]
+
+
+def _from_nx(h):
+    return Graph.from_pairs(list(h.edges()), vertices=list(h.nodes()))
+
+
+def _oracle_corpus():
+    """Every connected atlas graph on 4 or 6 vertices, seeded products of
+    two connected atlas graphs whose order has no divisor above 7, and the
+    same products with one edge added or removed."""
+    atlas = _connected_atlas()
+    corpus = atlas[4] + atlas[6]
+    rng = random.Random(53)
+    sizes = [(2, 2), (2, 3), (2, 4), (3, 3), (2, 5), (2, 6), (3, 4), (2, 7), (3, 5), (3, 7), (5, 5), (5, 7)]
+    for i in range(160):
+        n1, n2 = sizes[i % len(sizes)]
+        h = nx.convert_node_labels_to_integers(
+            nx.cartesian_product(rng.choice(atlas[n1]), rng.choice(atlas[n2]))
+        )
+        if i >= 120:
+            u, v = rng.sample(range(h.number_of_nodes()), 2)
+            if h.has_edge(u, v):
+                h.remove_edge(u, v)
+            else:
+                h.add_edge(u, v)
+            if not nx.is_connected(h):
+                continue
+        corpus.append(h)
+    return corpus
+
+
+def test_agrees_with_the_networkx_product_oracle():
+    corpus = _oracle_corpus()
+    assert len(corpus) >= 118 + 100
+    perturbed_primes = 0
+    for h in corpus:
+        g = _from_nx(h)
+        sizes = _nx_prime_sizes(h)
+        fz = prime_factorize(g)
+        assert sorted(f.n for f in fz.factors) == sizes, sorted(h.edges())
+        assert is_prime(g) == (len(sizes) == 1)
+        perturbed_primes += len(sizes) == 1 and h.number_of_nodes() > 7
+    assert perturbed_primes >= 10
