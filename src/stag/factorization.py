@@ -87,29 +87,48 @@ def _distances(g, s):
 
 def _theta_closure(g, classes):
     """Merge the square classes along Theta between the edges of the BFS
-    tree from g.vertices[0] and all edges. Returns each class's group,
-    the groups numbered by their largest class: the order in which a
-    finest-first search over set partitions lists them."""
+    tree from g.vertices[0] and all edges, until the groups extract.
+    Returns each class's group, the groups numbered by their largest
+    class: the order in which a finest-first search over set partitions
+    lists them.
+
+    The groups never get coarser than sigma, as Theta and the square
+    classes lie inside it, and a product colouring no coarser than sigma
+    is sigma. So the scan stops at the first merge after which the groups
+    extract; one group always does."""
     uf = _UnionFind(range(len(classes)))
     members = [[g.edge(eid).endpoints() for eid in c] for c in classes]
     cls = {eid: i for i, c in enumerate(classes) for eid in c}
+
+    def groups():
+        last = {uf.find(c): c for c in range(len(classes))}
+        rank = {r: b for b, r in enumerate(sorted(last, key=last.get))}
+        return [rank[uf.find(c)] for c in range(len(classes))]
+
     px = None
     # BFS order lists a vertex's children together: one BFS per parent
     for y, (x, eid) in islice(bfs(g, g.vertices[0]).items(), 1, None):
-        if uf.count == 1:
-            break
         if x != px:
             px, dx = x, _distances(g, x)
         dy = _distances(g, y)
         # xy Theta uv iff d(x,u) - d(y,u) != d(x,v) - d(y,v)
         delta = {v: dx[v] - dy[v] for v in dy}
         a = cls[eid]
+        before = uf.count
         for c, pairs in enumerate(members):
             if uf.find(c) != uf.find(a) and any(delta[u] != delta[v] for u, v in pairs):
                 uf.union(a, c)
-    last = {uf.find(c): c for c in range(len(classes))}
-    rank = {r: b for b, r in enumerate(sorted(last, key=last.get))}
-    return [rank[uf.find(c)] for c in range(len(classes))]
+        if uf.count == before:
+            continue
+        group = groups()
+        if uf.count == 1:
+            return group
+        try:
+            _try_extract(g, {e: group[i] for e, i in cls.items()})
+        except ValidationFailed:
+            continue
+        return group
+    return groups()
 
 
 def _components(g, eids):

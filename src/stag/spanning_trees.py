@@ -197,23 +197,39 @@ def _exchange_walk(g, max_trees):
     (Gale 1968); that tree was popped before T and pushed it. From each
     tree the walk follows only the exchanges to smaller keys, T - f + e
     with pos(e) < pos(f), so each exchange is recorded once, at its
-    greater end. The tree edges on the path between the ends of a non-tree
-    edge e are the f of its fundamental cycle. The k-th tree popped takes
-    rank N - 1 - k (N trees) and appends it to the row of each smaller
-    neighbour. When a tree is popped every greater neighbour has been, so
-    its row holds their ranks, each once, in descending order, and the
-    rows read backwards are the pairs in ascending order.
+    greater end. The k-th tree popped takes rank N - 1 - k (N trees) and
+    appends it to the row of each smaller neighbour. When a tree is popped
+    every greater neighbour has been, so its row holds their ranks, each
+    once, in descending order, and the rows read backwards are the pairs
+    in ascending order.
+
+    Each tree carries its fundamental cycles as masks, chord bit included:
+    C_e for each non-tree edge e, so e = C_e & ~T, and the f of its
+    exchanges T - f + e are the tree bits of C_e; those with pos(e) <
+    pos(f) are the bits of C_e below e. The start tree's cycles are
+    C_e = e | (r(u) ^ r(v)), with r(x) the mask of the tree path from the
+    root to x, read off one BFS of the tree. A tree T' = T - f + e found for
+    the first time inherits its cycles by one pivot: chord f gets C_e, and
+    each other chord g keeps C_g if f is not in C_g, else gets C_g ^ C_e.
+    Both are exact: C_e is a cycle of T' whose one non-tree edge is f; if
+    f is not in C_g, C_g lies in T' + g; otherwise C_g ^ C_e is a nonzero
+    sum in the cycle space whose edges are g, e and edges of T other than
+    f (f cancels), all in T' + g, and the only nonzero element of the
+    cycle space of T' + g is its one cycle.
     """
     expected = count_spanning_trees(g)
     if expected > max_trees:
         raise TooManyTrees(f"{expected} trees exceed guard {max_trees}")
-    n, m = g.n, g.m
-    vid = {v: k for k, v in enumerate(g.vertices)}
+    m = g.m
     edges = sorted(g.edges)
-    ends = [(vid[e.u], vid[e.v]) for e in edges]
     bits = [1 << (m - 1 - p) for p in range(m)]
-    uf = _UnionFind(range(n))
-    start = sum(bits[p] for p in reversed(range(m)) if uf.union(*ends[p]))
+    uf = _UnionFind(g.vertices)
+    start = sum(bits[p] for p in reversed(range(m)) if uf.union(edges[p].u, edges[p].v))
+    bit_of = {e.eid: b for e, b in zip(edges, bits)}
+    root = {}
+    for v, (up, eid) in bfs(g, g.vertices[0], {e for e, b in bit_of.items() if start & b}).items():
+        root[v] = 0 if up is None else root[up] | bit_of[eid]
+    cycles_of = {start: [b | (root[e.u] ^ root[e.v]) for e, b in zip(edges, bits) if not start & b]}
     pending = {start: []}
     heap = [start]
     masks = []
@@ -224,43 +240,24 @@ def _exchange_walk(g, max_trees):
         rank -= 1
         masks.append(cur)
         rows.append(pending.pop(cur))
-        adj = [[] for _ in range(n)]
-        chords = []
-        for p, (u, v) in enumerate(ends):
-            if cur & bits[p]:
-                adj[u].append((v, p))
-                adj[v].append((u, p))
-            else:
-                chords.append(p)
-        depth = [-1] * n
-        up = [0] * n
-        up_edge = [0] * n
-        depth[0] = 0
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y, p in adj[x]:
-                if depth[y] < 0:
-                    depth[y] = depth[x] + 1
-                    up[y] = x
-                    up_edge[y] = p
-                    stack.append(y)
-        for p in chords:
-            base = cur | bits[p]
-            x, y = ends[p]
-            while x != y:
-                if depth[x] < depth[y]:
-                    x, y = y, x
-                f = up_edge[x]
-                if f > p:
-                    nxt = base ^ bits[f]
-                    row = pending.get(nxt)
-                    if row is None:
-                        pending[nxt] = [rank]
-                        heappush(heap, nxt)
-                    else:
-                        row.append(rank)
-                x = up[x]
+        cycles = cycles_of.pop(cur)
+        for i, ce in enumerate(cycles):
+            e = ce & ~cur
+            below = ce & (e - 1)
+            base = cur | e
+            while below:
+                f = below & -below
+                below ^= f
+                nxt = base ^ f
+                row = pending.get(nxt)
+                if row is None:
+                    pending[nxt] = [rank]
+                    heappush(heap, nxt)
+                    inherited = [c ^ ce if c & f else c for c in cycles]
+                    inherited[i] = ce
+                    cycles_of[nxt] = inherited
+                else:
+                    row.append(rank)
     if len(masks) != expected:
         raise ValidationFailed(f"exchange walk found {len(masks)} of {expected} trees")
     eids = [e.eid for e in edges]

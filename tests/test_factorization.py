@@ -191,6 +191,17 @@ def test_mobius_ladder_times_q7_has_eight_factors(m8):
     assert not is_prime(g)
 
 
+def test_theta_closure_stops_once_the_groups_extract(m8, monkeypatch):
+    # M8 x Q3: the first merge (rungs with rims) already gives the factors;
+    # scanning the whole BFS tree takes a distance map per vertex or more
+    calls = []
+    distances = stag.factorization._distances
+    monkeypatch.setattr(stag.factorization, "_distances", lambda g, s: calls.append(s) or distances(g, s))
+    g = cartesian_product(m8, _cube(3))
+    assert [f.n for f in prime_factorize(g).factors] == [8, 2, 2, 2]
+    assert len(calls) < g.n // 4
+
+
 def test_failed_extraction_is_no_prime_verdict(m8, monkeypatch):
     # with the Theta step disabled, the two square classes of M8 stay apart
     monkeypatch.setattr(stag.factorization, "_theta_closure", lambda g, classes: list(range(len(classes))))

@@ -201,6 +201,39 @@ def test_exchange_walk_matches_brute_force_stag():
         assert count == s.graph.m
 
 
+def test_exchange_walk_on_k1_and_on_trees():
+    keys, pairs, count = spanning_trees._exchange_walk(single_vertex_graph(), 1)
+    assert (keys, list(pairs), count) == ([()], [], 0)
+    # m = n - 1: the start tree has no chords, so nothing is exchanged
+    for seed in range(10):
+        g = random_connected_graph(seed + 2, seed + 1, seed)
+        keys, pairs, count = spanning_trees._exchange_walk(g, 1)
+        assert (keys, list(pairs), count) == ([tuple(sorted(g.edge_ids()))], [], 0)
+
+
+def test_exchange_walk_on_cycles_gives_complete_graphs():
+    # Aux(C_n) = K_n; from n = 65 on the tree masks exceed 64 bits
+    for n in range(3, 71):
+        ids = sorted(cycle_graph(n).edge_ids())
+        keys, pairs, count = spanning_trees._exchange_walk(cycle_graph(n), n)
+        # dropping a greater edge id gives a smaller key
+        assert keys == [tuple(x for x in ids if x != drop) for drop in reversed(ids)]
+        assert list(pairs) == list(itertools.combinations(range(n), 2))
+        assert count == n * (n - 1) // 2
+
+
+def test_exchange_walk_on_block_chains_counts_product_edges():
+    # Aux(G) is the Cartesian product of the Aux(B) over the blocks B
+    for seed in range(3):
+        g = random_multiblock_graph([4, 5, 3, 4], seed)
+        aux = [brute_force_stag(b).graph for b in block_decomposition(g).blocks]
+        orders = [a.n for a in aux]
+        expected = sum(a.m * math.prod(orders) // a.n for a in aux)
+        keys, pairs, count = spanning_trees._exchange_walk(g, 100_000)
+        assert len(keys) == math.prod(orders)
+        assert count == len(list(pairs)) == expected
+
+
 def test_spanning_tree_validation(c4):
     with pytest.raises(ValueError):
         SpanningTree.of(c4, (0, 1, 2, 3))

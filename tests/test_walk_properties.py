@@ -1,0 +1,44 @@
+"""Property tests of the exchange walk against the brute-force oracles."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from stag import Graph, count_spanning_trees, enumerate_spanning_trees  # noqa: E402
+from stag import spanning_trees  # noqa: E402
+from stag.oracles import brute_force_stag  # noqa: E402
+
+# the same examples on every run; the counts keep tier-1 short
+_settings = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+
+@st.composite
+def connected_graphs(draw, max_n):
+    """A random tree plus any set of chords, vertices and edge ids
+    shuffled, so ids need not follow the order of the edges."""
+    n = draw(st.integers(1, max_n))
+    tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    others = [(u, v) for v in range(n) for u in range(v) if (u, v) not in tree]
+    chords = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+    pairs = draw(st.permutations(sorted(tree) + chords))
+    ids = draw(st.lists(st.integers(0, 3 * len(pairs)), min_size=len(pairs), max_size=len(pairs), unique=True))
+    vertices = draw(st.permutations(range(n)))
+    return Graph(vertices, [(k, u, v) for k, (u, v) in zip(ids, pairs)])
+
+
+@_settings
+@given(connected_graphs(max_n=6))
+def test_exchange_walk_equals_brute_force_stag(g):
+    keys, pairs, count = spanning_trees._exchange_walk(g, 10_000)
+    s = brute_force_stag(g)
+    assert keys == [t.key for t in s.trees]
+    assert list(pairs) == [(e.u, e.v) for e in s.graph.edges]
+    assert count == s.graph.m
+
+
+@_settings
+@given(connected_graphs(max_n=7))
+def test_enumeration_size_is_the_kirchhoff_count(g):
+    assert len(enumerate_spanning_trees(g)) == count_spanning_trees(g)
