@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import Unannotated
 from .graph_core import Graph, bfs, fundamental_cycle_edges
@@ -55,9 +56,12 @@ def build_stag(g, max_trees=DEFAULT_MAX_TREES):
     edge f on its fundamental cycle. The Kirchhoff count is the size guard
     and the completeness check. The walk emits the trees by canonical key
     and the edges by vertex pair, already in that order, so builds are
-    reproducible and nothing is sorted after it."""
+    reproducible and nothing is sorted after it. The graph holds only the
+    walk's rows (Graph._trusted): stag_to_json and stag_to_dot stream them,
+    and the first read of its edges or adjacency builds those and releases
+    the rows."""
     keys, pairs, _ = _exchange_walk(g, max_trees)
-    trees = tuple(SpanningTree(g, k) for k in keys)
+    trees = tuple(SpanningTree._sorted(g, k) for k in keys)
     return StagGraph(Graph._trusted(len(trees), pairs), trees, g)
 
 
@@ -119,9 +123,12 @@ def ground_truth_cliques(s):
 
 def stag_to_json(s):
     """Compact JSON with sorted keys. Vertices are ints, so their quoted
-    decimal names need no escaping and the edge array is joined from them."""
+    decimal names need no escaping and the edge array is joined from them,
+    a block at a time to keep few per-edge strings alive."""
     names = {v: f'"{v}"' for v in s.graph.vertices}
-    edges = ",".join([f"[{names[u]},{names[v]}]" for _, u, v in s.graph.edges])
+    pairs = s.graph.edge_pairs()
+    edges = ",".join([",".join([f"[{names[u]},{names[v]}]" for u, v in islice(pairs, 4096)])
+                      for _ in range(0, s.graph.m, 4096)])
     trees = json.dumps([t.key for t in s.trees] if s.annotated else None, separators=(",", ":"))
     return f'{{"edges":[{edges}],"trees":{trees},"vertices":[{",".join(names.values())}]}}\n'
 
@@ -134,7 +141,7 @@ def stag_to_dot(s):
             out.append(f'  n{v} [label="{v}" tooltip="t: {label}"];')
         else:
             out.append(f'  n{v} [label="{v}"];')
-    for e in s.graph.edges:
-        out.append(f"  n{e.u} -- n{e.v};")
+    for u, v in s.graph.edge_pairs():
+        out.append(f"  n{u} -- n{v};")
     out.append("}")
     return "\n".join(out) + "\n"

@@ -12,6 +12,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import Acyclic, Disconnected, HasBridge, ParseError, TooLarge
@@ -36,7 +37,7 @@ class Edge(NamedTuple):
 class Graph:
     """Immutable simple undirected graph with stable edge ids."""
 
-    __slots__ = ("vertices", "edges", "names", "_adj", "_by_id")
+    __slots__ = ("vertices", "edges", "names", "_adj", "_by_id", "_pairs")
 
     def __init__(self, vertices, edges, names=None):
         vs = tuple(sorted({int(v) for v in vertices}))
@@ -67,17 +68,16 @@ class Graph:
         """Graph on vertices 0..n-1 whose edge k is the k-th (u, v) of pairs,
         without Graph's checks. The caller guarantees n >= 1, integers
         0 <= u < v < n, no repeated pair and names None or a str per vertex:
-        only build_stag (pairs from the exchange walk) and the two parsers
-        (which raise ParseError first) may call it."""
-        g = object.__new__(cls)
+        only build_stag (the walk's rows) and the two parsers (their ordered
+        pair dicts, after every ParseError) may call it. pairs, sized and
+        re-iterable, is all it keeps: m and edge_pairs() read it, and the
+        first read of edges, _adj or _by_id builds them (and names, if none
+        were given) as Graph would and releases pairs (_PairGraph)."""
+        g = object.__new__(_PairGraph)
         g.vertices = tuple(range(n))
-        new = tuple.__new__
-        g.edges = edges = tuple([new(Edge, (k, u, v)) for k, (u, v) in enumerate(pairs)])
-        g.names = {v: str(v) for v in g.vertices} if names is None else names
-        g._adj = adj = {v: {} for v in g.vertices}
-        for k, u, v in edges:
-            adj[u][v] = adj[v][u] = k
-        g._by_id = dict(enumerate(edges))
+        g._pairs = pairs
+        if names is not None:
+            g.names = names
         return g
 
     # -- construction helpers -------------------------------------------------
@@ -125,6 +125,10 @@ class Graph:
     def edge_ids(self):
         return tuple(e.eid for e in self.edges)
 
+    def edge_pairs(self):
+        """(u, v), u < v, of each edge in the order of edges."""
+        return map(itemgetter(1, 2), self.edges)
+
     def adj(self, v):
         return self._adj[v]
 
@@ -154,6 +158,47 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
+
+
+class _PairGraph(Graph):
+    """A Graph._trusted graph until its structure is read. It adds no slot,
+    so _expand can turn it into a plain Graph in place, and only these
+    graphs pass through the hook. Reading names builds only the default
+    names. The hook reads no missing slot through itself, so an object
+    without state (copy and pickle make them) raises AttributeError rather
+    than recursing; __reduce__ copies and pickles it unexpanded."""
+
+    __slots__ = ()
+
+    @property
+    def m(self):
+        return len(self._pairs)
+
+    def edge_pairs(self):
+        return iter(self._pairs)
+
+    def __getattr__(self, name):
+        if name == "names":
+            self.names = {v: str(v) for v in self.vertices}
+        elif name in ("edges", "_adj", "_by_id"):
+            self._expand()
+        else:
+            raise AttributeError(name)
+        return getattr(self, name)
+
+    def _expand(self):
+        new = tuple.__new__
+        self.edges = edges = tuple([new(Edge, (k, u, v)) for k, (u, v) in enumerate(self._pairs)])
+        self._adj = adj = {v: {} for v in self.vertices}
+        for k, u, v in edges:
+            adj[u][v] = adj[v][u] = k
+        self._by_id = dict(enumerate(edges))
+        self.names  # read once, so the default names exist before the hook goes
+        del self._pairs
+        self.__class__ = Graph
+
+    def __reduce__(self):
+        return Graph._trusted, (self.n, self._pairs, self.names)
 
 
 def complete_graph(k):
@@ -227,6 +272,8 @@ def _parse_json(text):
         raise ParseError(exc.lineno, f"invalid JSON: {exc.msg}") from exc
     except RecursionError as exc:
         raise ParseError(0, "invalid JSON: nested too deeply") from exc
+    except ValueError as exc:  # an integer longer than int's digit limit
+        raise ParseError(0, f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
         raise ParseError(0, "JSON graph needs 'vertices' and 'edges'")
     for key in ("vertices", "edges"):
@@ -257,16 +304,18 @@ def _parse_json(text):
 
 
 def to_edgelist(g):
-    lines = [f"{g.names[e.u]} {g.names[e.v]}" for e in g.edges]
+    names = g.names
+    lines = [f"{names[u]} {names[v]}" for u, v in g.edge_pairs()]
     if not lines:
-        lines = [f"# single vertex {g.names[g.vertices[0]]}"]
+        lines = [f"# single vertex {names[g.vertices[0]]}"]
     return "\n".join(lines) + "\n"
 
 
 def to_json(g):
+    names = g.names
     doc = {
-        "vertices": [g.names[v] for v in g.vertices],
-        "edges": [[g.names[e.u], g.names[e.v]] for e in g.edges],
+        "vertices": [names[v] for v in g.vertices],
+        "edges": [[names[u], names[v]] for u, v in g.edge_pairs()],
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 

@@ -40,6 +40,14 @@ class SpanningTree:
         self._eset = None
 
     @classmethod
+    def _sorted(cls, host, key):
+        """The tree of a key that is already a sorted edge-id tuple (the
+        exchange walk's), neither sorted again nor checked."""
+        t = object.__new__(cls)
+        t.key, t.host, t._eset = key, host, None
+        return t
+
+    @classmethod
     def of(cls, host, edge_ids):
         t = cls(host, edge_ids)
         if len(t.key) != host.n - 1:
@@ -176,16 +184,15 @@ def enumerate_spanning_trees(g, max_trees=DEFAULT_MAX_TREES):
     (_exchange_walk). The Kirchhoff count is the size guard (TooManyTrees)
     and the completeness check (ValidationFailed)."""
     keys, _, _ = _exchange_walk(g, max_trees)
-    return [SpanningTree(g, k) for k in keys]
+    return [SpanningTree._sorted(g, k) for k in keys]
 
 
 def _exchange_walk(g, max_trees):
     """Every spanning tree of g and every exchange between two of them.
 
     Returns (keys, pairs, count): the trees' sorted edge-id tuples in
-    ascending order, an iterator over the index pairs (i, j), i < j, of
-    trees that differ by one exchange, in ascending order, and the number
-    of those pairs.
+    ascending order, the index pairs (i, j), i < j, of trees that differ by
+    one exchange, in ascending order (a _Rows), and the number of pairs.
 
     A tree is a bitmask in which the edge at position p of the edges sorted
     by id is bit m - 1 - p, so a greater key is a smaller mask. The walk
@@ -262,8 +269,27 @@ def _exchange_walk(g, max_trees):
         raise ValidationFailed(f"exchange walk found {len(masks)} of {expected} trees")
     eids = [e.eid for e in edges]
     keys = [tuple([eids[p] for p in range(m) if mask & bits[p]]) for mask in reversed(masks)]
-    pairs = chain.from_iterable(zip(repeat(u), reversed(row)) for u, row in enumerate(reversed(rows)))
-    return keys, pairs, sum(map(len, rows))
+    pairs = _Rows(rows)
+    return keys, pairs, len(pairs)
+
+
+class _Rows:
+    """The walk's exchanges as a sized, re-iterable source of pairs (u, v):
+    rows[k] lists, in descending order, the ranks of the greater neighbours
+    of the k-th tree popped, rank N - 1 - k, so read backwards they are the
+    pairs in ascending order. The rows share one int per tree."""
+
+    __slots__ = ("rows", "count")
+
+    def __init__(self, rows):
+        self.rows, self.count = rows, sum(map(len, rows))
+
+    def __len__(self):
+        return self.count
+
+    def __iter__(self):
+        rows = reversed(self.rows)
+        return chain.from_iterable(zip(repeat(u), reversed(row)) for u, row in enumerate(rows))
 
 
 def serialize_trees(trees):

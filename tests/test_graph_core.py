@@ -1,5 +1,7 @@
+import copy
 import itertools
 import json
+import pickle
 import random
 import sys
 
@@ -30,6 +32,7 @@ from stag import (
     to_edgelist,
     to_json,
 )
+from stag.aux_graph import StagGraph, stag_to_dot, stag_to_json
 from stag.errors import Acyclic
 from stag.factorization import _components
 from stag.generators import random_connected_graph, random_two_connected_graph
@@ -88,6 +91,106 @@ def test_trusted_constructor_matches_graph(k4, k5):
         assert all(fast.adj(v) == slow.adj(v) for v in slow.vertices)
         assert all(fast.edge(k) == slow.edge(k) for k in slow.edge_ids())
         assert fast.names == slow.names
+
+
+def _walk_graph(g):
+    keys, pairs, _ = _exchange_walk(g, 10_000)
+    return Graph._trusted(len(keys), pairs)
+
+
+# Each input makes a fresh Graph._trusted graph, not yet expanded; the flag
+# says whether it was given vertex names.
+_LAZY_INPUTS = {
+    "walk rows": (lambda: build_stag(random_two_connected_graph(6, 9, 3)).graph, False),
+    "walk rows k4": (lambda: _walk_graph(complete_graph(4)), False),
+    "edgelist": (lambda: parse_graph("a b\nc b\nc a\nc d\nd e\ne a\n"), True),
+    "json": (lambda: parse_graph('{"vertices":["x","y","z","w"],"edges":[["y","x"],'
+                                 '["z","y"],["w","x"],["x","z"]]}', "json"), True),
+    "json k1": (lambda: parse_graph('{"vertices":["only"],"edges":[]}', "json"), True),
+    "walk k1": (lambda: build_stag(single_vertex_graph()).graph, False),
+}
+
+
+def _lazy_and_reference(key):
+    make, named = _LAZY_INPUTS[key]
+    g = make()
+    assert type(g) is not Graph
+    pairs = list(make().edge_pairs())
+    ref = Graph(range(g.n), [(k, u, v) for k, (u, v) in enumerate(pairs)],
+                make().names if named else None)
+    return make, g, ref
+
+
+_READS = [
+    ("names", lambda g: g.names),
+    ("edges", lambda g: (g.edges, [type(e) for e in g.edges])),
+    ("edge", lambda g: [g.edge(k) for k in range(g.m)]),
+    ("adj", lambda g: [g.adj(v) for v in g.vertices]),
+    ("has_edge", lambda g: [g.has_edge(u, v) for u in g.vertices for v in g.vertices]),
+    ("edge_ids", lambda g: g.edge_ids()),
+    ("degree_sequence", lambda g: g.degree_sequence()),
+]
+
+
+def _serialised(g):
+    """Every serialiser's bytes; the streaming ones run first, and to_dot,
+    which reads edge ids, last."""
+    aux = StagGraph(g, None, None)
+    return [to_edgelist(g), to_json(g), stag_to_json(aux), stag_to_dot(aux), to_dot(g)]
+
+
+@pytest.mark.parametrize("key", list(_LAZY_INPUTS))
+def test_lazy_graph_reads_equal_graph_in_any_order(key):
+    make, _, ref = _lazy_and_reference(key)
+    for reads in (_READS, _READS[::-1]):
+        g = make()
+        assert (g.n, g.m, repr(g)) == (ref.n, ref.m, repr(ref))
+        assert type(g) is not Graph
+        for name, read in reads:
+            assert read(g) == read(ref), name
+        assert type(g) is Graph
+
+
+@pytest.mark.parametrize("key", list(_LAZY_INPUTS))
+def test_lazy_graph_serialises_like_graph_before_and_after_expansion(key):
+    make, g, ref = _lazy_and_reference(key)
+    want = _serialised(ref)
+    streamed = [to_edgelist(g), to_json(g), stag_to_json(StagGraph(g, None, None)),
+                stag_to_dot(StagGraph(g, None, None))]
+    assert type(g) is not Graph
+    assert streamed == want[:4]
+    assert to_dot(g) == want[4]
+    assert type(g) is Graph
+    assert _serialised(g) == want
+
+
+@pytest.mark.parametrize("key", list(_LAZY_INPUTS))
+def test_expansion_releases_the_pairs_and_leaves_a_plain_graph(key):
+    _, g, _ = _lazy_and_reference(key)
+    g.degree_sequence()
+    assert type(g) is Graph
+    assert not hasattr(Graph, "__getattr__")
+    with pytest.raises(AttributeError):
+        g._pairs
+
+
+@pytest.mark.parametrize("key", list(_LAZY_INPUTS))
+def test_lazy_graph_copies_and_pickles_unexpanded(key):
+    _, g, ref = _lazy_and_reference(key)
+    for c in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert type(c) is type(g) and c.m == ref.m
+        assert _serialised(c) == _serialised(ref)
+        assert all(read(c) == read(ref) for _, read in _READS)
+    assert type(g) is not Graph and g.edges == ref.edges
+
+
+def test_lazy_graph_without_state_raises_attribute_error():
+    # copy and pickle create the object before its state; a hook that read
+    # a missing slot through itself would recurse here
+    bare = object.__new__(type(parse_graph("a b\n")))
+    for name in ("vertices", "edges", "names", "_adj", "_by_id", "_pairs", "m", "n"):
+        with pytest.raises(AttributeError):
+            getattr(bare, name)
 
 
 def test_parse_edgelist_roundtrip(theta):

@@ -194,7 +194,10 @@ def _sha256(text):
     (lambda: random_multiblock_graph([4, 4, 4], 1),
      "00e38be73218ff8cc2da41c0129dd41ad1d615fa676cb911687d23cb9c35289e",
      "028b3866860a8b73e04ddb99fea3c0a56240ae8d29bb993d54731e2947b85405"),
-], ids=["k5", "2c-8-12-7", "blocks-444-1"])
+    (lambda: complete_graph(7),
+     "79c35a728a7f6840016e333c59958622f5a325af06cf1423e952ac2c44bb9722",
+     "9b4d7c15e5f16e94a8a2b1af00fd4401f972373343789830e747273dd4bad9d2"),
+], ids=["k5", "2c-8-12-7", "blocks-444-1", "k7"])
 def test_aux_output_bytes_are_pinned(make, json_digest, dot_digest):
     # Digests taken from the earlier two-pass build (enumerate, then each
     # tree's type-2 neighbours); vertex order, edge ids and both text
