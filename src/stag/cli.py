@@ -81,6 +81,13 @@ def _graph_text(g, path, override=None):
     return to_edgelist(g)
 
 
+def _write_edgelists(prefix, graphs):
+    """Write graph i to prefix_i.txt. Every text is made first, so a name
+    that to_edgelist refuses leaves no file behind."""
+    texts = [to_edgelist(g) for g in graphs]
+    return [_emit(text, f"{prefix}_{i}.txt")[0] for i, text in enumerate(texts)]
+
+
 def _cmd_aux(args):
     g = _load_graph(args.input, args.format)
     s = build_stag(g, max_trees=args.max_trees)
@@ -124,20 +131,9 @@ def _cmd_factor(args):
     g = _load_graph(args.input, args.format)
     fz = prime_factorize(g, max_n=args.max_n)
     prefix = args.output or "factor"
-    paths = []
-    for i, f in enumerate(fz.factors):
-        path = f"{prefix}_{i}.txt"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(to_edgelist(f))
-        paths.append(path)
-    coords = {
-        str(v): list(coord) for v, coord in sorted(fz.coordinates.items())
-    }
-    side = f"{prefix}_coords.json"
-    with open(side, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(coords, indent=2) + "\n")
-    paths.append(side)
-    return "ok", paths
+    paths = _write_edgelists(prefix, fz.factors)
+    coords = {str(v): list(coord) for v, coord in sorted(fz.coordinates.items())}
+    return "ok", paths + _emit(json.dumps(coords, indent=2) + "\n", f"{prefix}_coords.json")
 
 
 def _cmd_invert(args):
@@ -154,19 +150,12 @@ def _cmd_invert(args):
 def _cmd_preimages(args):
     g = _load_graph(args.input, args.format)
     graphs = enumerate_preimages(g, args.budget)
-    prefix = args.output or "preimage"
-    paths = []
-    for i, gi in enumerate(graphs):
-        path = f"{prefix}_{i}.txt"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(to_edgelist(gi))
-        paths.append(path)
-    return "ok", paths
+    return "ok", _write_edgelists(args.output or "preimage", graphs)
 
 
 def _cmd_params(args):
     g = _load_graph(args.input, args.format)
-    report = param_report(g, max_trees=args.max_trees, max_n=args.max_n)
+    report = param_report(g, max_trees=args.max_trees)
     if args.output and _fmt_of(args.output, args.format) == "json":
         text = report_to_json(report)
     else:
@@ -226,8 +215,8 @@ def _build_parser():
             p.add_argument("--oracle", action="store_true")
         if name in ("aux", "trees", "invert", "params", "verify-roundtrip"):
             p.add_argument("--max-trees", type=int, default=100_000)
-        if name in ("factor", "params"):
-            p.add_argument("--max-n", type=int, default=4096 if name == "factor" else 12)
+        if name == "factor":
+            p.add_argument("--max-n", type=int, default=4096)
         if name == "random":
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--n", type=int, required=True)

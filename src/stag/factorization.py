@@ -87,23 +87,24 @@ def _distances(g, s):
 
 def _theta_closure(g, classes):
     """Merge the square classes along Theta between the edges of the BFS
-    tree from g.vertices[0] and all edges, until the groups extract.
-    Returns each class's group, the groups numbered by their largest
+    tree from g.vertices[0] and all edges, until the groups extract, and
+    return that extraction. The groups are numbered by their largest
     class: the order in which a finest-first search over set partitions
     lists them.
 
     The groups never get coarser than sigma, as Theta and the square
     classes lie inside it, and a product colouring no coarser than sigma
     is sigma. So the scan stops at the first merge after which the groups
-    extract; one group always does."""
+    extract; one group always does. Stopped without one (one group, or the
+    end of the scan), it extracts once and lets ValidationFailed out."""
     uf = _UnionFind(range(len(classes)))
     members = [[g.edge(eid).endpoints() for eid in c] for c in classes]
     cls = {eid: i for i, c in enumerate(classes) for eid in c}
 
-    def groups():
+    def colouring():
         last = {uf.find(c): c for c in range(len(classes))}
         rank = {r: b for b, r in enumerate(sorted(last, key=last.get))}
-        return [rank[uf.find(c)] for c in range(len(classes))]
+        return {eid: rank[uf.find(c)] for eid, c in cls.items()}
 
     px = None
     # BFS order lists a vertex's children together: one BFS per parent
@@ -120,15 +121,13 @@ def _theta_closure(g, classes):
                 uf.union(a, c)
         if uf.count == before:
             continue
-        group = groups()
         if uf.count == 1:
-            return group
+            break
         try:
-            _try_extract(g, {e: group[i] for e, i in cls.items()})
+            return _try_extract(g, colouring())
         except ValidationFailed:
-            continue
-        return group
-    return groups()
+            pass
+    return _try_extract(g, colouring())
 
 
 def _components(g, eids):
@@ -203,9 +202,7 @@ def prime_factorize(g, max_n=DEFAULT_MAX_N):
     try:
         factors, coords = _try_extract(g, color)
     except ValidationFailed:
-        group = _theta_closure(g, classes)
-        color = {eid: group[i] for eid, i in color.items()}
-        factors, coords = _try_extract(g, color)
+        factors, coords = _theta_closure(g, classes)
     order = sorted(range(len(factors)), key=lambda i: (-factors[i].n, _canon_key(factors[i])))
     factors = tuple(factors[i] for i in order)
     coords = {v: tuple(c[i] for i in order) for v, c in coords.items()}

@@ -305,6 +305,10 @@ def _parse_json(text):
 
 def to_edgelist(g):
     names = g.names
+    joined = "\n".join(names.values())  # each name one token, and no comment
+    if joined.split() != list(names.values()) or "\n#" in "\n" + joined:
+        v = next(v for v, t in names.items() if t.split() != [t] or t[0] == "#")
+        raise ValueError(f"vertex {v} is named {names[v]!r}, which an edge list cannot hold")
     lines = [f"{names[u]} {names[v]}" for u, v in g.edge_pairs()]
     if not lines:
         lines = [f"# single vertex {names[g.vertices[0]]}"]

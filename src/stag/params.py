@@ -3,11 +3,13 @@ degree bounds, diameter bound and the clique-number identity."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from math import isqrt
 
 from .aux_graph import build_stag
-from .errors import Acyclic, Disconnected
-from .graph_core import bfs, circumference, minimal_edge_cuts
+from .errors import Disconnected
+from .graph_core import bfs
 from .spanning_trees import DEFAULT_MAX_TREES
 
 
@@ -126,8 +128,25 @@ def _augment(g, home, eid):
                     queue.append(y)
 
 
-def param_report(g, max_trees=DEFAULT_MAX_TREES, max_n=12):
-    """Evaluate the degree, diameter and clique-number relations on Aux(g)."""
+def _clique_order(edges):
+    """k, for a clique with k(k - 1)/2 edges."""
+    return (1 + isqrt(8 * edges + 1)) // 2
+
+
+def param_report(g, max_trees=DEFAULT_MAX_TREES):
+    """Evaluate the degree, diameter and clique-number relations on Aux(g).
+
+    The circumference and the largest bond are read off Aux(g), so the tree
+    count is the only bound. Each cycle C is the fundamental cycle of a
+    chord e of some tree T (extend the path C - e), and the |C| trees in
+    T + e, T + e - f for f on C, are pairwise adjacent: |C|(|C| - 1)/2 Aux
+    edges have the union T + e. Each bond D is the fundamental cut of an
+    edge f of some T (join trees of its two connected sides by f), and the
+    |D| trees T - f + d, d in D, are pairwise adjacent: |D|(|D| - 1)/2 Aux
+    edges meet in T - f. An Aux edge's union is a tree plus a chord and its
+    meet a tree less an edge, so the largest groups by union and by meet
+    give the two (Maurer 1973). The tests check both against graph_core's
+    brute-force circumference and minimal_edge_cuts."""
     s = build_stag(g, max_trees)
     aux = s.graph
     n, m = g.n, g.m
@@ -135,12 +154,12 @@ def param_report(g, max_trees=DEFAULT_MAX_TREES, max_n=12):
     delta, big_delta = min(degs), max(degs)
     diam = _all_pairs_diameter(aux)
     omega = max(map(len, maximal_cliques(aux)))
-    try:
-        circ = circumference(g, max_n) if g.m else None
-    except Acyclic:
-        circ = None
-    cuts = minimal_edge_cuts(g, max_n)
-    max_cut = max((len(c.edge_ids) for c in cuts), default=0)
+    bit = {eid: 1 << k for k, eid in enumerate(g.edge_ids())}
+    masks = [sum(bit[eid] for eid in t.key) for t in s.trees]
+    unions = Counter(masks[u] | masks[v] for u, v in aux.edge_pairs())
+    meets = Counter(masks[u] & masks[v] for u, v in aux.edge_pairs())
+    circ = _clique_order(max(unions.values())) if unions else None
+    max_cut = _clique_order(max(meets.values(), default=0)) if m else 0
     cyclomatic = m - n + 1
     verdicts = {
         "max_degree_bound": (

@@ -2,9 +2,17 @@ import json
 
 import pytest
 
-from stag import ParseError, TooManyTrees, build_stag, complete_graph, parse_graph, to_edgelist
+from stag import (
+    ParseError,
+    TooManyTrees,
+    build_stag,
+    complete_graph,
+    cycle_graph,
+    parse_graph,
+    to_edgelist,
+)
 from stag.cli import run
-from stag.generators import random_multiblock_graph
+from stag.generators import random_multiblock_graph, random_two_connected_graph
 
 
 def _write(path, text):
@@ -100,6 +108,41 @@ def test_params_text(c3_file, capsys):
     assert run(["params", "-i", str(c3_file)]) == 0
     out = capsys.readouterr().out
     assert "clique_number" in out
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: cycle_graph(13),
+        lambda: cycle_graph(40),
+        lambda: random_two_connected_graph(16, 20, 1),
+        lambda: random_multiblock_graph([5, 5, 5, 5], 0),
+    ],
+    ids=["C13", "C40", "2c(16,20,1)", "multiblock(5,5,5,5)"],
+)
+def test_params_is_bounded_only_by_the_tree_count(tmp_path, capsys, make):
+    g = make()
+    _write(tmp_path / "g.txt", to_edgelist(g))
+    out = tmp_path / "report.json"
+    assert run(["params", "-i", str(tmp_path / "g.txt"), "-o", str(out), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"
+    doc = json.loads(out.read_text())
+    assert doc["n"] == g.n and doc["m"] == g.m
+    assert all(v["ok"] for v in doc["verdicts"].values()), doc["verdicts"]
+
+
+def test_params_has_no_max_n(c3_file):
+    assert run(["params", "-i", str(c3_file), "--max-n", "12"]) == 2
+
+
+def test_factor_refuses_names_an_edge_list_cannot_hold(tmp_path, capsys):
+    c4 = tmp_path / "c4.json"
+    doc = {"vertices": ["#a", "b", "c", "d"], "edges": [["#a", "b"], ["b", "c"], ["c", "d"], ["d", "#a"]]}
+    _write(c4, json.dumps(doc))
+    assert run(["factor", "-i", str(c4), "-o", str(tmp_path / "fz"), "--json"]) == 2
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["status"] == "error" and "'#a'" in verdict["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c4.json"]
 
 
 def test_verify_roundtrip(c3_file, capsys):

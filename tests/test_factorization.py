@@ -204,7 +204,11 @@ def test_theta_closure_stops_once_the_groups_extract(m8, monkeypatch):
 
 def test_failed_extraction_is_no_prime_verdict(m8, monkeypatch):
     # with the Theta step disabled, the two square classes of M8 stay apart
-    monkeypatch.setattr(stag.factorization, "_theta_closure", lambda g, classes: list(range(len(classes))))
+    monkeypatch.setattr(
+        stag.factorization,
+        "_theta_closure",
+        lambda g, classes: _try_extract(g, {eid: i for i, c in enumerate(classes) for eid in c}),
+    )
     with pytest.raises(ValidationFailed, match="factors span 16 vertices"):
         prime_factorize(m8)
 

@@ -3,6 +3,7 @@ import itertools
 import json
 import pickle
 import random
+import re
 import sys
 
 import networkx as nx
@@ -197,6 +198,17 @@ def test_parse_edgelist_roundtrip(theta):
     text = to_edgelist(theta)
     back = parse_graph(text)
     assert back.same_labeled(theta.relabeled()[0])
+
+
+def test_to_edgelist_refuses_names_it_cannot_write():
+    found = parse_graph('{"vertices":["#x","c","d"],"edges":[["#x","c"],["c","d"]]}', "json")
+    with pytest.raises(ValueError, match="vertex 0 is named '#x'"):
+        to_edgelist(found)
+    for bad in ("a b", "", "a\u2028b", "\x1e"):
+        g = Graph([0, 1], [(0, 0, 1)], {0: "ok", 1: bad})
+        with pytest.raises(ValueError, match=re.escape(f"vertex 1 is named {bad!r}")):
+            to_edgelist(g)
+    assert to_edgelist(Graph([0, 1], [(0, 0, 1)], {0: "a#", 1: "b"})) == "a# b\n"
 
 
 def test_parse_edgelist_errors():

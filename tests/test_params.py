@@ -5,6 +5,8 @@ from itertools import combinations
 import networkx as nx
 
 from stag import (
+    Acyclic,
+    Graph,
     build_stag,
     complete_graph,
     count_spanning_trees,
@@ -12,6 +14,7 @@ from stag import (
     maximal_cliques,
     param_report,
 )
+from stag.graph_core import block_decomposition, bridges, circumference, minimal_edge_cuts
 from stag.generators import (
     random_connected_graph,
     random_multiblock_graph,
@@ -124,3 +127,34 @@ def test_report_serializations(k4):
     assert doc["n"] == 4 and doc["aux_vertices"] == 16
     text = report_to_text(r)
     assert "clique_number" in text and "diameter" in text
+
+
+def _brute_force_cycles_and_bonds(g):
+    """(circumference or None, largest minimal edge cut) by exhaustive search."""
+    try:
+        circ = circumference(g)
+    except Acyclic:
+        circ = None
+    return circ, max((len(c.edge_ids) for c in minimal_edge_cuts(g)), default=0)
+
+
+def test_cycles_and_bonds_read_off_aux_equal_the_brute_force():
+    rng = random.Random(37)
+    graphs = [Graph([0], [])]
+    while len(graphs) < 130:
+        n = rng.randint(1, 10)
+        m = rng.randint(n - 1, min(n + (4 if n < 8 else 3), n * (n - 1) // 2))
+        graphs.append(random_connected_graph(n, m, rng.randrange(1 << 30)))
+    while len(graphs) < 160:
+        sizes = [rng.randint(3, 4) for _ in range(rng.randint(2, 3))]
+        graphs.append(random_multiblock_graph(sizes, rng.randrange(1 << 30), extra_edges=1))
+    kinds = {"K1": 0, "tree": 0, "bridged": 0, "multiblock": 0}
+    for g in graphs:
+        r = param_report(g)
+        assert g.n <= 10
+        assert (r.circumference_g, r.max_minimal_cut_g) == _brute_force_cycles_and_bonds(g)
+        kinds["K1"] += g.n == 1
+        kinds["tree"] += g.n > 1 and g.m == g.n - 1
+        kinds["bridged"] += g.m >= g.n and bool(bridges(g))
+        kinds["multiblock"] += len(block_decomposition(g).blocks) > 1 and g.m >= g.n
+    assert min(kinds.values()) >= 1 and kinds["multiblock"] >= 30, kinds

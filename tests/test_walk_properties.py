@@ -1,12 +1,14 @@
-"""Property tests of the exchange walk against the brute-force oracles."""
+"""Property tests of the exchange walk against the brute-force oracles, and
+of invert against networkx."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
+import networkx as nx  # noqa: E402
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from stag import Graph, count_spanning_trees, enumerate_spanning_trees  # noqa: E402
+from stag import Graph, build_stag, count_spanning_trees, enumerate_spanning_trees, invert  # noqa: E402
 from stag import spanning_trees  # noqa: E402
 from stag.oracles import brute_force_stag  # noqa: E402
 
@@ -42,3 +44,19 @@ def test_exchange_walk_equals_brute_force_stag(g):
 @given(connected_graphs(max_n=7))
 def test_enumeration_size_is_the_kirchhoff_count(g):
     assert len(enumerate_spanning_trees(g)) == count_spanning_trees(g)
+
+
+def _nx(g):
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    h.add_edges_from(g.edge_pairs())
+    return h
+
+
+@_settings
+@given(connected_graphs(max_n=6))
+def test_invert_gives_a_bridgeless_preimage_with_the_same_aux(g):
+    aux = build_stag(g).graph
+    back = invert(aux)
+    assert not nx.has_bridges(_nx(back))
+    assert nx.vf2pp_is_isomorphic(_nx(build_stag(back).graph), _nx(aux))
