@@ -5,10 +5,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import islice
 
 from .errors import Unannotated
-from .graph_core import Graph, bfs, fundamental_cycle_edges
+from .graph_core import Graph, _json_text, bfs, fundamental_cycle_edges
 from .spanning_trees import DEFAULT_MAX_TREES, SpanningTree, _exchange_walk
 
 
@@ -123,14 +122,9 @@ def ground_truth_cliques(s):
 
 def stag_to_json(s):
     """Compact JSON with sorted keys. Vertices are ints, so their quoted
-    decimal names need no escaping and the edge array is joined from them,
-    a block at a time to keep few per-edge strings alive."""
-    names = {v: f'"{v}"' for v in s.graph.vertices}
-    pairs = s.graph.edge_pairs()
-    edges = ",".join([",".join([f"[{names[u]},{names[v]}]" for u, v in islice(pairs, 4096)])
-                      for _ in range(0, s.graph.m, 4096)])
+    decimal ids need no escaping."""
     trees = json.dumps([t.key for t in s.trees] if s.annotated else None, separators=(",", ":"))
-    return f'{{"edges":[{edges}],"trees":{trees},"vertices":[{",".join(names.values())}]}}\n'
+    return _json_text(s.graph, {v: f'"{v}"' for v in s.graph.vertices}, trees=trees)
 
 
 def stag_to_dot(s):

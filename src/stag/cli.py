@@ -5,6 +5,7 @@ Exit codes: 0 ok, 1 not-a-STAG or property violated, 2 input error,
 list, .json, .dot export only) unless --format overrides."""
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -21,7 +22,7 @@ from .errors import (
     TooLarge,
     TooManyTrees,
 )
-from .factorization import prime_factorize
+from .factorization import DEFAULT_MAX_N, prime_factorize
 from .generators import random_connected_graph, random_two_connected_graph
 from .graph_core import (
     are_isomorphic,
@@ -34,6 +35,7 @@ from .graph_core import (
 from .params import param_report, report_to_json, report_to_text
 from .recognition import enumerate_preimages, invert
 from .spanning_trees import (
+    DEFAULT_MAX_TREES,
     count_spanning_trees,
     enumerate_spanning_trees,
     serialize_trees,
@@ -201,6 +203,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="stag", description="spanning tree auxiliary graph toolkit"
@@ -214,9 +217,9 @@ def _build_parser():
         if name in ("count", "trees", "invert"):
             p.add_argument("--oracle", action="store_true")
         if name in ("aux", "trees", "invert", "params", "verify-roundtrip"):
-            p.add_argument("--max-trees", type=int, default=100_000)
+            p.add_argument("--max-trees", type=int, default=DEFAULT_MAX_TREES)
         if name == "factor":
-            p.add_argument("--max-n", type=int, default=4096)
+            p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
         if name == "random":
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--n", type=int, required=True)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared by the whole package."""
 
 
 class StagError(Exception):

@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -316,12 +317,19 @@ def to_edgelist(g):
 
 
 def to_json(g):
-    names = g.names
-    doc = {
-        "vertices": [names[v] for v in g.vertices],
-        "edges": [[names[u], names[v]] for u, v in g.edge_pairs()],
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return _json_text(g, {v: encode_basestring_ascii(g.names[v]) for v in g.vertices})
+
+
+def _json_text(g, labels, **members):
+    """g as json.dumps(sort_keys=True, separators=(",", ":")) writes it, and a
+    newline: labels[v] is vertex v's JSON string, in vertex order, and members
+    the JSON text of each extra key that sorts between "edges" and "vertices".
+    The edges are joined 4,096 at a time to keep few per-edge strings alive."""
+    pairs = g.edge_pairs()
+    edges = ",".join([",".join([f"[{labels[u]},{labels[v]}]" for u, v in islice(pairs, 4096)])
+                      for _ in range(0, g.m, 4096)])
+    more = "".join(f'"{key}":{text},' for key, text in members.items())
+    return f'{{"edges":[{edges}],{more}"vertices":[{",".join(labels.values())}]}}\n'
 
 
 def to_dot(g):

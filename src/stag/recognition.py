@@ -12,9 +12,10 @@ root
     common neighbors of y and z inside N(x): the star of one node of B_T.
     The classes must be cliques covering every neighbor once or twice;
     a neighbor in one class hangs off a pendant root node. The root is
-    2-colored, and its components are the blocks of the preimage.
+    B_T itself, a Graph whose edge y joins the two classes of y; a BFS
+    gives its components, the blocks of the preimage, and its two sides.
 layout
-    In each block one color holds the tree edges and the other the
+    In each block one side holds the tree edges and the other the
     non-tree edges (the smaller side first, then the other; swapping the
     sides gives the dual matroid, which has the same Aux). A complete
     search lays the tree edges out so that each non-tree edge's tree
@@ -31,10 +32,10 @@ Every rejection names the failed necessary condition.
 
 from __future__ import annotations
 
-from collections import deque
+from itertools import islice
 
 from .errors import Disconnected, NotAStag, NotMinimal, TooManyTrees
-from .graph_core import Graph, block_decomposition, is_connected, single_vertex_graph
+from .graph_core import Graph, bfs, bridges, is_connected, single_vertex_graph
 from .spanning_trees import DEFAULT_MAX_TREES, _exchange_walk
 
 # -- root ---------------------------------------------------------------------
@@ -43,10 +44,11 @@ from .spanning_trees import DEFAULT_MAX_TREES, _exchange_walk
 def neighborhood_root(h, x):
     """Root of N(x) as the line graph of a bipartite graph.
 
-    Returns (classes, ends, blocks): classes[i] is the star of root node i
-    as a frozenset of neighbors of x, ends[y] the two root nodes that the
-    neighbor y joins, and blocks the root's components by lowest node,
-    each as its two color classes (the lowest node in the first)."""
+    Returns (classes, root, blocks): classes[i] is the star of root node i
+    as a frozenset of neighbors of x, root the Graph on the nodes whose
+    edge y joins the two classes that the neighbor y lies in, and blocks
+    the root's components by lowest node, each as its two sides (the
+    lowest node's first)."""
     nbrs = h.adj(x)
     classes = []
     member = {y: [] for y in nbrs}
@@ -66,7 +68,6 @@ def neighborhood_root(h, x):
             for w in cls:
                 member[w].append(len(classes))
             classes.append(cls)
-    ends = {}
     for y in sorted(nbrs):
         if len(member[y]) == 1:
             member[y].append(len(classes))
@@ -76,33 +77,23 @@ def neighborhood_root(h, x):
                 f"not a line graph of a triangle-free graph: {y} lies in "
                 f"{len(member[y])} classes of N({x})"
             )
-        ends[y] = tuple(member[y])
-    if len(set(ends.values())) != len(ends):
+    if len({tuple(member[y]) for y in nbrs}) != len(nbrs):
         raise NotAStag(
             f"not a line graph of a triangle-free graph: two neighbors of {x} "
             f"lie in the same two classes"
         )
-    color = [None] * len(classes)
+    root = Graph(range(len(classes)), [(y, *member[y]) for y in sorted(nbrs)])
+    side = {}
     blocks = []
-    for start in range(len(classes)):
-        if color[start] is not None:
-            continue
-        color[start] = 0
-        comp = [start]
-        for a in comp:
-            for b in across(classes, ends, a):
-                if color[b] is None:
-                    color[b] = 1 - color[a]
-                    comp.append(b)
-                elif color[b] == color[a]:
-                    raise NotAStag(f"root not bipartite: the root of N({x}) has an odd cycle")
-        blocks.append(tuple(sorted(a for a in comp if color[a] == k) for k in (0, 1)))
-    return classes, ends, blocks
-
-
-def across(classes, ends, a):
-    """The root nodes adjacent to node a."""
-    return {b for y in classes[a] for b in ends[y] if b != a}
+    for start in root.vertices:
+        if start not in side:
+            tree = bfs(root, start)
+            for a, (b, _) in tree.items():
+                side[a] = 0 if b is None else 1 - side[b]
+            blocks.append(tuple(sorted(a for a in tree if side[a] == k) for k in (0, 1)))
+    if any(side[a] == side[b] for a, b in root.edge_pairs()):
+        raise NotAStag(f"root not bipartite: the root of N({x}) has an odd cycle")
+    return classes, root, blocks
 
 
 # -- layout -------------------------------------------------------------------
@@ -176,10 +167,10 @@ def layout(tree, paths):
     return place, ends
 
 
-def _block(tree, cycles, classes, ends):
+def _block(tree, cycles, root):
     """Layout of one root component with the given side as tree edges,
     or None when that side does not describe a simple graph."""
-    paths = {c: across(classes, ends, c) for c in cycles}
+    paths = {c: set(root.adj(c)) for c in cycles}
     if any(len(p) < 2 for p in paths.values()):
         return None  # a chord would parallel a tree edge
     if len({frozenset(p) for p in paths.values()}) != len(paths):
@@ -208,15 +199,15 @@ def invert(h, max_trees=DEFAULT_MAX_TREES):
     if h.n > max_trees:
         raise TooManyTrees(f"{h.n} trees exceed guard {max_trees}")
     x = h.vertices[0]
-    classes, ends, blocks = neighborhood_root(h, x)
+    _, root, blocks = neighborhood_root(h, x)
     pairs = []
-    eid = {}
+    pos = {}
     tree_mask = 0
     next_vertex = 1
     for block in blocks:
         sides = sorted(block, key=len)
         for tree, cycles in (sides, sides[::-1]):
-            found = _block(tree, cycles, classes, ends)
+            found = _block(tree, cycles, root)
             if found is not None:
                 break
         else:
@@ -226,12 +217,12 @@ def invert(h, max_trees=DEFAULT_MAX_TREES):
         place, path_ends = found
         base = next_vertex - 1
         for a, (u, v) in [*place.items(), *((c, path_ends[c]) for c in cycles)]:
-            eid[a] = len(pairs)
+            pos[a] = len(pairs)
             pairs.append((u + base if u else 0, v + base if v else 0))
-        tree_mask |= sum(1 << eid[a] for a in tree)
+        tree_mask |= sum(1 << pos[a] for a in tree)
         next_vertex += len(tree)
     g = Graph.from_pairs(pairs, vertices=range(next_vertex))
-    phi = {y: tree_mask ^ (1 << eid[a]) ^ (1 << eid[b]) for y, (a, b) in ends.items()}
+    phi = {y: tree_mask ^ (1 << pos[a]) ^ (1 << pos[b]) for y, a, b in root.edges}
     _certify(h, x, g, tree_mask, phi)
     return g
 
@@ -245,31 +236,24 @@ def _certify(h, x, g, t0, phi):
     them, take each half: phi(w) = phi(u) - removed + added. The map must
     be a bijection onto the spanning trees of g that sends every edge of
     h to one exchange, and g must have exactly h.m exchanges."""
-    parent = dict.fromkeys(phi, x)
-    queue = deque(sorted(phi))
+    tree = bfs(h, x)
     phi[x] = t0
-    parent[x] = None
-    while queue:
-        v = queue.popleft()
-        for w in sorted(h.adj(v)):
-            if w in parent:
-                continue
-            parent[w] = v
-            u = parent[v]
-            adj_w = h.adj(w)
-            pu = phi[u]
-            removed = added = 0
-            for z in h.adj(u):
-                if z in adj_w:
-                    removed |= pu & ~phi[z]
-                    added |= phi[z] & ~pu
-            if removed.bit_count() != 2 or added.bit_count() != 2:
-                raise NotAStag(
-                    f"certificate does not extend: vertex {w} is not two exchanges "
-                    f"from vertex {u}"
-                )
-            phi[w] = pu ^ removed ^ added
-            queue.append(w)
+    for w in islice(tree, len(phi), None):
+        v = tree[w][0]
+        u = tree[v][0]
+        adj_w = h.adj(w)
+        pu = phi[u]
+        removed = added = 0
+        for z in h.adj(u):
+            if z in adj_w:
+                removed |= pu & ~phi[z]
+                added |= phi[z] & ~pu
+        if removed.bit_count() != 2 or added.bit_count() != 2:
+            raise NotAStag(
+                f"certificate does not extend: vertex {w} is not two exchanges "
+                f"from vertex {u}"
+            )
+        phi[w] = pu ^ removed ^ added
     try:
         keys, _, m = _exchange_walk(g, h.n)
     except TooManyTrees:
@@ -292,18 +276,14 @@ def _certify(h, x, g, t0, phi):
 def enumerate_preimages(g_min, budget):
     """Up to budget further preimages: attach pendant edges (K2 blocks)
     breadth-first; every output has the same auxiliary graph."""
-    if g_min.n > 1 and any(b.m == 1 for b in block_decomposition(g_min).blocks):
+    if bridges(g_min):
         raise NotMinimal("input has a K2 block (bridge)")
-    out = []
-    frontier = deque([g_min])
-    while frontier and len(out) < budget:
-        g = frontier.popleft()
+    graphs = [g_min]
+    for g in graphs:
+        w = max(g.vertices) + 1
+        eid = max(g.edge_ids(), default=-1) + 1
         for v in g.vertices:
-            if len(out) >= budget:
-                break
-            w = max(g.vertices) + 1
-            eid = max(g.edge_ids(), default=-1) + 1
-            g2 = Graph(g.vertices + (w,), [*g.edges, (eid, v, w)])
-            out.append(g2)
-            frontier.append(g2)
-    return out
+            if len(graphs) > budget:
+                return graphs[1:]
+            graphs.append(Graph(g.vertices + (w,), [*g.edges, (eid, v, w)]))
+    return graphs[1:]

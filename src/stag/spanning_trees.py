@@ -153,7 +153,7 @@ def _type2_keys(g, tree_eids):
 
 
 def type2_neighbors(g, t):
-    """Trees reachable by deleting a tree edge and relinking across the cut."""
+    """Trees reachable by deleting a tree edge and relinking the two sides of the cut."""
     return {SpanningTree(g, k) for k in _type2_keys(g, t.edge_set)}
 
 

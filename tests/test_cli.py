@@ -8,11 +8,14 @@ from stag import (
     build_stag,
     complete_graph,
     cycle_graph,
+    invert,
     parse_graph,
     to_edgelist,
 )
-from stag.cli import run
+from stag.aux_graph import stag_to_json
+from stag.cli import _build_parser, run
 from stag.generators import random_multiblock_graph, random_two_connected_graph
+from stag.params import param_report, report_to_text
 
 
 def _write(path, text):
@@ -216,6 +219,27 @@ def test_input_error_exit_code(tmp_path):
 def test_flags_a_command_does_not_read_are_rejected(c3_file):
     assert run(["aux", "-i", str(c3_file), "--oracle"]) == 2
     assert run(["count", "-i", str(c3_file), "--seed", "1"]) == 2
+
+
+def test_one_parser_serves_every_run(tmp_path, capsys):
+    diamond = tmp_path / "diamond.txt"
+    _write(diamond, "0 1\n1 2\n2 3\n3 0\n0 2\n")
+    g = parse_graph(diamond.read_bytes())
+    assert run(["aux", "-i", str(diamond), "--budget", "3"]) == 2
+    capsys.readouterr()
+    aux = tmp_path / "aux.json"
+    assert run(["aux", "-i", str(diamond), "-o", str(aux)]) == 0
+    assert aux.read_text() == stag_to_json(build_stag(g))
+    assert run(["invert", "-i", str(aux)]) == 0
+    assert capsys.readouterr().out == to_edgelist(invert(parse_graph(aux.read_bytes(), "json")))
+    assert run(["params", "-i", str(diamond), "--json"]) == 0
+    report, verdict = capsys.readouterr().out.rstrip("\n").rsplit("\n", 1)
+    assert report + "\n" == report_to_text(param_report(g))
+    verdict = json.loads(verdict)
+    assert (verdict["command"], verdict["status"], verdict["payload"]) == ("params", "ok", [])
+    assert run(["--help"]) == 0
+    assert "spanning tree auxiliary graph toolkit" in capsys.readouterr().out
+    assert _build_parser() is _build_parser()
 
 
 def _rejected_as_parse_error(tmp_path, capsys, data, fmt, where):

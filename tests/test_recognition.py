@@ -20,7 +20,7 @@ from stag import (
 )
 from stag.generators import random_multiblock_graph, random_two_connected_graph
 from stag.oracles import brute_force_is_stag
-from stag.recognition import across, layout, neighborhood_root
+from stag.recognition import layout, neighborhood_root
 
 REJECTIONS = (
     "no triangle",
@@ -35,7 +35,7 @@ REJECTIONS = (
 def _root_matches_ground_truth(s, x):
     """The root's sides are the cut and cycle classes of N(x), up to
     swapping, and its graph is the networkx inverse line graph of N(x)."""
-    classes, ends, blocks = neighborhood_root(s.graph, x)
+    classes, root, blocks = neighborhood_root(s.graph, x)
     assert len(blocks) == 1
     sides = {frozenset(classes[a] for a in side) for side in blocks[0]}
     truth = neighborhood_partitions(s, x)
@@ -47,7 +47,7 @@ def _root_matches_ground_truth(s, x):
     line = nx.Graph()
     line.add_nodes_from(nbrs)
     line.add_edges_from((e.u, e.v) for e in s.graph.edges if e.u in nbrs and e.v in nbrs)
-    assert nx.is_isomorphic(nx.Graph(list(ends.values())), nx.inverse_line_graph(line))
+    assert nx.is_isomorphic(nx.Graph(list(root.edge_pairs())), nx.inverse_line_graph(line))
 
 
 def test_recovered_partitions_on_aux_c4(c4):
@@ -70,6 +70,33 @@ def test_root_sides_are_the_cut_and_cycle_classes():
             _root_matches_ground_truth(s, x)
 
 
+def test_root_is_the_fundamental_graph():
+    """Each root node, named by the cut or cycle class of N(x) with its
+    star, makes root edge y the pair (f, e) with y = T - f + e: B_T."""
+    cases = [
+        (complete_graph(5), 1),
+        (complete_graph(6), 1),
+        (random_two_connected_graph(6, 12, 0), 1),
+        (random_two_connected_graph(7, 14, 3), 1),
+        (random_multiblock_graph([4, 4], 5), 2),
+    ]
+    for g, k in cases:
+        s = build_stag(g)
+        n = s.graph.n
+        for x in sorted({0, 1, n // 3, n // 2, n - 1}):
+            classes, root, blocks = neighborhood_root(s.graph, x)
+            assert len(blocks) == k
+            truth = neighborhood_partitions(s, x)
+            name = {ws: ("cut", f) for f, ws in truth.cut_classes}
+            name.update({ws: ("cycle", e) for e, ws in truth.cycle_classes})
+            t = s.trees[x].edge_set
+            assert {y: {name[classes[a]], name[classes[b]]} for y, a, b in root.edges} == {
+                y: {("cut", f), ("cycle", e)}
+                for y in s.graph.adj(x)
+                for (f,), (e,) in [(t - s.trees[y].edge_set, s.trees[y].edge_set - t)]
+            }
+
+
 def test_recovered_partitions_reject_non_stag(p4):
     with pytest.raises(NotAStag, match="no triangle"):
         neighborhood_root(p4, 1)
@@ -88,10 +115,10 @@ def test_invert_recovers_preimage_counts(c4, k4, theta, diamond):
 
 def test_layout_and_chords_rebuild_a_cycle(c5):
     h = build_stag(c5).graph  # K5
-    classes, ends, [block] = neighborhood_root(h, 0)
+    classes, root, [block] = neighborhood_root(h, 0)
     # one cycle class of four neighbors; four singleton cut classes
     cycles, tree = sorted(block, key=len)
-    paths = {c: across(classes, ends, c) for c in cycles}
+    paths = {c: set(root.adj(c)) for c in cycles}
     place, path_ends = layout(tree, paths)
     g = Graph.from_pairs(list(place.values()) + [path_ends[c] for c in cycles])
     assert are_isomorphic(g, c5)[0]

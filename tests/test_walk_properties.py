@@ -1,5 +1,5 @@
 """Property tests of the exchange walk against the brute-force oracles, and
-of invert against networkx."""
+of invert against networkx and the atlas oracle."""
 
 import pytest
 
@@ -8,9 +8,10 @@ import networkx as nx  # noqa: E402
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from stag import Graph, build_stag, count_spanning_trees, enumerate_spanning_trees, invert  # noqa: E402
+from stag import Disconnected, Graph, NotAStag, build_stag, count_spanning_trees, enumerate_spanning_trees, invert  # noqa: E402
 from stag import spanning_trees  # noqa: E402
-from stag.oracles import brute_force_stag  # noqa: E402
+from stag.oracles import brute_force_is_stag, brute_force_stag  # noqa: E402
+from test_recognition import REJECTIONS  # noqa: E402
 
 # the same examples on every run; the counts keep tier-1 short
 _settings = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -60,3 +61,23 @@ def test_invert_gives_a_bridgeless_preimage_with_the_same_aux(g):
     back = invert(aux)
     assert not nx.has_bridges(_nx(back))
     assert nx.vf2pp_is_isomorphic(_nx(build_stag(back).graph), _nx(aux))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(connected_graphs(max_n=5).filter(lambda g: g.m >= g.n), st.data())
+def test_one_edge_flips_of_aux_agree_with_the_oracle(g, data):
+    aux = build_stag(g).graph
+    flip = tuple(sorted(data.draw(st.lists(st.sampled_from(aux.vertices), min_size=2, max_size=2, unique=True))))
+    pairs = [p for p in aux.edge_pairs() if p != flip]
+    h = Graph.from_pairs(pairs if len(pairs) < aux.m else [*pairs, flip], vertices=aux.vertices)
+    preimage = brute_force_is_stag(h)
+    try:
+        back = invert(h)
+    except NotAStag as exc:
+        assert str(exc).startswith(REJECTIONS), str(exc)
+        assert preimage is None
+    except Disconnected:
+        assert preimage is None
+    else:
+        assert preimage is not None
+        assert nx.vf2pp_is_isomorphic(_nx(build_stag(back).graph), _nx(h))
