@@ -94,11 +94,30 @@ class Graph:
 
     def subgraph_edges(self, eids, vertices=None):
         """Subgraph keeping the given edge ids (and their endpoints), in
-        ascending id order; ids not in the graph are skipped."""
-        es = [self._by_id[i] for i in sorted(set(eids)) if i in self._by_id]
+        ascending id order; ids not in the graph are skipped. It shares this
+        graph's Edge tuples and names and equals the Graph that
+        Graph(vertices, edges, names) builds: an empty vertex set, or
+        vertices that omit an endpoint, raise ValueError as Graph does."""
+        by_id = self._by_id
+        es = [by_id[i] for i in sorted(set(eids)) if i in by_id]
         if vertices is None:
-            vertices = {x for e in es for x in (e.u, e.v)}
-        return Graph(vertices, es, self.names)
+            vs = {x for e in es for x in (e.u, e.v)}
+        else:
+            vs = {int(v) for v in vertices}
+        if not vs:
+            raise ValueError("graph must have at least one vertex")
+        g = object.__new__(Graph)
+        g.vertices = vs = tuple(sorted(vs))
+        g._adj = adj = {v: {} for v in vs}
+        for e in es:
+            if e.u not in adj or e.v not in adj:
+                raise ValueError(f"edge ({e.u},{e.v}) touches unknown vertex")
+            adj[e.u][e.v] = adj[e.v][e.u] = e.eid
+        g.edges = tuple(es)
+        g._by_id = {e.eid: e for e in es}
+        names = self.names
+        g.names = {v: names[v] if v in names else str(v) for v in vs}
+        return g
 
     def relabeled(self):
         """Dense relabeling 0..n-1; returns (graph, old->new map)."""
@@ -398,57 +417,69 @@ class BlockDecomposition:
     tree_edges: tuple
 
 
-def block_decomposition(g):
-    if not is_connected(g):
-        raise Disconnected("block decomposition needs a connected graph")
+def _blocks(g, needs="block decomposition needs"):
+    """The blocks of g, each as a list of its edge ids, and its cut vertices,
+    from one iterative DFS (Hopcroft and Tarjan 1973). The DFS starts at
+    vertices[0] and takes each vertex's edges by ascending id. A frame keeps
+    where its tree edge sits on the edge stack, so a block is the slice of
+    the stack from there. Blocks come in the order the DFS completes them.
+    Raises Disconnected, "<needs> a connected graph", if it misses a vertex."""
+    adj = g._adj
+    by_eid = itemgetter(1)
     root = g.vertices[0]
     disc = {root: 0}
     low = {root: 0}
-    timer = 1
     estack = []
-    comps = []
+    blocks = []
     cut = set()
     root_children = 0
-    stack = [(root, None, iter(g.incident_eids(root)))]
+    stack = [(root, None, iter(sorted(adj[root].items(), key=by_eid)), 0)]
     while stack:
-        v, pe, it = stack[-1]
-        descended = False
-        for eid in it:
-            e = g.edge(eid)
-            w = e.other(v)
-            if eid == pe:
-                continue
-            if w not in disc:
+        v, pe, it, at = stack[-1]
+        dv = disc[v]
+        for w, eid in it:
+            dw = disc.get(w)
+            if dw is None:
+                disc[w] = low[w] = len(disc)
+                stack.append((w, eid, iter(sorted(adj[w].items(), key=by_eid)), len(estack)))
                 estack.append(eid)
-                disc[w] = low[w] = timer
-                timer += 1
-                stack.append((w, eid, iter(g.incident_eids(w))))
-                descended = True
                 break
-            if disc[w] < disc[v]:
+            if dw < dv and eid != pe:
                 estack.append(eid)
-                low[v] = min(low[v], disc[w])
-        if descended:
-            continue
-        stack.pop()
-        if stack:
+                if dw < low[v]:
+                    low[v] = dw
+        else:
+            stack.pop()
+            if not stack:
+                break
             u = stack[-1][0]
-            low[u] = min(low[u], low[v])
+            if low[v] < low[u]:
+                low[u] = low[v]
             if low[v] >= disc[u]:
-                comp = []
-                while True:
-                    eid = estack.pop()
-                    comp.append(eid)
-                    if eid == pe:
-                        break
-                comps.append(sorted(comp))
+                blocks.append(estack[at:])
+                del estack[at:]
                 if u == root:
                     root_children += 1
                 else:
                     cut.add(u)
+    if len(disc) != g.n:
+        raise Disconnected(f"{needs} a connected graph")
     if root_children > 1:
         cut.add(root)
-    blocks = tuple(g.subgraph_edges(c) for c in comps)
+    return blocks, cut
+
+
+def block_decomposition(g):
+    """Blocks, cut vertices and block-cutpoint tree of a connected graph.
+
+    Block i is the subgraph on its edges, ascending ids, and their
+    endpoints (subgraph_edges). Blocks come in the order a depth-first
+    search from vertices[0], taking each vertex's edges by ascending id,
+    completes them. tree_edges lists (i, v) for each block i in that order
+    and each cut vertex v of block i in ascending order. An isolated vertex
+    has no blocks. Raises Disconnected if g is not connected."""
+    found, cut = _blocks(g)
+    blocks = tuple(g.subgraph_edges(b) for b in found)
     tree_edges = tuple(
         (i, v) for i, b in enumerate(blocks) for v in b.vertices if v in cut
     )
@@ -457,17 +488,16 @@ def block_decomposition(g):
 
 def bridges(g):
     """Edge ids of all cut edges (the K2 blocks)."""
-    return sorted(b.edges[0].eid for b in block_decomposition(g).blocks if b.m == 1)
+    return sorted(b[0] for b in _blocks(g)[0] if len(b) == 1)
 
 
 def is_two_connected(g):
-    if not is_connected(g):
-        return False
-    if g.n == 1:
-        return False
-    if g.n == 2:
+    if g.n <= 2:
         return g.m == 1
-    return not block_decomposition(g).cut_vertices
+    try:
+        return not _blocks(g)[1]
+    except Disconnected:
+        return False
 
 
 def common_cycle_classes(g):
@@ -476,14 +506,11 @@ def common_cycle_classes(g):
     Defined for bridgeless connected graphs; the classes coincide with the
     per-block edge sets.
     """
-    if not is_connected(g):
-        raise Disconnected("common cycle classes need a connected graph")
-    bd = block_decomposition(g)
-    for b in bd.blocks:
-        if b.m == 1:
-            raise HasBridge(b.edges[0].eid)
-    classes = [frozenset(e.eid for e in b.edges) for b in bd.blocks]
-    return sorted(classes, key=lambda c: min(c))
+    blocks = _blocks(g, "common cycle classes need")[0]
+    for b in blocks:
+        if len(b) == 1:
+            raise HasBridge(b[0])
+    return sorted(map(frozenset, blocks), key=min)
 
 
 # -- cuts and cycles ---------------------------------------------------------------

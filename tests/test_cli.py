@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -10,11 +12,16 @@ from stag import (
     cycle_graph,
     invert,
     parse_graph,
+    path_graph,
     to_edgelist,
 )
 from stag.aux_graph import stag_to_json
 from stag.cli import _build_parser, run
-from stag.generators import random_multiblock_graph, random_two_connected_graph
+from stag.generators import (
+    random_connected_graph,
+    random_multiblock_graph,
+    random_two_connected_graph,
+)
 from stag.params import param_report, report_to_text
 
 
@@ -68,6 +75,44 @@ def test_blocks_json(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["blocks"]) == 2
     assert doc["cut_vertices"] == [2]
+
+
+# sha256 of the `stag blocks` output for fixed inputs. The digests freeze
+# the block order, ascending ids within a block and the tree_edges order.
+# A "shuffled" input lists its edges in a seeded random order, with vertex
+# names permuted and endpoints swapped at random, so ids follow no pattern.
+_BLOCKS_DIGESTS = {
+    "chain": ("5f9dc2737a1892e59dbf0d882344592304db74e79fc76163ea4916507e4e40c7",
+              lambda: random_multiblock_graph([4, 5, 3, 6, 4], 11)),
+    "tree": ("5334b78e4dc78235acb5ad2e59843a3aa0c2bf54953faca98b366864822c9ec7",
+             lambda: random_connected_graph(16, 15, 12)),
+    "bridges": ("06395c4310374284a891b53f8da07e6b1707a9798dd64ce55cfb985ea9681b0e",
+                lambda: random_connected_graph(24, 28, 13)),
+    "path": ("812599da6c9fabf7c053554c53298e6c6d079a3350a852fe5c9863686a7d283c",
+             lambda: path_graph(9)),
+    "shuffled chain": ("f4f9a1f231785603759b78c07c8faec2014f5178f0afdba93aee99191dd90f5a",
+                       lambda: random_multiblock_graph([3, 6, 4, 3, 5], 14)),
+    "shuffled sparse": ("4b449a26c1dc78dff1b81096e9b9e09a2dca10de83912719607fdcd717af302d",
+                        lambda: random_connected_graph(30, 38, 15)),
+}
+
+
+@pytest.mark.parametrize("name", list(_BLOCKS_DIGESTS))
+def test_blocks_output_is_pinned(tmp_path, name):
+    digest, make = _BLOCKS_DIGESTS[name]
+    k = list(_BLOCKS_DIGESTS).index(name)
+    g = make()
+    lines = list(g.edge_pairs())
+    if name.startswith("shuffled"):
+        rng = random.Random(100 + k)
+        perm = list(g.vertices)
+        rng.shuffle(perm)
+        rng.shuffle(lines)
+        lines = [(perm[u], perm[v]) if rng.random() < 0.5 else (perm[v], perm[u]) for u, v in lines]
+    src, dst = tmp_path / "g.txt", tmp_path / "blocks.json"
+    _write(src, "".join(f"{u} {v}\n" for u, v in lines))
+    assert run(["blocks", "-i", str(src), "-o", str(dst)]) == 0
+    assert hashlib.sha256(dst.read_bytes()).hexdigest() == digest
 
 
 def test_invert_roundtrip_via_files(tmp_path, c3_file, capsys):

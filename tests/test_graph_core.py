@@ -34,9 +34,13 @@ from stag import (
     to_json,
 )
 from stag.aux_graph import StagGraph, stag_to_dot, stag_to_json
-from stag.errors import Acyclic
+from stag.errors import Acyclic, Disconnected
 from stag.factorization import _components
-from stag.generators import random_connected_graph, random_two_connected_graph
+from stag.generators import (
+    random_connected_graph,
+    random_multiblock_graph,
+    random_two_connected_graph,
+)
 from stag.graph_core import bfs, tree_path_edges
 from stag.spanning_trees import _exchange_walk
 
@@ -327,6 +331,95 @@ def test_block_cut_tree_is_a_tree():
         dec = block_decomposition(g)
         nodes = len(dec.blocks) + len(dec.cut_vertices)
         assert len(dec.tree_edges) == nodes - 1
+
+
+def _shuffled_ids(g, rng):
+    """g rebuilt with shuffled vertex order, edge order, edge ids and names,
+    so that adjacency order differs from id order."""
+    vertices = list(g.vertices)
+    rng.shuffle(vertices)
+    ids = rng.sample(range(3 * g.m + 1), g.m)
+    edges = [(ids[k], e.u, e.v) for k, e in enumerate(g.edges)]
+    rng.shuffle(edges)
+    return Graph(vertices, edges, {v: f"v{v}" for v in vertices})
+
+
+def _block_inputs():
+    """120 seeded connected graphs, sparse ones with bridges and chains of
+    2-connected blocks in turn, each followed by a shuffled-id copy."""
+    rng = random.Random(41)
+    for k in range(120):
+        if k % 2:
+            n = rng.randint(1, 14)
+            m = rng.randint(n - 1, min(n * (n - 1) // 2, n + 8))
+            g = random_connected_graph(n, m, rng.randrange(1 << 30))
+        else:
+            sizes = [rng.randint(3, 6) for _ in range(rng.randint(1, 5))]
+            g = random_multiblock_graph(sizes, rng.randrange(1 << 30))
+        yield g
+        yield _shuffled_ids(g, rng)
+
+
+def test_block_decomposition_matches_networkx():
+    for g in _block_inputs():
+        dec = block_decomposition(g)
+        nxg = nx.Graph()
+        nxg.add_nodes_from(g.vertices)
+        nxg.add_edges_from(g.edge_pairs())
+        want = [sorted(tuple(sorted(uv)) for uv in c) for c in nx.biconnected_component_edges(nxg)]
+        assert sorted(sorted(b.edge_pairs()) for b in dec.blocks) == sorted(want)
+        assert dec.cut_vertices == set(nx.articulation_points(nxg))
+        for b in dec.blocks:
+            assert list(b.edge_ids()) == sorted(b.edge_ids())
+            assert all(e == g.edge(e.eid) for e in b.edges)
+            assert b.vertices == tuple(sorted({x for e in b.edges for x in e.endpoints()}))
+        if g.n > 1:
+            assert len(dec.tree_edges) == len(dec.blocks) + len(dec.cut_vertices) - 1
+        # the same ids with adjacency in id order: the order depends on ids only
+        by_id = block_decomposition(Graph(g.vertices, sorted(g.edges), g.names))
+        assert [b.edges for b in by_id.blocks] == [b.edges for b in dec.blocks]
+        assert by_id.tree_edges == dec.tree_edges
+        assert bridges(g) == sorted(g.eid_between(*uv) for uv in nx.bridges(nxg))
+        assert is_two_connected(g) == (g.n > 1 and nx.is_biconnected(nxg))
+
+
+def test_block_decomposition_edge_cases():
+    split = Graph([0, 1, 2, 3], [(0, 0, 1), (1, 2, 3)])
+    for f in (block_decomposition, bridges, common_cycle_classes):
+        with pytest.raises(Disconnected):
+            f(split)
+    assert not is_two_connected(split)
+    dec = block_decomposition(single_vertex_graph())
+    assert dec.blocks == () and dec.cut_vertices == frozenset() and dec.tree_edges == ()
+    k = 50_000
+    dec = block_decomposition(path_graph(k))
+    assert len(dec.blocks) == k - 1 and len(dec.cut_vertices) == k - 2
+    dec = block_decomposition(cycle_graph(k))
+    assert len(dec.blocks) == 1 and dec.blocks[0].m == k and not dec.cut_vertices
+
+
+def test_subgraph_edges_equals_the_graph_built_from_its_edges():
+    rng = random.Random(43)
+    for g in itertools.islice(_block_inputs(), 80):
+        eids = rng.sample(g.edge_ids(), rng.randint(0, g.m)) + [3 * g.m + 1]
+        es = [g.edge(i) for i in sorted(set(eids)) if i in g.edge_ids()]
+        ends = {x for e in es for x in e.endpoints()}
+        for vertices in (None, g.vertices):
+            if not es and vertices is None:
+                with pytest.raises(ValueError, match="at least one vertex"):
+                    g.subgraph_edges(eids)
+                continue
+            sub = g.subgraph_edges(eids, vertices)
+            ref = Graph(ends if vertices is None else vertices, es, g.names)
+            assert type(sub) is Graph
+            assert (sub.vertices, sub.edges, sub.names) == (ref.vertices, ref.edges, ref.names)
+            assert list(sub._by_id.items()) == list(ref._by_id.items())
+            assert all(list(sub._adj[v].items()) == list(ref._adj[v].items()) for v in ref.vertices)
+            assert all(e is g.edge(e.eid) for e in sub.edges)
+        if es:
+            e = es[0]
+            with pytest.raises(ValueError, match=r"touches unknown vertex"):
+                g.subgraph_edges(eids, vertices=[x for x in g.vertices if x != e.v])
 
 
 def test_bridges(triangle_pendant, theta):
