@@ -65,7 +65,7 @@ from .graph_core import (
     to_edgelist,
     to_json,
 )
-from .params import ParamReport, exchange_diameter, maximal_cliques, param_report
+from .params import ParamReport, clique_number, exchange_diameter, maximal_cliques, param_report
 from .recognition import enumerate_preimages, invert
 from .spanning_trees import (
     SpanningTree,

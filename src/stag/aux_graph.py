@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .errors import Unannotated
 from .graph_core import Graph, _json_text, bfs, fundamental_cycle_edges
-from .spanning_trees import DEFAULT_MAX_TREES, SpanningTree, _exchange_walk
+from .spanning_trees import DEFAULT_MAX_TREES, SpanningTree, _exchange_walk, _Rows
 
 
 @dataclass(frozen=True)
@@ -122,9 +122,20 @@ def ground_truth_cliques(s):
 
 def stag_to_json(s):
     """Compact JSON with sorted keys. Vertices are ints, so their quoted
-    decimal ids need no escaping."""
+    decimal ids need no escaping. While the graph still holds the walk's
+    rows, the edges are written one row, that is one source vertex u, at a
+    time: '["u",' and the row's labels joined by '],["u",'. Otherwise they
+    come from the graph's pairs; the bytes are the same."""
     trees = json.dumps([t.key for t in s.trees] if s.annotated else None, separators=(",", ":"))
-    return _json_text(s.graph, {v: f'"{v}"' for v in s.graph.vertices}, trees=trees)
+    labels = {v: f'"{v}"' for v in s.graph.vertices}
+    rows = getattr(s.graph, "_pairs", None)
+    edges = None
+    if isinstance(rows, _Rows):
+        edges = ",".join([
+            f"[{labels[u]}," + f"],[{labels[u]},".join(map(labels.__getitem__, reversed(row))) + "]"
+            for u, row in enumerate(reversed(rows.rows)) if row
+        ])
+    return _json_text(s.graph, labels, edges, trees=trees)
 
 
 def stag_to_dot(s):

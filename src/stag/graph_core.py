@@ -69,11 +69,12 @@ class Graph:
         """Graph on vertices 0..n-1 whose edge k is the k-th (u, v) of pairs,
         without Graph's checks. The caller guarantees n >= 1, integers
         0 <= u < v < n, no repeated pair and names None or a str per vertex:
-        only build_stag (the walk's rows) and the two parsers (their ordered
-        pair dicts, after every ParseError) may call it. pairs, sized and
-        re-iterable, is all it keeps: m and edge_pairs() read it, and the
-        first read of edges, _adj or _by_id builds them (and names, if none
-        were given) as Graph would and releases pairs (_PairGraph)."""
+        only build_stag and param_report (the walk's rows) and the two
+        parsers (their ordered pair dicts, after every ParseError) may call
+        it. pairs, sized and re-iterable, is all it keeps: m and
+        edge_pairs() read it, and the first read of edges, _adj or _by_id
+        builds them (and names, if none were given) as Graph would and
+        releases pairs (_PairGraph)."""
         g = object.__new__(_PairGraph)
         g.vertices = tuple(range(n))
         g._pairs = pairs
@@ -339,14 +340,17 @@ def to_json(g):
     return _json_text(g, {v: encode_basestring_ascii(g.names[v]) for v in g.vertices})
 
 
-def _json_text(g, labels, **members):
+def _json_text(g, labels, edges=None, **members):
     """g as json.dumps(sort_keys=True, separators=(",", ":")) writes it, and a
-    newline: labels[v] is vertex v's JSON string, in vertex order, and members
-    the JSON text of each extra key that sorts between "edges" and "vertices".
-    The edges are joined 4,096 at a time to keep few per-edge strings alive."""
-    pairs = g.edge_pairs()
-    edges = ",".join([",".join([f"[{labels[u]},{labels[v]}]" for u, v in islice(pairs, 4096)])
-                      for _ in range(0, g.m, 4096)])
+    newline: labels[v] is vertex v's JSON string, in vertex order, edges the
+    text inside the edge list if the caller has written it, and members the
+    JSON text of each extra key that sorts between "edges" and "vertices".
+    Otherwise the edges are joined 4,096 at a time to keep few per-edge
+    strings alive."""
+    if edges is None:
+        pairs = g.edge_pairs()
+        edges = ",".join([",".join([f"[{labels[u]},{labels[v]}]" for u, v in islice(pairs, 4096)])
+                          for _ in range(0, g.m, 4096)])
     more = "".join(f'"{key}":{text},' for key, text in members.items())
     return f'{{"edges":[{edges}],{more}"vertices":[{",".join(labels.values())}]}}\n'
 

@@ -7,10 +7,9 @@ from collections import Counter
 from dataclasses import dataclass
 from math import isqrt
 
-from .aux_graph import build_stag
 from .errors import Disconnected
-from .graph_core import bfs
-from .spanning_trees import DEFAULT_MAX_TREES
+from .graph_core import Graph, bfs
+from .spanning_trees import DEFAULT_MAX_TREES, _walk
 
 
 @dataclass(frozen=True)
@@ -83,6 +82,30 @@ def maximal_cliques(g):
     return out
 
 
+def clique_number(g):
+    """Size of a largest clique, by branch and bound on int bitmasks over
+    vertex positions (Carraghan & Pardalos 1990): each candidate set P is
+    taken lowest vertex first, the clique grown by it and P cut to its
+    neighbours, and the vertex dropped from P once its branch is done.
+    A branch whose clique plus all of P cannot beat the best stops."""
+    vs = g.vertices
+    idx = {v: k for k, v in enumerate(vs)}
+    adj = [sum(1 << idx[w] for w in g.adj(v)) for v in vs]
+    best = 0
+
+    def expand(size, p):
+        nonlocal best
+        if not p:
+            best = max(best, size)
+        while p and size + p.bit_count() > best:
+            low = p & -p
+            p ^= low
+            expand(size + 1, p & adj[low.bit_length() - 1])
+
+    expand(0, (1 << len(vs)) - 1)
+    return best
+
+
 def exchange_diameter(s):
     """Largest |T1 - T2| over two spanning trees of s.origin.
 
@@ -96,7 +119,10 @@ def exchange_diameter(s):
     the other forest. An edge refused once stays refused, as the union of
     the two forests only grows.
     """
-    g = s.origin
+    return _exchange_diameter(s.origin)
+
+
+def _exchange_diameter(g):
     home = {}  # edge id -> the forest (0 or 1) holding it
     for e in g.edges:
         _augment(g, home, e.eid)
@@ -146,18 +172,18 @@ def param_report(g, max_trees=DEFAULT_MAX_TREES):
     edges meet in T - f. An Aux edge's union is a tree plus a chord and its
     meet a tree less an edge, so the largest groups by union and by meet
     give the two (Maurer 1973). The tests check both against graph_core's
-    brute-force circumference and minimal_edge_cuts."""
-    s = build_stag(g, max_trees)
-    aux = s.graph
+    brute-force circumference and minimal_edge_cuts. The unions and meets
+    are taken on the walk's tree masks, and Aux(g) is a Graph on its rows
+    whose clique number comes from clique_number."""
+    masks, pairs, _ = _walk(g, max_trees)
+    unions = Counter(masks[u] | masks[v] for u, v in pairs)
+    meets = Counter(masks[u] & masks[v] for u, v in pairs)
+    aux = Graph._trusted(len(masks), pairs)
     n, m = g.n, g.m
     degs = [aux.degree(v) for v in aux.vertices]
     delta, big_delta = min(degs), max(degs)
     diam = _all_pairs_diameter(aux)
-    omega = max(map(len, maximal_cliques(aux)))
-    bit = {eid: 1 << k for k, eid in enumerate(g.edge_ids())}
-    masks = [sum(bit[eid] for eid in t.key) for t in s.trees]
-    unions = Counter(masks[u] | masks[v] for u, v in aux.edge_pairs())
-    meets = Counter(masks[u] & masks[v] for u, v in aux.edge_pairs())
+    omega = clique_number(aux)
     circ = _clique_order(max(unions.values())) if unions else None
     max_cut = _clique_order(max(meets.values(), default=0)) if m else 0
     cyclomatic = m - n + 1
@@ -168,7 +194,7 @@ def param_report(g, max_trees=DEFAULT_MAX_TREES):
         ),
         "min_degree_bound": (delta >= 2 * cyclomatic, delta - 2 * cyclomatic),
         "diameter_bound": (diam <= n - 1, (n - 1) - diam),
-        "diameter_matches_exchange": (diam == exchange_diameter(s), None),
+        "diameter_matches_exchange": (diam == _exchange_diameter(g), None),
     }
     if circ is None:
         verdicts["clique_number"] = (None, None)  # acyclic: Aux is K1, skipped

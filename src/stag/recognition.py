@@ -36,7 +36,7 @@ from itertools import islice
 
 from .errors import Disconnected, NotAStag, NotMinimal, TooManyTrees
 from .graph_core import Graph, bfs, bridges, is_connected, single_vertex_graph
-from .spanning_trees import DEFAULT_MAX_TREES, _exchange_walk
+from .spanning_trees import DEFAULT_MAX_TREES, _walk
 
 # -- root ---------------------------------------------------------------------
 
@@ -202,7 +202,7 @@ def invert(h, max_trees=DEFAULT_MAX_TREES):
     _, root, blocks = neighborhood_root(h, x)
     pairs = []
     pos = {}
-    tree_mask = 0
+    trees = []
     next_vertex = 1
     for block in blocks:
         sides = sorted(block, key=len)
@@ -219,10 +219,13 @@ def invert(h, max_trees=DEFAULT_MAX_TREES):
         for a, (u, v) in [*place.items(), *((c, path_ends[c]) for c in cycles)]:
             pos[a] = len(pairs)
             pairs.append((u + base if u else 0, v + base if v else 0))
-        tree_mask |= sum(1 << pos[a] for a in tree)
+        trees += tree
         next_vertex += len(tree)
     g = Graph.from_pairs(pairs, vertices=range(next_vertex))
-    phi = {y: tree_mask ^ (1 << pos[a]) ^ (1 << pos[b]) for y, a, b in root.edges}
+    top = len(pairs) - 1
+    bit = {a: 1 << (top - p) for a, p in pos.items()}
+    tree_mask = sum(bit[a] for a in trees)
+    phi = {y: tree_mask ^ bit[a] ^ bit[b] for y, a, b in root.edges}
     _certify(h, x, g, tree_mask, phi)
     return g
 
@@ -235,7 +238,11 @@ def _certify(h, x, g, t0, phi):
     exchanges, and the common neighbors of u and w, one level between
     them, take each half: phi(w) = phi(u) - removed + added. The map must
     be a bijection onto the spanning trees of g that sends every edge of
-    h to one exchange, and g must have exactly h.m exchanges."""
+    h to one exchange, and g must have exactly h.m exchanges.
+
+    t0 and phi are masks in the walk's bit order (spanning_trees._walk):
+    g's edge ids are 0..m-1 and edge p is bit m - 1 - p, so the image of
+    the map is compared with the walk's masks as they are."""
     tree = bfs(h, x)
     phi[x] = t0
     for w in islice(tree, len(phi), None):
@@ -255,20 +262,21 @@ def _certify(h, x, g, t0, phi):
             )
         phi[w] = pu ^ removed ^ added
     try:
-        keys, _, m = _exchange_walk(g, h.n)
+        masks, rows, _ = _walk(g, h.n)
     except TooManyTrees:
         raise NotAStag(
             f"count mismatch: the reconstruction has more than {h.n} spanning trees"
         ) from None
-    if len(keys) != h.n:
+    if len(masks) != h.n:
         raise NotAStag(
-            f"count mismatch: the reconstruction has {len(keys)} spanning trees, not {h.n}"
+            f"count mismatch: the reconstruction has {len(masks)} spanning trees, not {h.n}"
         )
-    if set(phi.values()) != {sum(1 << e for e in key) for key in keys}:
+    if set(phi.values()) != set(masks):
         raise NotAStag("certificate does not extend: the map is not onto the spanning trees")
     for e in h.edges:
         if (phi[e.u] ^ phi[e.v]).bit_count() != 2:
             raise NotAStag(f"certificate does not extend: edge {e.u}-{e.v} is not an exchange")
+    m = len(rows)
     if m != h.m:
         raise NotAStag(f"count mismatch: the reconstruction has {m} exchanges, not {h.m}")
 

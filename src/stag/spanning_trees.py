@@ -193,12 +193,25 @@ def _exchange_walk(g, max_trees):
     Returns (keys, pairs, count): the trees' sorted edge-id tuples in
     ascending order, the index pairs (i, j), i < j, of trees that differ by
     one exchange, in ascending order (a _Rows), and the number of pairs.
+    The keys are _walk's masks decoded once, by _decode: in their bit order
+    the edge at position p of the edges sorted by id is bit m - 1 - p."""
+    masks, pairs, edges = _walk(g, max_trees)
+    return _decode(masks, [e.eid for e in edges]), pairs, len(pairs)
 
-    A tree is a bitmask in which the edge at position p of the edges sorted
-    by id is bit m - 1 - p, so a greater key is a smaller mask. The walk
-    starts from the greatest tree, Kruskal's over the positions in
-    descending order, and pops masks from a min-heap, so trees come out in
-    descending key order. By induction: a tree T that is not the greatest
+
+def _walk(g, max_trees):
+    """The exchange walk on masks: (masks, pairs, edges), the trees in
+    ascending key order, their exchanges as a _Rows (see _exchange_walk)
+    and g's edges sorted by id.
+
+    Bit order: a tree is a bitmask in which the edge at position p of the
+    edges sorted by id is bit m - 1 - p, so a greater key is a smaller
+    mask. The callers that read masks (recognition._certify, param_report)
+    rely on this order.
+
+    The walk starts from the greatest tree, Kruskal's over the positions
+    in descending order, and pops masks from a min-heap, so trees come out
+    in descending key order. By induction: a tree T that is not the greatest
     has an exchange T - f + e with a greater key, as a matroid basis is
     lexicographically greatest iff no single exchange makes it greater
     (Gale 1968); that tree was popped before T and pushed it. From each
@@ -267,10 +280,34 @@ def _exchange_walk(g, max_trees):
                     row.append(rank)
     if len(masks) != expected:
         raise ValidationFailed(f"exchange walk found {len(masks)} of {expected} trees")
-    eids = [e.eid for e in edges]
-    keys = [tuple([eids[p] for p in range(m) if mask & bits[p]]) for mask in reversed(masks)]
-    pairs = _Rows(rows)
-    return keys, pairs, len(pairs)
+    masks.reverse()
+    return masks, _Rows(rows), edges
+
+
+_CHUNK = 7
+
+
+def _decode(masks, eids):
+    """The sorted edge-id tuple of each mask, eids[p] the id of bit
+    m - 1 - p. The mask is read in chunks of up to _CHUNK bits, the highest
+    first, and each chunk looked up in a table of its 2^w keys: the table
+    doubles once per bit, from its lowest, each new entry the bit's id (a
+    smaller position than the bits before it) followed by an old entry."""
+    m = len(eids)
+    if not m:
+        return [()] * len(masks)
+    low = (1 << _CHUNK) - 1
+    keys = None
+    for shift in reversed(range(0, m, _CHUNK)):
+        table = [()]
+        for p in range(m - 1 - shift, max(m - 1 - shift - _CHUNK, -1), -1):
+            head = (eids[p],)
+            table += [head + t for t in table]
+        if keys is None:
+            keys = [table[mask >> shift] for mask in masks]
+        else:
+            keys = [k + table[mask >> shift & low] for k, mask in zip(keys, masks)]
+    return keys
 
 
 class _Rows:

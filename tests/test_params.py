@@ -20,7 +20,7 @@ from stag.generators import (
     random_multiblock_graph,
     random_two_connected_graph,
 )
-from stag.params import report_to_json, report_to_text
+from stag.params import clique_number, report_to_json, report_to_text
 
 
 def test_maximal_cliques_diamond(diamond):
@@ -46,6 +46,43 @@ def test_maximal_cliques_match_networkx():
         got = maximal_cliques(aux)
         assert len(got) == len(set(got))
         assert set(got) == {frozenset(c) for c in nx.find_cliques(h)}
+
+
+def _nx_clique_number(h):
+    return max(len(c) for c in nx.find_cliques(h))
+
+
+def test_clique_number_matches_networkx():
+    rng = random.Random(1990)
+    graphs = []
+    for k in range(120):
+        n = rng.randint(1, 30)
+        h = nx.gnp_random_graph(n, rng.choice((0.05, 0.2, 0.5, 0.8, 0.95)), seed=k)
+        # vertex ids that are not 0..n-1 and edge ids in a shuffled order
+        ids = rng.sample(range(1000), h.number_of_edges())
+        edges = [(i, 3 * u + 1, 3 * v + 1) for i, (u, v) in zip(ids, h.edges)]
+        g = Graph([3 * v + 1 for v in h], edges)
+        graphs.append((g, h))
+    while len(graphs) < 160:
+        n = rng.randint(3, 8)
+        m = rng.randint(n, min(n + 4, n * (n - 1) // 2))
+        g = random_two_connected_graph(n, m, rng.randrange(1 << 30))
+        if count_spanning_trees(g) <= 800:
+            aux = build_stag(g).graph
+            h = nx.Graph()
+            h.add_nodes_from(aux.vertices)
+            h.add_edges_from(aux.edge_pairs())
+            graphs.append((aux, h))
+    for g, h in graphs:
+        assert clique_number(g) == _nx_clique_number(h)
+
+
+def test_clique_number_edge_cases(diamond):
+    assert clique_number(Graph([0], [])) == 1
+    assert clique_number(Graph(range(6), [])) == 1
+    assert clique_number(diamond) == 3
+    for k in range(1, 9):
+        assert clique_number(complete_graph(k)) == k
 
 
 def test_exchange_diameter_equals_graph_diameter(c4, k4, theta):

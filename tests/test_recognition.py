@@ -12,6 +12,7 @@ from stag import (
     are_isomorphic,
     build_stag,
     complete_graph,
+    count_spanning_trees,
     cycle_graph,
     enumerate_preimages,
     invert,
@@ -213,6 +214,20 @@ def test_invert_multiblock(bowtie, triangle_pendant):
         h = build_stag(g).graph
         g2 = invert(h)
         assert are_isomorphic(build_stag(g2).graph, h)[0]
+
+
+def test_certificate_masks_in_the_walk_bit_order():
+    # The certificate compares its map with the walk's masks as they are,
+    # so the two must agree on the bit of each edge for every mask width:
+    # Aux(C_k) = K_k for k = 3..40, and block chains with more than 24 edges.
+    for k in range(3, 41):
+        g = invert(build_stag(cycle_graph(k)).graph)
+        assert (g.n, g.m, count_spanning_trees(g)) == (k, k, k)
+    for sizes, extra in (([13, 13], 0), ([9, 9, 9], 0), ([6, 5, 6, 5], 1), ([7, 6, 7, 6], 0)):
+        h = build_stag(random_multiblock_graph(sizes, 7, extra_edges=extra)).graph
+        g = invert(h)
+        assert g.m > 24
+        assert count_spanning_trees(g) == h.n
 
 
 def test_invert_result_is_minimal():

@@ -234,6 +234,34 @@ def test_exchange_walk_on_block_chains_counts_product_edges():
         assert count == len(list(pairs)) == expected
 
 
+def _gapped_ids(g, rng):
+    """g with edge ids drawn from a wider range, in an order unrelated to
+    the edges' positions in g.edges."""
+    ids = rng.sample(range(5 * g.m + 10), g.m)
+    return Graph(g.vertices, [(ids[k], e.u, e.v) for k, e in enumerate(g.edges)])
+
+
+def test_table_decode_matches_the_per_position_decode():
+    rng = random.Random(1515)
+    graphs = [single_vertex_graph(), cycle_graph(30), cycle_graph(45)]
+    while len(graphs) < 63:
+        n = rng.randint(2, 9)
+        m = rng.randint(n - 1, min(n + 6, n * (n - 1) // 2))
+        g = random_connected_graph(n, m, rng.randrange(1 << 30))
+        if count_spanning_trees(g) <= 3000:
+            graphs.append(_gapped_ids(g, rng))
+    for g in graphs:
+        masks, _, edges = spanning_trees._walk(g, 10_000)
+        m = len(edges)
+        eids = [e.eid for e in edges]
+        bits = [1 << (m - 1 - p) for p in range(m)]
+        reference = [tuple(eids[p] for p in range(m) if mask & bits[p]) for mask in masks]
+        keys, _, _ = spanning_trees._exchange_walk(g, 10_000)
+        assert keys == reference
+        assert keys == sorted(keys) and all(len(k) == g.n - 1 for k in keys)
+    assert spanning_trees._exchange_walk(single_vertex_graph(), 1)[0] == [()]
+
+
 def test_spanning_tree_validation(c4):
     with pytest.raises(ValueError):
         SpanningTree.of(c4, (0, 1, 2, 3))

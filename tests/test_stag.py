@@ -174,6 +174,17 @@ def test_stag_to_json_matches_json_dumps():
     assert json.loads(stag_to_json(stags[-2]))["trees"] is None
 
 
+def test_stag_to_json_rows_and_pairs_give_the_same_bytes(k4, k5, c6, theta):
+    # A fresh stag writes its edges from the walk's rows; reading its edges
+    # releases the rows, and it writes them from its pairs instead.
+    for g in (k4, k5, c6, theta, random_multiblock_graph([4, 3, 4], 2)):
+        rows = stag_to_json(build_stag(g))
+        s = build_stag(g)
+        assert len(s.graph.edges) == s.graph.m
+        pairs = stag_to_json(s)
+        assert rows == pairs == _reference_json(s)
+
+
 def test_stag_vertices_ordered_by_tree_key(theta):
     s = build_stag(theta)
     keys = [t.key for t in s.trees]
