@@ -93,8 +93,11 @@ def _write_edgelists(prefix, graphs):
 def _cmd_aux(args):
     g = _load_graph(args.input, args.format)
     s = build_stag(g, max_trees=args.max_trees)
-    if args.output and _fmt_of(args.output, args.format) == "dot":
+    fmt = _fmt_of(args.output, args.format) if args.output else "json"
+    if fmt == "dot":
         text = stag_to_dot(s)
+    elif fmt == "edgelist":
+        text = to_edgelist(s.graph)
     else:
         text = stag_to_json(s)
     return "ok", _emit(text, args.output)

@@ -69,9 +69,8 @@ class Graph:
         """Graph on vertices 0..n-1 whose edge k is the k-th (u, v) of pairs,
         without Graph's checks. The caller guarantees n >= 1, integers
         0 <= u < v < n, no repeated pair and names None or a str per vertex:
-        only build_stag and param_report (the walk's rows) and the two
-        parsers (their ordered pair dicts, after every ParseError) may call
-        it. pairs, sized and re-iterable, is all it keeps: m and
+        only build_stag (the walk's rows) and the two parsers (their
+        ordered pair dicts, after every ParseError) may call it. pairs, sized and re-iterable, is all it keeps: m and
         edge_pairs() read it, and the first read of edges, _adj or _by_id
         builds them (and names, if none were given) as Graph would and
         releases pairs (_PairGraph)."""

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .errors import Disconnected
-from .graph_core import Graph, bfs
+from .graph_core import bfs
 from .spanning_trees import DEFAULT_MAX_TREES, _walk
 
 
@@ -26,16 +26,36 @@ class ParamReport:
     verdicts: dict  # name -> (ok: bool | None for skipped, slack: int | None)
 
 
-def _all_pairs_diameter(g):
-    """Largest eccentricity, by a BFS from every vertex at once: reach[k]
-    is the bitmask of vertices within d hops of vertex k, and each level
-    ORs in the neighbours' masks until every mask is full."""
+def _neighbours(n, pairs):
+    """Neighbour lists of the graph on vertices 0..n-1 with edges pairs."""
+    nbrs = [[] for _ in range(n)]
+    for u, v in pairs:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return nbrs
+
+
+def _positions(g):
+    """Neighbour lists of g over its vertex positions."""
     idx = {v: k for k, v in enumerate(g.vertices)}
-    nbrs = [[idx[w] for w in g.adj(v)] for v in g.vertices]
-    reach = [1 << k for k in range(g.n)]
-    full = (1 << g.n) - 1
+    return [[idx[w] for w in g.adj(v)] for v in g.vertices]
+
+
+def _masks(nbrs):
+    """Each vertex's neighbours as an int bitmask over positions."""
+    return [sum(1 << w for w in ws) for ws in nbrs]
+
+
+def _all_pairs_diameter(nbrs):
+    """Largest eccentricity of the graph with neighbour lists nbrs, by a
+    BFS from every vertex at once: reach[k] is the bitmask of vertices
+    within d hops of vertex k, and each level ORs in the neighbours'
+    masks until every mask is full."""
+    n = len(nbrs)
+    reach = [1 << k for k in range(n)]
+    full = (1 << n) - 1
     diam = 0
-    while pending := [k for k in range(g.n) if reach[k] != full]:
+    while pending := [k for k in range(n) if reach[k] != full]:
         nxt = reach[:]
         for k in pending:
             for w in nbrs[k]:
@@ -52,8 +72,7 @@ def maximal_cliques(g):
     Tomita pivot (most neighbours in P), on int bitmasks over vertex
     positions. Bits are walked lowest first, as low = mask & -mask."""
     vs = g.vertices
-    idx = {v: k for k, v in enumerate(vs)}
-    adj = [sum(1 << idx[w] for w in g.adj(v)) for v in vs]
+    adj = _masks(_positions(g))
     out = []
 
     def expand(r, p, x):
@@ -83,14 +102,17 @@ def maximal_cliques(g):
 
 
 def clique_number(g):
-    """Size of a largest clique, by branch and bound on int bitmasks over
-    vertex positions (Carraghan & Pardalos 1990): each candidate set P is
-    taken lowest vertex first, the clique grown by it and P cut to its
-    neighbours, and the vertex dropped from P once its branch is done.
-    A branch whose clique plus all of P cannot beat the best stops."""
-    vs = g.vertices
-    idx = {v: k for k, v in enumerate(vs)}
-    adj = [sum(1 << idx[w] for w in g.adj(v)) for v in vs]
+    """Size of a largest clique of g."""
+    return _clique_number(_masks(_positions(g)))
+
+
+def _clique_number(adj):
+    """Size of a largest clique of the graph whose vertex k has the
+    neighbour mask adj[k], by branch and bound (Carraghan & Pardalos
+    1990): each candidate set P is taken lowest vertex first, the clique
+    grown by it and P cut to its neighbours, and the vertex dropped from P
+    once its branch is done. A branch whose clique plus all of P cannot
+    beat the best stops."""
     best = 0
 
     def expand(size, p):
@@ -102,7 +124,7 @@ def clique_number(g):
             p ^= low
             expand(size + 1, p & adj[low.bit_length() - 1])
 
-    expand(0, (1 << len(vs)) - 1)
+    expand(0, (1 << len(adj)) - 1)
     return best
 
 
@@ -173,17 +195,18 @@ def param_report(g, max_trees=DEFAULT_MAX_TREES):
     meet a tree less an edge, so the largest groups by union and by meet
     give the two (Maurer 1973). The tests check both against graph_core's
     brute-force circumference and minimal_edge_cuts. The unions and meets
-    are taken on the walk's tree masks, and Aux(g) is a Graph on its rows
-    whose clique number comes from clique_number."""
+    are taken on the walk's tree masks; the degrees, the diameter and the
+    clique number of Aux(g) on neighbour lists and masks built once from
+    the walk's pairs."""
     masks, pairs, _ = _walk(g, max_trees)
     unions = Counter(masks[u] | masks[v] for u, v in pairs)
     meets = Counter(masks[u] & masks[v] for u, v in pairs)
-    aux = Graph._trusted(len(masks), pairs)
+    nbrs = _neighbours(len(masks), pairs)
     n, m = g.n, g.m
-    degs = [aux.degree(v) for v in aux.vertices]
+    degs = list(map(len, nbrs))
     delta, big_delta = min(degs), max(degs)
-    diam = _all_pairs_diameter(aux)
-    omega = clique_number(aux)
+    diam = _all_pairs_diameter(nbrs)
+    omega = _clique_number(_masks(nbrs))
     circ = _clique_order(max(unions.values())) if unions else None
     max_cut = _clique_order(max(meets.values(), default=0)) if m else 0
     cyclomatic = m - n + 1
@@ -203,7 +226,7 @@ def param_report(g, max_trees=DEFAULT_MAX_TREES):
     return ParamReport(
         n=n,
         m=m,
-        aux_vertices=aux.n,
+        aux_vertices=len(masks),
         delta_aux=delta,
         Delta_aux=big_delta,
         diam_aux=diam,

@@ -23,9 +23,13 @@ layout
 certificate
     x maps to T0 and each neighbor to T0 - f + e, read from its root
     nodes. The map extends along a BFS, each vertex from its grandparent
-    and their common neighbors, and is checked edge by edge against the
-    exchange walk of the reconstruction (McConnell, Mehlhorn, Naeher and
-    Schweitzer 2011, Certifying algorithms).
+    and their common neighbors. It is checked vertex by vertex, with no
+    enumeration of the reconstruction's trees: T0 spans, the map is
+    one-to-one, every edge is an exchange, each tree is one pivot from its
+    BFS parent's, and each degree equals its tree's number of exchanges.
+    Then the image is closed under exchange, so it is all of Aux of the
+    reconstruction and the map an isomorphism (McConnell, Mehlhorn, Naeher
+    and Schweitzer 2011, Certifying algorithms).
 
 Every rejection names the failed necessary condition.
 """
@@ -35,8 +39,8 @@ from __future__ import annotations
 from itertools import islice
 
 from .errors import Disconnected, NotAStag, NotMinimal, TooManyTrees
-from .graph_core import Graph, bfs, bridges, is_connected, single_vertex_graph
-from .spanning_trees import DEFAULT_MAX_TREES, _walk
+from .graph_core import Graph, bfs, bridges, single_vertex_graph
+from .spanning_trees import DEFAULT_MAX_TREES, _fundamental_cycles
 
 # -- root ---------------------------------------------------------------------
 
@@ -188,17 +192,19 @@ def invert(h, max_trees=DEFAULT_MAX_TREES):
     fundamental graph of one tree T0; its components are the blocks.
     Layout: each block's tree edges are laid out so that every non-tree
     edge closes a path; the blocks share one vertex. Certificate: the
-    labeling of N(x) extends along a BFS to a map onto the spanning
-    trees of the result, checked edge by edge against its exchange walk.
-    A verdict of NotAStag names the necessary condition that failed;
-    more than max_trees vertices raise TooManyTrees."""
-    if not is_connected(h):
+    labeling of N(x) extends along the one BFS of h to a map into the
+    spanning trees of the result, whose degrees and exchanges are checked
+    vertex by vertex (_certify). A disconnected h raises Disconnected; a
+    verdict of NotAStag names the necessary condition that failed; more
+    than max_trees vertices raise TooManyTrees."""
+    x = h.vertices[0]
+    span = bfs(h, x)
+    if len(span) != h.n:
         raise Disconnected("recognition needs a connected candidate")
     if h.n == 1:
         return single_vertex_graph()
     if h.n > max_trees:
         raise TooManyTrees(f"{h.n} trees exceed guard {max_trees}")
-    x = h.vertices[0]
     _, root, blocks = neighborhood_root(h, x)
     pairs = []
     pos = {}
@@ -226,59 +232,100 @@ def invert(h, max_trees=DEFAULT_MAX_TREES):
     bit = {a: 1 << (top - p) for a, p in pos.items()}
     tree_mask = sum(bit[a] for a in trees)
     phi = {y: tree_mask ^ bit[a] ^ bit[b] for y, a, b in root.edges}
-    _certify(h, x, g, tree_mask, phi)
+    _certify(h, span, g, tree_mask, phi)
     return g
 
 
-def _certify(h, x, g, t0, phi):
-    """Check that h is Aux(g) under the map that sends x to the tree t0
-    and each neighbor y to the tree phi[y], extended along a BFS from x.
+def _certify(h, span, g, t0, phi):
+    """Check that h is Aux(g) under the map that sends the first vertex x
+    of span, a BFS tree of all of h, to the tree t0 and each neighbor y of
+    x to the tree phi[y], extended along span.
 
     A vertex w two levels below its grandparent u differs from it by two
     exchanges, and the common neighbors of u and w, one level between
-    them, take each half: phi(w) = phi(u) - removed + added. The map must
-    be a bijection onto the spanning trees of g that sends every edge of
-    h to one exchange, and g must have exactly h.m exchanges.
+    them, take each half: phi(w) = phi(u) - removed + added. Trees are
+    masks in the bit order of spanning_trees._fundamental_cycles: g's edge
+    ids are 0..m-1 and edge p is bit m - 1 - p.
 
-    t0 and phi are masks in the walk's bit order (spanning_trees._walk):
-    g's edge ids are 0..m-1 and edge p is bit m - 1 - p, so the image of
-    the map is compared with the walk's masks as they are."""
-    tree = bfs(h, x)
+    The checks: t0 is a spanning tree of g; phi is one-to-one; every edge
+    of h joins two trees whose masks differ in two bits; each vertex w's
+    tree is its BFS parent v's less one edge f on the fundamental cycle
+    C_e of one chord e of phi(v), plus e, so every tree is spanning; and
+    deg_h(w) is the number of exchanges of phi(w), the sum over its
+    chords c of |C_c| - 1. A tree's cycles are kept by chord and pass from
+    v to w by one pivot, as in the exchange walk: chord f gets C_e, and
+    every C_c through f becomes C_c ^ C_e. No tree of g is enumerated.
+    A degree that does not match is reported only after every tree has
+    been found spanning, so a map off the spanning trees is named as such.
+
+    Lemma: let h be connected and phi a one-to-one map into the spanning
+    trees of g under which every edge of h is an exchange and every degree
+    matches. Then phi is an isomorphism onto Aux(g). Proof: phi maps
+    N_h(w) one-to-one into the Aux-neighbors of phi(w), a set of the same
+    size, so onto it. The image is therefore closed under exchange, and
+    Aux(g) is connected (any two bases are joined by exchanges), so the
+    image is all of it. phi is then a bijection whose edges and non-edges
+    correspond: an Aux-neighbor of phi(w) is phi of a neighbor of w."""
+    x = next(iter(span))
     phi[x] = t0
-    for w in islice(tree, len(phi), None):
-        v = tree[w][0]
-        u = tree[v][0]
-        adj_w = h.adj(w)
+    for w in islice(span, len(phi), None):
+        v = span[w][0]
+        u = span[v][0]
         pu = phi[u]
         removed = added = 0
-        for z in h.adj(u):
-            if z in adj_w:
-                removed |= pu & ~phi[z]
-                added |= phi[z] & ~pu
+        for z in h.adj(u).keys() & h.adj(w).keys():
+            removed |= pu & ~phi[z]
+            added |= phi[z] & ~pu
         if removed.bit_count() != 2 or added.bit_count() != 2:
             raise NotAStag(
                 f"certificate does not extend: vertex {w} is not two exchanges "
                 f"from vertex {u}"
             )
         phi[w] = pu ^ removed ^ added
-    try:
-        masks, rows, _ = _walk(g, h.n)
-    except TooManyTrees:
+    cycles = _fundamental_cycles(g, t0)
+    if cycles is None:
         raise NotAStag(
-            f"count mismatch: the reconstruction has more than {h.n} spanning trees"
-        ) from None
-    if len(masks) != h.n:
-        raise NotAStag(
-            f"count mismatch: the reconstruction has {len(masks)} spanning trees, not {h.n}"
+            f"certificate does not extend: the tree of vertex {x} is not a spanning "
+            f"tree of the reconstruction"
         )
-    if set(phi.values()) != set(masks):
-        raise NotAStag("certificate does not extend: the map is not onto the spanning trees")
-    for e in h.edges:
-        if (phi[e.u] ^ phi[e.v]).bit_count() != 2:
-            raise NotAStag(f"certificate does not extend: edge {e.u}-{e.v} is not an exchange")
-    m = len(rows)
-    if m != h.m:
-        raise NotAStag(f"count mismatch: the reconstruction has {m} exchanges, not {h.m}")
+    cycles = {c & ~t0: c for c in cycles}
+    first = {}
+    for w, t in phi.items():
+        if first.setdefault(t, w) != w:
+            raise NotAStag(
+                f"certificate does not extend: vertices {first[t]} and {w} map to the same tree"
+            )
+    for a, b in h.edge_pairs():
+        if (phi[a] ^ phi[b]).bit_count() != 2:
+            raise NotAStag(f"certificate does not extend: edge {a}-{b} is not an exchange")
+    cycles_of = {}
+    parent = x
+    short = None
+    for w, (v, _) in span.items():
+        if v is None:
+            own = cycles
+        else:
+            if v != parent:  # a BFS parent's children are contiguous in span
+                parent, cycles = v, cycles_of.pop(v)
+            pv = phi[v]
+            e = phi[w] & ~pv
+            f = pv & ~phi[w]
+            ce = cycles.get(e, 0)
+            if not ce & f:
+                raise NotAStag(
+                    f"certificate does not extend: vertex {w} is not one exchange "
+                    f"from vertex {v}"
+                )
+            cycles_of[w] = own = {d: c ^ ce if c & f else c for d, c in cycles.items()}
+            del own[e]
+            own[f] = ce
+        k = sum(map(int.bit_count, own.values())) - len(own)
+        if short is None and len(h.adj(w)) != k:
+            short = (w, len(h.adj(w)), k)
+    if short is not None:
+        raise NotAStag(
+            "count mismatch: vertex {} has degree {}, its tree has {} exchanges".format(*short)
+        )
 
 
 def enumerate_preimages(g_min, budget):

@@ -206,8 +206,8 @@ def _walk(g, max_trees):
 
     Bit order: a tree is a bitmask in which the edge at position p of the
     edges sorted by id is bit m - 1 - p, so a greater key is a smaller
-    mask. The callers that read masks (recognition._certify, param_report)
-    rely on this order.
+    mask. param_report reads the masks and relies on this order;
+    recognition._certify builds its own masks in it and reads no walk.
 
     The walk starts from the greatest tree, Kruskal's over the positions
     in descending order, and pops masks from a min-heap, so trees come out
@@ -226,10 +226,9 @@ def _walk(g, max_trees):
     Each tree carries its fundamental cycles as masks, chord bit included:
     C_e for each non-tree edge e, so e = C_e & ~T, and the f of its
     exchanges T - f + e are the tree bits of C_e; those with pos(e) <
-    pos(f) are the bits of C_e below e. The start tree's cycles are
-    C_e = e | (r(u) ^ r(v)), with r(x) the mask of the tree path from the
-    root to x, read off one BFS of the tree. A tree T' = T - f + e found for
-    the first time inherits its cycles by one pivot: chord f gets C_e, and
+    pos(f) are the bits of C_e below e. The start tree's cycles come from
+    _fundamental_cycles. A tree T' = T - f + e found for the first time
+    inherits its cycles by one pivot: chord f gets C_e, and
     each other chord g keeps C_g if f is not in C_g, else gets C_g ^ C_e.
     Both are exact: C_e is a cycle of T' whose one non-tree edge is f; if
     f is not in C_g, C_g lies in T' + g; otherwise C_g ^ C_e is a nonzero
@@ -242,14 +241,9 @@ def _walk(g, max_trees):
         raise TooManyTrees(f"{expected} trees exceed guard {max_trees}")
     m = g.m
     edges = sorted(g.edges)
-    bits = [1 << (m - 1 - p) for p in range(m)]
     uf = _UnionFind(g.vertices)
-    start = sum(bits[p] for p in reversed(range(m)) if uf.union(edges[p].u, edges[p].v))
-    bit_of = {e.eid: b for e, b in zip(edges, bits)}
-    root = {}
-    for v, (up, eid) in bfs(g, g.vertices[0], {e for e, b in bit_of.items() if start & b}).items():
-        root[v] = 0 if up is None else root[up] | bit_of[eid]
-    cycles_of = {start: [b | (root[e.u] ^ root[e.v]) for e, b in zip(edges, bits) if not start & b]}
+    start = sum(1 << (m - 1 - p) for p in reversed(range(m)) if uf.union(edges[p].u, edges[p].v))
+    cycles_of = {start: _fundamental_cycles(g, start)}
     pending = {start: []}
     heap = [start]
     masks = []
@@ -282,6 +276,25 @@ def _walk(g, max_trees):
         raise ValidationFailed(f"exchange walk found {len(masks)} of {expected} trees")
     masks.reverse()
     return masks, _Rows(rows), edges
+
+
+def _fundamental_cycles(g, tree):
+    """The fundamental cycles of the spanning tree `tree` of g, a mask in
+    the walk's bit order, as masks with the chord bit, one per non-tree
+    edge in ascending id order: C_e = e | (r(u) ^ r(v)), with r(x) the mask
+    of the tree path from g.vertices[0] to x, read off one BFS of the
+    tree. None when the mask is not a spanning tree of g."""
+    m = g.m
+    edges = sorted(g.edges)
+    bits = [1 << (m - 1 - p) for p in range(m)]
+    bit_of = {e.eid: b for e, b in zip(edges, bits)}
+    span = bfs(g, g.vertices[0], {eid for eid, b in bit_of.items() if tree & b})
+    if len(span) != g.n or tree.bit_count() != g.n - 1:
+        return None
+    root = {}
+    for v, (up, eid) in span.items():
+        root[v] = 0 if up is None else root[up] | bit_of[eid]
+    return [b | (root[e.u] ^ root[e.v]) for e, b in zip(edges, bits) if not tree & b]
 
 
 _CHUNK = 7

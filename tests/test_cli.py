@@ -55,6 +55,15 @@ def test_aux_writes_json(tmp_path, c3_file, capsys):
     assert len(doc["edges"]) == 3
 
 
+def test_aux_writes_an_edge_list_to_a_txt_path(tmp_path, c3_file, capsys):
+    out = tmp_path / "aux.txt"
+    assert run(["aux", "-i", str(c3_file), "-o", str(out)]) == 0
+    g = parse_graph(c3_file.read_bytes())
+    assert out.read_text() == to_edgelist(build_stag(g).graph)
+    assert run(["aux", "-i", str(c3_file)]) == 0
+    assert capsys.readouterr().out == stag_to_json(build_stag(g))
+
+
 def test_count_stdout(c3_file, capsys):
     assert run(["count", "-i", str(c3_file)]) == 0
     assert capsys.readouterr().out.strip() == "3"

@@ -21,7 +21,8 @@ from stag import (
 )
 from stag.generators import random_multiblock_graph, random_two_connected_graph
 from stag.oracles import brute_force_is_stag
-from stag.recognition import layout, neighborhood_root
+from stag.graph_core import bfs
+from stag.recognition import _certify, layout, neighborhood_root
 
 REJECTIONS = (
     "no triangle",
@@ -228,6 +229,96 @@ def test_certificate_masks_in_the_walk_bit_order():
         g = invert(h)
         assert g.m > 24
         assert count_spanning_trees(g) == h.n
+
+
+def _swap(pairs, rng):
+    """A degree-preserving double-edge swap: remove ab and cd, add ac and
+    bd, for four distinct vertices with ac and bd not yet edges."""
+    present = set(pairs)
+    while True:
+        (a, b), (c, d) = rng.sample(pairs, 2)
+        if rng.random() < 0.5:
+            c, d = d, c
+        ac, bd = tuple(sorted((a, c))), tuple(sorted((b, d)))
+        if len({a, b, c, d}) == 4 and ac not in present and bd not in present:
+            return sorted(present - {(a, b), tuple(sorted((c, d)))} | {ac, bd})
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        complete_graph(5),
+        complete_graph(6),
+        random_two_connected_graph(7, 16, 0),
+        random_multiblock_graph([4, 5], 7),  # a two-block chain, 88 trees
+    ],
+    ids=["K5", "K6", "2c(7,16,0)", "chain(4,5)"],
+)
+def test_swaps_and_deletions_of_aux_are_rejected(g):
+    # A swap keeps every degree and a deletion lowers two by one: the
+    # inputs a certificate that checks degrees could let through.
+    rng = random.Random(53)
+    h = build_stag(g).graph
+    pairs = sorted(h.edge_pairs())
+    for k in range(8):
+        if k % 2:
+            perturbed = _swap(pairs, rng)
+        else:
+            perturbed = pairs[:]
+            del perturbed[rng.randrange(len(perturbed))]
+        h2 = Graph.from_pairs(perturbed, vertices=h.vertices)
+        with pytest.raises(NotAStag) as exc:
+            invert(h2)
+        assert str(exc.value).startswith(REJECTIONS), str(exc.value)
+        if h.n <= 100:
+            assert brute_force_is_stag(h2) is None
+
+
+def _mask(g, eids):
+    """A tree as the certificate reads it: edge id p of g is bit m - 1 - p."""
+    return sum(1 << (g.m - 1 - p) for p in eids)
+
+
+# Aux(C4) = K4: vertex k is the tree without edge k, and each tree has one
+# chord. The triangle 0-1-2 with the pendant edge 2-3 (ids 0..3 in that
+# order) has one chord too, and Aux = K3.
+C4 = cycle_graph(4)
+K4 = complete_graph(4)
+PAN = Graph.from_pairs([(0, 1), (1, 2), (0, 2), (2, 3)])
+K3 = complete_graph(3)
+
+
+def _c4_tree(k):
+    return _mask(C4, set(range(4)) - {k})
+
+
+@pytest.mark.parametrize(
+    "h, g, t0, phi, message",
+    [
+        (K4, C4, _c4_tree(0), {k: _c4_tree(k) for k in (1, 2, 3)}, None),
+        # the triangle's three edges: right size, but vertex 3 is not reached
+        (K3, PAN, _mask(PAN, {0, 1, 2}), {1: _mask(PAN, {0, 1, 3}), 2: _mask(PAN, {0, 2, 3})},
+         "certificate does not extend: the tree of vertex 0 is not a spanning tree of the "
+         "reconstruction"),
+        # T0 = {01, 12, 23}, chord 02 on the cycle 01, 12, 02: vertex 1 drops
+        # the pendant edge 23, off that cycle
+        (K3, PAN, _mask(PAN, {0, 1, 3}), {1: _mask(PAN, {0, 1, 2}), 2: _mask(PAN, {0, 2, 3})},
+         "certificate does not extend: vertex 1 is not one exchange from vertex 0"),
+        (K4, C4, _c4_tree(0), {1: _c4_tree(1), 2: _c4_tree(1), 3: _c4_tree(3)},
+         "certificate does not extend: vertices 1 and 2 map to the same tree"),
+        (Graph.from_pairs([(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]), C4, _c4_tree(0),
+         {k: _c4_tree(k) for k in (1, 2, 3)},
+         "count mismatch: vertex 1 has degree 2, its tree has 3 exchanges"),
+    ],
+    ids=["isomorphism", "T0 not spanning", "drop off the cycle", "same tree", "degree short"],
+)
+def test_certify_names_the_failed_condition(h, g, t0, phi, message):
+    if message is None:
+        assert _certify(h, bfs(h, 0), g, t0, dict(phi)) is None
+    else:
+        with pytest.raises(NotAStag) as exc:
+            _certify(h, bfs(h, 0), g, t0, dict(phi))
+        assert str(exc.value) == message
 
 
 def test_invert_result_is_minimal():

@@ -35,7 +35,7 @@ from stag.generators import (
     random_two_connected_graph,
 )
 from stag.oracles import brute_force_stag, brute_force_trees
-from stag.params import _all_pairs_diameter
+from stag.params import _all_pairs_diameter, _positions
 
 
 def test_frozen_counts(c3, k4, diamond, theta, bowtie, k5):
@@ -281,10 +281,10 @@ def test_diameters_of_aux_match_networkx():
         aux = nx.Graph()
         aux.add_nodes_from(s.graph.vertices)
         aux.add_edges_from(e.endpoints() for e in s.graph.edges)
-        assert _all_pairs_diameter(s.graph) == nx.diameter(aux)
+        assert _all_pairs_diameter(_positions(s.graph)) == nx.diameter(aux)
         assert exchange_diameter(s) == nx.diameter(aux)
     with pytest.raises(Disconnected):
-        _all_pairs_diameter(Graph([0, 1, 2], [(0, 0, 1)]))
+        _all_pairs_diameter(_positions(Graph([0, 1, 2], [(0, 0, 1)])))
 
 
 def test_fundamental_cycle(c4, k4):
