@@ -70,10 +70,12 @@ class Graph:
         without Graph's checks. The caller guarantees n >= 1, integers
         0 <= u < v < n, no repeated pair and names None or a str per vertex:
         only build_stag (the walk's rows) and the two parsers (their
-        ordered pair dicts, after every ParseError) may call it. pairs, sized and re-iterable, is all it keeps: m and
-        edge_pairs() read it, and the first read of edges, _adj or _by_id
-        builds them (and names, if none were given) as Graph would and
-        releases pairs (_PairGraph)."""
+        ordered pair dicts, after every ParseError) may call it. pairs,
+        sized and re-iterable, is all it keeps: m and edge_pairs() read it,
+        and the first read of edges, _adj or _by_id builds them (and names,
+        if none were given) as Graph would and releases pairs (_PairGraph).
+        Subgraphs take the same hook with their edges already set
+        (_subgraph)."""
         g = object.__new__(_PairGraph)
         g.vertices = tuple(range(n))
         g._pairs = pairs
@@ -97,27 +99,32 @@ class Graph:
         ascending id order; ids not in the graph are skipped. It shares this
         graph's Edge tuples and names and equals the Graph that
         Graph(vertices, edges, names) builds: an empty vertex set, or
-        vertices that omit an endpoint, raise ValueError as Graph does."""
+        vertices that omit an endpoint, raise ValueError as Graph does.
+        It is _subgraph's graph with its adjacency built at once."""
+        g = self._subgraph(eids, vertices)
+        g._expand()
+        return g
+
+    def _subgraph(self, eids, vertices=None):
+        """subgraph_edges before its adjacency: vertices, edges and names
+        are set and checked, and the first read of _adj or _by_id builds
+        them (_EdgeGraph). block_decomposition keeps its blocks so, and
+        reverse_delete_tree hands its subgraphs to _blocks so."""
         by_id = self._by_id
-        es = [by_id[i] for i in sorted(set(eids)) if i in by_id]
+        es = tuple([by_id[i] for i in sorted(set(eids)) if i in by_id])
         if vertices is None:
             vs = {x for e in es for x in (e.u, e.v)}
         else:
             vs = {int(v) for v in vertices}
         if not vs:
             raise ValueError("graph must have at least one vertex")
-        g = object.__new__(Graph)
-        g.vertices = vs = tuple(sorted(vs))
-        g._adj = adj = {v: {} for v in vs}
-        for e in es:
-            if e.u not in adj or e.v not in adj:
-                raise ValueError(f"edge ({e.u},{e.v}) touches unknown vertex")
-            adj[e.u][e.v] = adj[e.v][e.u] = e.eid
-        g.edges = tuple(es)
-        g._by_id = {e.eid: e for e in es}
+        if vertices is not None:
+            for e in es:
+                if e.u not in vs or e.v not in vs:
+                    raise ValueError(f"edge ({e.u},{e.v}) touches unknown vertex")
+        vs = tuple(sorted(vs))
         names = self.names
-        g.names = {v: names[v] if v in names else str(v) for v in vs}
-        return g
+        return _EdgeGraph._of(vs, es, {v: names[v] if v in names else str(v) for v in vs})
 
     def relabeled(self):
         """Dense relabeling 0..n-1; returns (graph, old->new map)."""
@@ -182,11 +189,11 @@ class Graph:
 
 class _PairGraph(Graph):
     """A Graph._trusted graph until its structure is read. It adds no slot,
-    so _expand can turn it into a plain Graph in place, and only these
-    graphs pass through the hook. Reading names builds only the default
-    names. The hook reads no missing slot through itself, so an object
-    without state (copy and pickle make them) raises AttributeError rather
-    than recursing; __reduce__ copies and pickles it unexpanded."""
+    so _expand can turn it into a plain Graph in place. Reading names
+    builds only the default names. The hook is shared with _EdgeGraph and
+    reads no missing slot through itself, so an object without state (copy
+    and pickle make them) raises AttributeError rather than recursing;
+    __reduce__ copies and pickles it unexpanded."""
 
     __slots__ = ()
 
@@ -209,16 +216,47 @@ class _PairGraph(Graph):
     def _expand(self):
         new = tuple.__new__
         self.edges = edges = tuple([new(Edge, (k, u, v)) for k, (u, v) in enumerate(self._pairs)])
-        self._adj = adj = {v: {} for v in self.vertices}
-        for k, u, v in edges:
-            adj[u][v] = adj[v][u] = k
-        self._by_id = dict(enumerate(edges))
         self.names  # read once, so the default names exist before the hook goes
         del self._pairs
+        self._index(dict(enumerate(edges)))
+
+    def _index(self, by_id=None):
+        """Build _adj, and _by_id unless given, from vertices and edges, and
+        become a plain Graph. vertices is read first: on an object without
+        state it raises before edges can reach the hook."""
+        self._adj = adj = {v: {} for v in self.vertices}
+        edges = self.edges
+        for k, u, v in edges:
+            adj[u][v] = adj[v][u] = k
+        self._by_id = {e.eid: e for e in edges} if by_id is None else by_id
         self.__class__ = Graph
 
     def __reduce__(self):
         return Graph._trusted, (self.n, self._pairs, self.names)
+
+
+class _EdgeGraph(_PairGraph):
+    """A Graph._subgraph graph: vertices, edges (its host's Edge tuples) and
+    names are set, and the first read of _adj or _by_id builds them through
+    _PairGraph's hook, after which it is a plain Graph. It adds no slot;
+    __reduce__ copies and pickles it unexpanded."""
+
+    __slots__ = ()
+
+    m = Graph.m
+    edge_pairs = Graph.edge_pairs
+    _expand = _PairGraph._index
+
+    @classmethod
+    def _of(cls, vertices, edges, names):
+        g = object.__new__(cls)
+        g.vertices = vertices
+        g.edges = edges
+        g.names = names
+        return g
+
+    def __reduce__(self):
+        return _EdgeGraph._of, (self.vertices, self.edges, self.names)
 
 
 def complete_graph(k):
@@ -423,45 +461,49 @@ class BlockDecomposition:
 def _blocks(g, needs="block decomposition needs"):
     """The blocks of g, each as a list of its edge ids, and its cut vertices,
     from one iterative DFS (Hopcroft and Tarjan 1973). The DFS starts at
-    vertices[0] and takes each vertex's edges by ascending id. A frame keeps
-    where its tree edge sits on the edge stack, so a block is the slice of
-    the stack from there. Blocks come in the order the DFS completes them.
+    vertices[0] and takes each vertex's edges by ascending id, from
+    incidence lists filled in one pass over the edges sorted by id. A frame
+    keeps its vertex's discovery number, which indexes low, and where its
+    tree edge sits on the edge stack, so a block is the slice of the stack
+    from there. Blocks come in the order the DFS completes them. It reads
+    only g's vertices and edges, so a subgraph's adjacency is never built.
     Raises Disconnected, "<needs> a connected graph", if it misses a vertex."""
-    adj = g._adj
-    by_eid = itemgetter(1)
+    inc = {v: [] for v in g.vertices}
+    for eid, a, b in sorted(g.edges):
+        inc[a].append((b, eid))
+        inc[b].append((a, eid))
     root = g.vertices[0]
     disc = {root: 0}
-    low = {root: 0}
+    low = [0] * g.n
     estack = []
     blocks = []
     cut = set()
     root_children = 0
-    stack = [(root, None, iter(sorted(adj[root].items(), key=by_eid)), 0)]
+    stack = [(root, 0, None, iter(inc[root]), 0)]
     while stack:
-        v, pe, it, at = stack[-1]
-        dv = disc[v]
+        v, dv, pe, it, at = stack[-1]
         for w, eid in it:
             dw = disc.get(w)
             if dw is None:
-                disc[w] = low[w] = len(disc)
-                stack.append((w, eid, iter(sorted(adj[w].items(), key=by_eid)), len(estack)))
+                disc[w] = dw = low[dw] = len(disc)
+                stack.append((w, dw, eid, iter(inc[w]), len(estack)))
                 estack.append(eid)
                 break
             if dw < dv and eid != pe:
                 estack.append(eid)
-                if dw < low[v]:
-                    low[v] = dw
+                if dw < low[dv]:
+                    low[dv] = dw
         else:
             stack.pop()
             if not stack:
                 break
-            u = stack[-1][0]
-            if low[v] < low[u]:
-                low[u] = low[v]
-            if low[v] >= disc[u]:
+            u, du = stack[-1][:2]
+            if low[dv] < low[du]:
+                low[du] = low[dv]
+            if low[dv] >= du:
                 blocks.append(estack[at:])
                 del estack[at:]
-                if u == root:
+                if du == 0:
                     root_children += 1
                 else:
                     cut.add(u)
@@ -476,13 +518,16 @@ def block_decomposition(g):
     """Blocks, cut vertices and block-cutpoint tree of a connected graph.
 
     Block i is the subgraph on its edges, ascending ids, and their
-    endpoints (subgraph_edges). Blocks come in the order a depth-first
+    endpoints: it equals subgraph_edges of those ids, holds g's own Edge
+    tuples and names, and builds its adjacency the first time something
+    reads it (Graph._subgraph), so a caller that reads only vertices, edges
+    or names never pays for it. Blocks come in the order a depth-first
     search from vertices[0], taking each vertex's edges by ascending id,
     completes them. tree_edges lists (i, v) for each block i in that order
     and each cut vertex v of block i in ascending order. An isolated vertex
     has no blocks. Raises Disconnected if g is not connected."""
     found, cut = _blocks(g)
-    blocks = tuple(g.subgraph_edges(b) for b in found)
+    blocks = tuple(g._subgraph(b) for b in found)
     tree_edges = tuple(
         (i, v) for i, b in enumerate(blocks) for v in b.vertices if v in cut
     )

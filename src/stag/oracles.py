@@ -86,7 +86,10 @@ def brute_force_is_stag(h, n_max=7):
 
     Independent of the fast paths: the networkx graph atlas (all graphs on
     <= 7 vertices) supplies the candidates and the bridge test, trees are
-    counted and Aux built by brute force, and networkx tests isomorphism."""
+    counted and Aux built by brute force, and networkx tests isomorphism.
+    A candidate whose Aux has other per-vertex triangle counts than h
+    (nx.triangles, sorted) cannot be isomorphic to h, so it is refuted
+    before the isomorphism search."""
     if n_max > 7:
         raise TooLarge("preimage search is bounded at 7 vertices")
     target = h.n
@@ -95,8 +98,10 @@ def brute_force_is_stag(h, n_max=7):
     import networkx as nx
 
     hx = _nx_graph(h)
+    triangles = sorted(nx.triangles(hx).values())
     for count, g in _atlas_preimages():
         if count == target and g.n <= n_max:
-            if nx.is_isomorphic(_nx_graph(brute_force_stag(g, max_trees=target).graph), hx):
+            aux = _nx_graph(brute_force_stag(g, max_trees=target).graph)
+            if sorted(nx.triangles(aux).values()) == triangles and nx.is_isomorphic(aux, hx):
                 return g
     return None

@@ -15,9 +15,9 @@ from .errors import (
     ValidationFailed,
 )
 from .graph_core import (
+    _blocks,
     _UnionFind,
     bfs,
-    block_decomposition,
     bridges,
     fundamental_cycle_edges,
     is_connected,
@@ -366,13 +366,10 @@ def witness_edge_for_pair(g, t, e1, e2):
 
 
 def _edges_share_cycle(g, eids, e1, e2):
-    """True if e1, e2 lie on a common cycle of the subgraph on eids."""
-    sub = g.subgraph_edges(eids, vertices=g.vertices)
-    for b in block_decomposition(sub).blocks:
-        beids = {e.eid for e in b.edges}
-        if e1 in beids and e2 in beids:
-            return b.m > 1
-    return False
+    """True if the distinct edges e1, e2 lie on a common cycle of the
+    subgraph on eids, that is, in one of its blocks' edge-id lists."""
+    sub = g._subgraph(eids, vertices=g.vertices)
+    return any(e1 in b and e2 in b for b in _blocks(sub)[0])
 
 
 def reverse_delete_tree(g, protected_pair=None):
@@ -399,7 +396,7 @@ def reverse_delete_tree(g, protected_pair=None):
     target = g.n - 1
     while len(surviving) > target:
         pick = None
-        nonbridge = surviving - set(bridges(g.subgraph_edges(surviving, vertices=g.vertices)))
+        nonbridge = surviving - set(bridges(g._subgraph(surviving, vertices=g.vertices)))
         for d in sorted(nonbridge):
             if protected_pair is None:
                 pick = d

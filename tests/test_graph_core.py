@@ -422,6 +422,70 @@ def test_subgraph_edges_equals_the_graph_built_from_its_edges():
                 g.subgraph_edges(eids, vertices=[x for x in g.vertices if x != e.v])
 
 
+def _same_graph(sub, ref):
+    """Field by field: vertices, edges by identity, names, and the ordered
+    items of _by_id and of each vertex's _adj."""
+    assert (sub.vertices, sub.names) == (ref.vertices, ref.names)
+    assert len(sub.edges) == len(ref.edges)
+    assert all(a is b for a, b in zip(sub.edges, ref.edges))
+    assert list(sub._by_id.items()) == list(ref._by_id.items())
+    assert all(list(sub._adj[v].items()) == list(ref._adj[v].items()) for v in ref.vertices)
+
+
+# A block's first read of its structure, each through another accessor.
+_FIRST_READS = {
+    "adj": lambda b: [b.adj(v) for v in b.vertices],
+    "degree": lambda b: [b.degree(v) for v in b.vertices],
+    "edge_pairs": lambda b: list(b.edge_pairs()),
+    "_by_id": lambda b: list(b._by_id.items()),
+}
+
+
+def test_blocks_equal_subgraph_edges_of_their_ids():
+    for g in _block_inputs():
+        refs = [g.subgraph_edges(b.edge_ids()) for b in block_decomposition(g).blocks]
+        for name, read in _FIRST_READS.items():
+            blocks = block_decomposition(g).blocks
+            assert len(blocks) == len(refs)
+            for b, ref in zip(blocks, refs):
+                assert type(b) is not Graph
+                assert read(b) == read(ref), name
+                _same_graph(b, ref)
+
+
+def test_blocks_stay_unexpanded_until_their_adjacency_is_read():
+    g = random_multiblock_graph([4, 5, 6], 3)
+    blocks = block_decomposition(g).blocks
+    for b in blocks:
+        b.edge_ids(), b.vertices, b.names, b.n, b.m, repr(b)
+        assert bridges(b) == ([b.edges[0].eid] if b.m == 1 else [])  # _blocks reads edges only
+    assert all(type(b) is not Graph for b in blocks)
+    assert not any(hasattr(b, "_pairs") for b in blocks)
+    blocks[0].has_edge(*next(blocks[0].edge_pairs()))
+    assert type(blocks[0]) is Graph
+    assert all(type(b) is not Graph for b in blocks[1:])
+
+
+def test_unexpanded_blocks_copy_and_pickle_unexpanded():
+    g = _shuffled_ids(random_multiblock_graph([3, 5, 4], 9), random.Random(2))
+    for b in block_decomposition(g).blocks:
+        ref = g.subgraph_edges(b.edge_ids())
+        for c in (copy.copy(b), copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
+            assert type(c) is type(b)
+            assert (c.vertices, c.edges, c.names) == (ref.vertices, ref.edges, ref.names)
+            assert all(read(c) == read(ref) for read in _FIRST_READS.values())
+            assert type(c) is Graph
+        assert type(b) is not Graph
+        _same_graph(b, ref)
+
+
+def test_block_without_state_raises_attribute_error():
+    bare = object.__new__(type(block_decomposition(path_graph(3)).blocks[0]))
+    for name in ("vertices", "edges", "names", "_adj", "_by_id", "_pairs", "m", "n"):
+        with pytest.raises(AttributeError):
+            getattr(bare, name)
+
+
 def test_bridges(triangle_pendant, theta):
     assert bridges(triangle_pendant) == [3]
     assert bridges(theta) == []

@@ -270,7 +270,7 @@ def test_swaps_and_deletions_of_aux_are_rejected(g):
         with pytest.raises(NotAStag) as exc:
             invert(h2)
         assert str(exc.value).startswith(REJECTIONS), str(exc.value)
-        if h.n <= 100:
+        if h.n <= 125:  # Aux(K5); K6 and 2c(7,16,0) take seconds to build by brute force
             assert brute_force_is_stag(h2) is None
 
 
