@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -43,15 +45,18 @@ def _is_spanning_tree(g, eids):
 
 
 def brute_force_stag(g, max_trees=2000):
-    """Aux(g) by the pairwise symmetric-difference-2 test over all trees."""
+    """Aux(g) over all brute-force trees. Two trees differ by one exchange
+    exactly when they share n - 2 edges, their intersection, so the pairs
+    are those within the groups of trees that contain one (n - 2)-edge
+    subset, each pair in one group, sorted."""
     trees = brute_force_trees(g)
     if len(trees) > max_trees:
         raise TooLarge(f"{len(trees)} trees exceed guard {max_trees}")
-    pairs = []
-    for i in range(len(trees)):
-        for j in range(i + 1, len(trees)):
-            if len(trees[i].edge_set ^ trees[j].edge_set) == 2:
-                pairs.append((i, j))
+    groups = defaultdict(list)
+    for i, t in enumerate(trees):
+        for k in range(len(t.key)):
+            groups[t.key[:k] + t.key[k + 1 :]].append(i)
+    pairs = sorted(pair for group in groups.values() for pair in combinations(group, 2))
     graph = Graph(range(max(1, len(trees))), ((k, u, v) for k, (u, v) in enumerate(pairs)))
     return StagGraph(graph, tuple(trees), g)
 
@@ -64,10 +69,40 @@ def _nx_graph(g):
     return out
 
 
+def _matrix_tree_count(g):
+    """The number of spanning trees of g by Kirchhoff's Matrix-Tree
+    theorem: the determinant of the Laplacian less its last row and
+    column, by dense Gaussian elimination over Fractions. That minor is
+    positive semidefinite, and so is each Schur complement of it, so the
+    elimination needs no row swaps and a zero pivot means determinant 0."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    size = g.n - 1
+    a = [[Fraction(0)] * size for _ in range(size)]
+    for e in g.edges:
+        u, v = index[e.u], index[e.v]
+        for x, y in ((u, v), (v, u)):
+            if x < size:
+                a[x][x] += 1
+                if y < size:
+                    a[x][y] -= 1
+    det = Fraction(1)
+    for k in range(size):
+        pivot = a[k][k]
+        if not pivot:
+            return 0
+        det *= pivot
+        for r in range(k + 1, size):
+            ratio = a[r][k] / pivot
+            for c in range(k, size):
+                a[r][c] -= ratio * a[k][c]
+    return int(det)
+
+
 @lru_cache(maxsize=None)
 def _atlas_preimages():
     """(tree count, graph) for each connected bridgeless atlas graph on 3
-    to 7 vertices, the trees counted by brute force once per process."""
+    to 7 vertices, the trees counted once per process by
+    _matrix_tree_count, exact and independent of spanning_trees."""
     import networkx as nx
 
     out = []
@@ -76,7 +111,7 @@ def _atlas_preimages():
         if n < 3 or not nx.is_connected(nxg) or nx.has_bridges(nxg):
             continue  # a bridge is a K2 block: not a minimal preimage
         g = Graph(range(n), ((i, u, v) for i, (u, v) in enumerate(sorted(map(sorted, nxg.edges())))))
-        out.append((len(brute_force_trees(g)), g))
+        out.append((_matrix_tree_count(g), g))
     return tuple(out)
 
 
@@ -86,7 +121,9 @@ def brute_force_is_stag(h, n_max=7):
 
     Independent of the fast paths: the networkx graph atlas (all graphs on
     <= 7 vertices) supplies the candidates and the bridge test, trees are
-    counted and Aux built by brute force, and networkx tests isomorphism.
+    counted by a dense Matrix-Tree determinant over Fractions, the Aux of
+    each candidate with h.n trees is built by brute force, and networkx
+    tests isomorphism.
     A candidate whose Aux has other per-vertex triangle counts than h
     (nx.triangles, sorted) cannot be isomorphic to h, so it is refuted
     before the isomorphism search."""

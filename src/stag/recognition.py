@@ -27,6 +27,9 @@ certificate
     enumeration of the reconstruction's trees: T0 spans, the map is
     one-to-one, every edge is an exchange, each tree is one pivot from its
     BFS parent's, and each degree equals its tree's number of exchanges.
+    A tree's fundamental cycles ride along as one int, a slot of m bits
+    per chord: the pivot to a BFS child and the exchange count (popcount
+    less the number of chords) cost a few int operations per vertex.
     Then the image is closed under exchange, so it is all of Aux of the
     reconstruction and the map an isomorphism (McConnell, Mehlhorn, Naeher
     and Schweitzer 2011, Certifying algorithms).
@@ -57,14 +60,14 @@ def neighborhood_root(h, x):
     classes = []
     member = {y: [] for y in nbrs}
     for y in sorted(nbrs):
-        near = sorted(z for z in h.adj(y) if z in nbrs)
+        near = h.adj(y).keys() & nbrs
         if not near:
             raise NotAStag(f"no triangle: edge {x}-{y} lies in no triangle")
-        for z in near:
-            if set(member[y]) & set(member[z]):
+        for z in sorted(near):
+            if not set(member[y]).isdisjoint(member[z]):
                 continue
-            cls = frozenset([y, z] + [w for w in near if w in h.adj(z)])
-            if any(v != w and v not in h.adj(w) for w in cls for v in cls):
+            cls = frozenset(near & h.adj(z).keys() | {y, z})
+            if any(not cls - {w} <= h.adj(w).keys() for w in cls):
                 raise NotAStag(
                     f"not a line graph of a triangle-free graph: class "
                     f"{sorted(cls)} of N({x}) is not a clique"
@@ -252,11 +255,24 @@ def _certify(h, span, g, t0, phi):
     tree is its BFS parent v's less one edge f on the fundamental cycle
     C_e of one chord e of phi(v), plus e, so every tree is spanning; and
     deg_h(w) is the number of exchanges of phi(w), the sum over its
-    chords c of |C_c| - 1. A tree's cycles are kept by chord and pass from
-    v to w by one pivot, as in the exchange walk: chord f gets C_e, and
-    every C_c through f becomes C_c ^ C_e. No tree of g is enumerated.
-    A degree that does not match is reported only after every tree has
-    been found spanning, so a map off the spanning trees is named as such.
+    chords c of |C_c| - 1. No tree of g is enumerated. A degree that does
+    not match is reported only after every tree has been found spanning,
+    so a map off the spanning trees is named as such.
+
+    Packed cycles: a tree's c = m - n + 1 fundamental cycles are one int
+    of c * m bits (_pack). Slot s, the m bits from s * m, holds the cycle
+    of the tree's s-th chord, at t0 in ascending id order. They pass from
+    v to w = v - f + e by one pivot, as in the exchange walk: chord f gets
+    C_e, and every C_c through f becomes C_c ^ C_e (_pivot). With pos(e)
+    the bit index of e and ones the int with bit s * m set for every
+    slot, (P >> pos(e)) & ones marks the slots whose cycle holds e: only
+    e's own, as a chord lies on no other fundamental cycle, so its one bit
+    is e's slot, and C_e the m bits there. (P >> pos(f)) & ones marks the
+    cycles through f; times C_e it holds C_e in each of those slots, with
+    no carry between slots, and the XOR pivots them. f is on C_e, so e's
+    slot is among them and becomes 0; the OR then writes C_e there, the
+    cycle of the new chord f. The number of exchanges of the tree is the
+    popcount less c.
 
     Lemma: let h be connected and phi a one-to-one map into the spanning
     trees of g under which every edge of h is an exchange and every degree
@@ -288,7 +304,10 @@ def _certify(h, span, g, t0, phi):
             f"certificate does not extend: the tree of vertex {x} is not a spanning "
             f"tree of the reconstruction"
         )
-    cycles = {c & ~t0: c for c in cycles}
+    c = len(cycles)
+    m = g.m
+    full = (1 << m) - 1
+    ones = _pack([1] * c, m)
     first = {}
     for w, t in phi.items():
         if first.setdefault(t, w) != w:
@@ -298,34 +317,49 @@ def _certify(h, span, g, t0, phi):
     for a, b in h.edge_pairs():
         if (phi[a] ^ phi[b]).bit_count() != 2:
             raise NotAStag(f"certificate does not extend: edge {a}-{b} is not an exchange")
-    cycles_of = {}
+    packed_of = {}
     parent = x
+    packed = _pack(cycles, m)
     short = None
     for w, (v, _) in span.items():
         if v is None:
-            own = cycles
+            own = packed
         else:
             if v != parent:  # a BFS parent's children are contiguous in span
-                parent, cycles = v, cycles_of.pop(v)
+                parent, packed = v, packed_of.pop(v)
             pv = phi[v]
-            e = phi[w] & ~pv
-            f = pv & ~phi[w]
-            ce = cycles.get(e, 0)
-            if not ce & f:
+            own = _pivot(packed, phi[w] & ~pv, pv & ~phi[w], full, ones)
+            if own is None:
                 raise NotAStag(
                     f"certificate does not extend: vertex {w} is not one exchange "
                     f"from vertex {v}"
                 )
-            cycles_of[w] = own = {d: c ^ ce if c & f else c for d, c in cycles.items()}
-            del own[e]
-            own[f] = ce
-        k = sum(map(int.bit_count, own.values())) - len(own)
+            packed_of[w] = own
+        k = own.bit_count() - c
         if short is None and len(h.adj(w)) != k:
             short = (w, len(h.adj(w)), k)
     if short is not None:
         raise NotAStag(
             "count mismatch: vertex {} has degree {}, its tree has {} exchanges".format(*short)
         )
+
+
+def _pack(cycles, m):
+    """The cycles, masks of m bits, as one int: cycle s in the m bits from
+    bit s * m (see _certify)."""
+    return sum(cycle << s * m for s, cycle in enumerate(cycles))
+
+
+def _pivot(packed, e, f, full, ones):
+    """The packed cycles of the tree T - f + e from those of T, e a chord
+    and f a tree edge of T, each a one-bit mask; None when f is not on the
+    cycle of e. full is the m-bit mask and ones _pack([1] * c, m); the
+    layout and the proof are in _certify."""
+    slot = ((packed >> (e.bit_length() - 1)) & ones).bit_length() - 1
+    ce = (packed >> slot) & full
+    if not ce & f:
+        return None
+    return packed ^ ((packed >> (f.bit_length() - 1)) & ones) * ce | ce << slot
 
 
 def enumerate_preimages(g_min, budget):

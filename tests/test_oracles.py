@@ -1,7 +1,7 @@
 import pytest
 
 from stag import Graph, TooLarge, are_isomorphic, build_stag, complete_graph
-from stag.oracles import brute_force_is_stag, brute_force_stag, brute_force_trees
+from stag.oracles import _atlas_preimages, brute_force_is_stag, brute_force_stag, brute_force_trees
 
 
 def test_brute_force_trees_counts(c3, k4, diamond):
@@ -20,6 +20,14 @@ def test_brute_force_stag_matches_fast_path(theta, bowtie):
         fast = build_stag(g)
         slow = brute_force_stag(g)
         assert fast.graph.same_labeled(slow.graph)
+
+
+def test_atlas_tree_counts_equal_brute_force():
+    # the Matrix-Tree determinant against (n-1)-subset filtering
+    small = [(count, g) for count, g in _atlas_preimages() if g.n <= 6]
+    assert len(small) == 75  # 1, 3, 11 and 60 on 3 to 6 vertices (OEIS A007146)
+    for count, g in small:
+        assert count == len(brute_force_trees(g)), g.edge_pairs()
 
 
 def test_brute_force_is_stag_trivial_cases():

@@ -22,7 +22,8 @@ from stag import (
 from stag.generators import random_multiblock_graph, random_two_connected_graph
 from stag.oracles import brute_force_is_stag
 from stag.graph_core import bfs
-from stag.recognition import _certify, layout, neighborhood_root
+from stag.recognition import _certify, _pack, _pivot, layout, neighborhood_root
+from stag.spanning_trees import _fundamental_cycles, _walk
 
 REJECTIONS = (
     "no triangle",
@@ -270,8 +271,7 @@ def test_swaps_and_deletions_of_aux_are_rejected(g):
         with pytest.raises(NotAStag) as exc:
             invert(h2)
         assert str(exc.value).startswith(REJECTIONS), str(exc.value)
-        if h.n <= 125:  # Aux(K5); K6 and 2c(7,16,0) take seconds to build by brute force
-            assert brute_force_is_stag(h2) is None
+        assert brute_force_is_stag(h2) is None
 
 
 def _mask(g, eids):
@@ -319,6 +319,54 @@ def test_certify_names_the_failed_condition(h, g, t0, phi, message):
         with pytest.raises(NotAStag) as exc:
             _certify(h, bfs(h, 0), g, t0, dict(phi))
         assert str(exc.value) == message
+
+
+def _pivot_inputs():
+    """K4-K6, C3-C40, seeded 2-connected graphs and block chains."""
+    rng = random.Random(1801)
+    graphs = [complete_graph(k) for k in (4, 5, 6)] + [cycle_graph(k) for k in range(3, 41)]
+    while len(graphs) < 53:
+        n = rng.randint(4, 7)
+        m = rng.randint(n + 1, min(n + 6, n * (n - 1) // 2))
+        g = random_two_connected_graph(n, m, rng.randrange(1 << 30))
+        if count_spanning_trees(g) <= 2000:
+            graphs.append(g)
+    for extra in (0, 0, 1, 1, 2):
+        sizes = [rng.randint(3, 4) for _ in range(rng.randint(2, 3))]
+        graphs.append(random_multiblock_graph(sizes, rng.randrange(1 << 30), extra_edges=extra))
+    return graphs
+
+
+def test_packed_pivot_equals_the_fundamental_cycles_of_every_exchange():
+    # Each exchange T -> T' = T - f + e of the walk, both ways: the c fields
+    # of m bits of the pivoted int are the fundamental cycles of T', it needs no
+    # more than c * m bits, and its popcount less c is the degree of T' in Aux.
+    graphs = _pivot_inputs()
+    assert len(graphs) >= 40
+    for g in graphs:
+        masks, pairs, _ = _walk(g, 10_000)
+        m, c = g.m, g.m - g.n + 1
+        full, ones = (1 << m) - 1, _pack([1] * c, m)
+        cycles = [_fundamental_cycles(g, t) for t in masks]
+        packed = [_pack(cs, m) for cs in cycles]
+        degree = [0] * len(masks)
+        for i, j in pairs:
+            degree[i] += 1
+            degree[j] += 1
+        for i, j in pairs:
+            for a, b in ((i, j), (j, i)):
+                t, t2 = masks[a], masks[b]
+                out = _pivot(packed[a], t2 & ~t, t & ~t2, full, ones)
+                assert out.bit_length() <= c * m
+                assert sorted((out >> s * m) & full for s in range(c)) == sorted(cycles[b])
+                assert out.bit_count() - c == degree[b]
+        # f off the cycle of e is no exchange
+        t = masks[0]
+        for ce in cycles[0]:
+            for p in range(m):
+                f = 1 << p
+                if t & f and not ce & f:
+                    assert _pivot(packed[0], ce & ~t, f, full, ones) is None
 
 
 def test_invert_result_is_minimal():
