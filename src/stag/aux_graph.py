@@ -8,18 +8,19 @@ from dataclasses import dataclass
 
 from .errors import Unannotated
 from .graph_core import Graph, _json_text, bfs, fundamental_cycle_edges
-from .spanning_trees import DEFAULT_MAX_TREES, SpanningTree, _exchange_walk, _Rows
+from .spanning_trees import DEFAULT_MAX_TREES, _labels, _Rows, _Trees, _walk
 
 
 @dataclass(frozen=True)
 class StagGraph:
     """Auxiliary graph whose vertices are spanning trees of origin.
 
-    trees/origin are None when the stag was not built from a known graph
-    (recognition inputs, block products)."""
+    trees[v] is the SpanningTree of vertex v: a _Trees from build_stag, a
+    tuple from the oracle. trees/origin are None when the stag was not
+    built from a known graph (recognition inputs, block products)."""
 
     graph: Graph
-    trees: tuple | None
+    trees: _Trees | tuple | None
     origin: Graph | None
 
     @property
@@ -58,10 +59,11 @@ def build_stag(g, max_trees=DEFAULT_MAX_TREES):
     reproducible and nothing is sorted after it. The graph holds only the
     walk's rows (Graph._trusted): stag_to_json and stag_to_dot stream them,
     and the first read of its edges or adjacency builds those and releases
-    the rows."""
-    keys, pairs, _ = _exchange_walk(g, max_trees)
-    trees = tuple(SpanningTree._sorted(g, k) for k in keys)
-    return StagGraph(Graph._trusted(len(trees), pairs), trees, g)
+    the rows. The trees are only the walk's masks (a _Trees):
+    stag_to_json and stag_to_dot write their text from the masks, and the
+    first read of a tree decodes them all into SpanningTree objects."""
+    masks, pairs, edges = _walk(g, max_trees)
+    return StagGraph(Graph._trusted(len(masks), pairs), _Trees(g, masks, edges), g)
 
 
 def neighborhood_partitions(s, v):
@@ -125,8 +127,13 @@ def stag_to_json(s):
     decimal ids need no escaping. While the graph still holds the walk's
     rows, the edges are written one row, that is one source vertex u, at a
     time: '["u",' and the row's labels joined by '],["u",'. Otherwise they
-    come from the graph's pairs; the bytes are the same."""
-    trees = json.dumps([t.key for t in s.trees] if s.annotated else None, separators=(",", ":"))
+    come from the graph's pairs; the bytes are the same. The trees of a
+    _Trees are written from its masks (_Trees.text), the same bytes as
+    json.dumps of the key tuples."""
+    if isinstance(s.trees, _Trees):
+        trees = s.trees.text()
+    else:
+        trees = json.dumps([t.key for t in s.trees] if s.annotated else None, separators=(",", ":"))
     labels = {v: f'"{v}"' for v in s.graph.vertices}
     rows = getattr(s.graph, "_pairs", None)
     edges = None
@@ -139,11 +146,13 @@ def stag_to_json(s):
 
 
 def stag_to_dot(s):
+    """Graphviz text; an annotated vertex's tooltip is its tree, "t: " and
+    the edge ids joined by commas, read from the masks of a _Trees."""
     out = ["graph Aux {"]
+    labels = _labels(s.trees) if s.annotated else None
     for v in s.graph.vertices:
         if s.annotated:
-            label = ",".join(map(str, s.trees[v].key))
-            out.append(f'  n{v} [label="{v}" tooltip="t: {label}"];')
+            out.append(f'  n{v} [label="{v}" tooltip="t: {labels[v]}"];')
         else:
             out.append(f'  n{v} [label="{v}"];')
     for u, v in s.graph.edge_pairs():

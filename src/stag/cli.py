@@ -37,7 +37,6 @@ from .recognition import enumerate_preimages, invert
 from .spanning_trees import (
     DEFAULT_MAX_TREES,
     count_spanning_trees,
-    enumerate_spanning_trees,
     serialize_trees,
 )
 
@@ -117,7 +116,7 @@ def _cmd_trees(args):
     if args.oracle:
         trees = oracles.brute_force_trees(g)
     else:
-        trees = enumerate_spanning_trees(g, max_trees=args.max_trees)
+        trees = build_stag(g, max_trees=args.max_trees).trees
     return "ok", _emit(serialize_trees(trees), args.output)
 
 

@@ -115,6 +115,22 @@ def _atlas_preimages():
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _atlas_auxes(target):
+    """(graph, Aux as a networkx graph, its sorted per-vertex triangle
+    counts) for each atlas candidate with `target` trees, built by
+    brute_force_stag once per process and tree count: they are the same
+    on every call of brute_force_is_stag with an h of `target` vertices."""
+    import networkx as nx
+
+    out = []
+    for count, g in _atlas_preimages():
+        if count == target:
+            aux = _nx_graph(brute_force_stag(g, max_trees=target).graph)
+            out.append((g, aux, sorted(nx.triangles(aux).values())))
+    return tuple(out)
+
+
 def brute_force_is_stag(h, n_max=7):
     """Search all connected minimal-preimage graphs (no K2 block) on up to
     n_max vertices for one whose Aux is isomorphic to h; None if absent.
@@ -122,8 +138,8 @@ def brute_force_is_stag(h, n_max=7):
     Independent of the fast paths: the networkx graph atlas (all graphs on
     <= 7 vertices) supplies the candidates and the bridge test, trees are
     counted by a dense Matrix-Tree determinant over Fractions, the Aux of
-    each candidate with h.n trees is built by brute force, and networkx
-    tests isomorphism.
+    each candidate with h.n trees is built by brute force (_atlas_auxes),
+    and networkx tests isomorphism.
     A candidate whose Aux has other per-vertex triangle counts than h
     (nx.triangles, sorted) cannot be isomorphic to h, so it is refuted
     before the isomorphism search."""
@@ -136,9 +152,7 @@ def brute_force_is_stag(h, n_max=7):
 
     hx = _nx_graph(h)
     triangles = sorted(nx.triangles(hx).values())
-    for count, g in _atlas_preimages():
-        if count == target and g.n <= n_max:
-            aux = _nx_graph(brute_force_stag(g, max_trees=target).graph)
-            if sorted(nx.triangles(aux).values()) == triangles and nx.is_isomorphic(aux, hx):
-                return g
+    for g, aux, aux_triangles in _atlas_auxes(target):
+        if g.n <= n_max and aux_triangles == triangles and nx.is_isomorphic(aux, hx):
+            return g
     return None

@@ -196,7 +196,7 @@ def _exchange_walk(g, max_trees):
     The keys are _walk's masks decoded once, by _decode: in their bit order
     the edge at position p of the edges sorted by id is bit m - 1 - p."""
     masks, pairs, edges = _walk(g, max_trees)
-    return _decode(masks, [e.eid for e in edges]), pairs, len(pairs)
+    return _decode(masks, [(e.eid,) for e in edges], ()), pairs, len(pairs)
 
 
 def _walk(g, max_trees):
@@ -300,27 +300,68 @@ def _fundamental_cycles(g, tree):
 _CHUNK = 7
 
 
-def _decode(masks, eids):
-    """The sorted edge-id tuple of each mask, eids[p] the id of bit
-    m - 1 - p. The mask is read in chunks of up to _CHUNK bits, the highest
-    first, and each chunk looked up in a table of its 2^w keys: the table
-    doubles once per bit, from its lowest, each new entry the bit's id (a
-    smaller position than the bits before it) followed by an old entry."""
-    m = len(eids)
+def _decode(masks, heads, empty):
+    """The sorted edge ids of each mask, heads[p] the element of bit
+    m - 1 - p and empty the element of no bit: (eid,) and () give key
+    tuples, f"{eid}," and "" give their JSON text, each id followed by a
+    comma. The mask is read in chunks of up to _CHUNK bits, the highest
+    first, and each chunk looked up in a table of its 2^w elements: the
+    table doubles once per bit, from its lowest, each new entry the bit's
+    head (a smaller position than the bits before it) followed by an old
+    entry."""
+    m = len(heads)
     if not m:
-        return [()] * len(masks)
+        return [empty] * len(masks)
     low = (1 << _CHUNK) - 1
     keys = None
     for shift in reversed(range(0, m, _CHUNK)):
-        table = [()]
+        table = [empty]
         for p in range(m - 1 - shift, max(m - 1 - shift - _CHUNK, -1), -1):
-            head = (eids[p],)
+            head = heads[p]
             table += [head + t for t in table]
         if keys is None:
             keys = [table[mask >> shift] for mask in masks]
         else:
             keys = [k + table[mask >> shift & low] for k, mask in zip(keys, masks)]
     return keys
+
+
+class _Trees:
+    """The walk's trees as a sized, re-iterable sequence of SpanningTree,
+    held as (host, masks, edges), what _walk returns besides the pairs.
+    The first index or iteration decodes every mask once and keeps the
+    trees; labels() and text() decode the masks straight to text and make
+    no tree."""
+
+    __slots__ = ("host", "masks", "edges", "_trees")
+
+    def __init__(self, host, masks, edges):
+        self.host, self.masks, self.edges, self._trees = host, masks, edges, None
+
+    def __len__(self):
+        return len(self.masks)
+
+    def __getitem__(self, i):
+        return self._decoded()[i]
+
+    def __iter__(self):
+        return iter(self._decoded())
+
+    def _decoded(self):
+        if self._trees is None:
+            host = self.host
+            keys = _decode(self.masks, [(e.eid,) for e in self.edges], ())
+            self._trees = tuple([SpanningTree._sorted(host, k) for k in keys])
+        return self._trees
+
+    def labels(self):
+        """Each tree's edge ids joined by commas, as serialize_trees writes them."""
+        return [k[:-1] for k in _decode(self.masks, [f"{e.eid}," for e in self.edges], "")]
+
+    def text(self):
+        """The JSON list of the trees' keys, byte-identical to json.dumps
+        of the key tuples with separators (",", ":")."""
+        return "[[" + "],[".join(self.labels()) + "]]"
 
 
 class _Rows:
@@ -342,8 +383,15 @@ class _Rows:
         return chain.from_iterable(zip(repeat(u), reversed(row)) for u, row in enumerate(rows))
 
 
+def _labels(trees):
+    """Each tree's edge ids joined by commas; a _Trees's from its masks."""
+    if isinstance(trees, _Trees):
+        return trees.labels()
+    return [",".join(map(str, t.key)) for t in trees]
+
+
 def serialize_trees(trees):
-    return "".join(f"t: {','.join(map(str, t.key))}\n" for t in trees)
+    return "".join([f"t: {k}\n" for k in _labels(trees)])
 
 
 def witness_edge_for_pair(g, t, e1, e2):

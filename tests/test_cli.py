@@ -5,6 +5,7 @@ import random
 import pytest
 
 from stag import (
+    Graph,
     ParseError,
     TooManyTrees,
     build_stag,
@@ -16,6 +17,7 @@ from stag import (
     to_edgelist,
 )
 from stag.aux_graph import stag_to_json
+from stag import cli
 from stag.cli import _build_parser, run
 from stag.generators import (
     random_connected_graph,
@@ -122,6 +124,39 @@ def test_blocks_output_is_pinned(tmp_path, name):
     _write(src, "".join(f"{u} {v}\n" for u, v in lines))
     assert run(["blocks", "-i", str(src), "-o", str(dst)]) == 0
     assert hashlib.sha256(dst.read_bytes()).hexdigest() == digest
+
+
+def _gapped_host():
+    rng = random.Random(1919)
+    h = random_two_connected_graph(7, 13, 4)
+    ids = rng.sample(range(100), h.m)
+    return Graph(h.vertices, [(ids[k], e.u, e.v) for k, e in enumerate(h.edges)])
+
+
+# sha256 of the `stag trees` output, taken when the command listed the keys
+# of enumerate_spanning_trees; the brute-force route (--oracle) must give the
+# same bytes. The parser numbers edges in input order, so the host with
+# gapped ids, in an order unrelated to its edges, is handed to the command
+# in place of the parsed file.
+_TREES_DIGESTS = {
+    "K6": ("8e424b73b0ee19e58dc25db9a8f3707936c558a98b27e4bad2247b3f04336c9d",
+           lambda: complete_graph(6)),
+    "gapped": ("0315ff80bc000fd7574a0ecac6bc175a54f4e8332f120e7db1d4a1192bc3bd1a",
+               _gapped_host),
+}
+
+
+@pytest.mark.parametrize("name", list(_TREES_DIGESTS))
+def test_trees_output_is_pinned(tmp_path, monkeypatch, name):
+    digest, make = _TREES_DIGESTS[name]
+    g = make()
+    src, dst = tmp_path / "g.txt", tmp_path / "trees.txt"
+    _write(src, to_edgelist(g))
+    if name == "gapped":
+        monkeypatch.setattr(cli, "_load_graph", lambda path, fmt=None: g)
+    for route in ([], ["--oracle"]):
+        assert run(["trees", "-i", str(src), "-o", str(dst), *route]) == 0
+        assert hashlib.sha256(dst.read_bytes()).hexdigest() == digest
 
 
 def test_invert_roundtrip_via_files(tmp_path, c3_file, capsys):

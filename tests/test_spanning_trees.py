@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -241,7 +242,9 @@ def _gapped_ids(g, rng):
     return Graph(g.vertices, [(ids[k], e.u, e.v) for k, e in enumerate(g.edges)])
 
 
-def test_table_decode_matches_the_per_position_decode():
+def _decode_corpus():
+    """K1, C30 and C45 (three or more chunks) and 60 seeded graphs with
+    gapped ids."""
     rng = random.Random(1515)
     graphs = [single_vertex_graph(), cycle_graph(30), cycle_graph(45)]
     while len(graphs) < 63:
@@ -250,7 +253,11 @@ def test_table_decode_matches_the_per_position_decode():
         g = random_connected_graph(n, m, rng.randrange(1 << 30))
         if count_spanning_trees(g) <= 3000:
             graphs.append(_gapped_ids(g, rng))
-    for g in graphs:
+    return graphs
+
+
+def test_table_decode_matches_the_per_position_decode():
+    for g in _decode_corpus():
         masks, _, edges = spanning_trees._walk(g, 10_000)
         m = len(edges)
         eids = [e.eid for e in edges]
@@ -260,6 +267,16 @@ def test_table_decode_matches_the_per_position_decode():
         assert keys == reference
         assert keys == sorted(keys) and all(len(k) == g.n - 1 for k in keys)
     assert spanning_trees._exchange_walk(single_vertex_graph(), 1)[0] == [()]
+
+
+def test_text_decode_is_the_json_of_the_tuple_decode():
+    for g in _decode_corpus():
+        masks, _, edges = spanning_trees._walk(g, 10_000)
+        keys = spanning_trees._decode(masks, [(e.eid,) for e in edges], ())
+        trees = spanning_trees._Trees(g, masks, edges)
+        assert trees.text() == json.dumps(keys, separators=(",", ":"))
+        assert trees.labels() == [",".join(map(str, k)) for k in keys]
+        assert serialize_trees(trees) == serialize_trees(enumerate_spanning_trees(g))
 
 
 def test_spanning_tree_validation(c4):

@@ -16,6 +16,7 @@ from stag import (
     ground_truth_cliques,
     neighborhood_partitions,
     product_of_block_stags,
+    single_vertex_graph,
     stag_to_dot,
     stag_to_json,
 )
@@ -25,6 +26,7 @@ from stag.generators import (
     random_multiblock_graph,
     random_two_connected_graph,
 )
+from stag import spanning_trees
 from stag.oracles import brute_force_stag
 from stag.params import maximal_cliques
 
@@ -233,3 +235,38 @@ def test_exchange_walk_matches_the_definition(k5, c6, theta):
         want = {(i, j) for i, j in itertools.combinations(range(len(sets)), 2)
                 if len(sets[i] ^ sets[j]) == 2}
         assert [(e.u, e.v) for e in s.graph.edges] == sorted(want)
+
+
+def test_trees_stay_undecoded_until_one_is_read(monkeypatch):
+    calls = []
+    decode = spanning_trees._decode
+
+    def counting(masks, heads, empty):
+        calls.append(empty)
+        return decode(masks, heads, empty)
+
+    monkeypatch.setattr(spanning_trees, "_decode", counting)
+    s = build_stag(random_multiblock_graph([4, 5], 3))
+    assert s.annotated and len(s.trees) == s.graph.n and calls == []
+    stag_to_json(s), stag_to_dot(s)
+    assert calls == ["", ""]  # the text decode only: no tree, no key tuple
+    assert s.trees._trees is None
+    first = s.trees[0]
+    assert calls == ["", "", ()]
+    list(s.trees), s.trees[-1], neighborhood_partitions(s, 1)
+    assert calls == ["", "", ()] and s.trees[0] is first
+
+
+def test_trees_read_as_the_enumeration(k5, c6, theta):
+    h = random_two_connected_graph(7, 11, 8)
+    ids = random.Random(19).sample(range(60), h.m)
+    gapped = Graph(h.vertices, [(ids[k], e.u, e.v) for k, e in enumerate(h.edges)])
+    for g in (k5, c6, theta, single_vertex_graph(), gapped):
+        s, ref = build_stag(g), enumerate_spanning_trees(g)
+        assert len(s.trees) == len(ref)
+        assert [t.key for t in tuple(s.trees)] == [t.key for t in ref]
+        for i in (-1, -len(ref), len(ref) // 2):
+            assert s.trees[i] == ref[i] and s.trees[i].edge_set == ref[i].edge_set
+        assert all(t.host is g for t in s.trees)
+        with pytest.raises(IndexError):
+            s.trees[len(ref)]
