@@ -3,7 +3,6 @@ neighborhood/clique structure."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import Unannotated
@@ -127,13 +126,13 @@ def stag_to_json(s):
     decimal ids need no escaping. While the graph still holds the walk's
     rows, the edges are written one row, that is one source vertex u, at a
     time: '["u",' and the row's labels joined by '],["u",'. Otherwise they
-    come from the graph's pairs; the bytes are the same. The trees of a
-    _Trees are written from its masks (_Trees.text), the same bytes as
-    json.dumps of the key tuples."""
-    if isinstance(s.trees, _Trees):
-        trees = s.trees.text()
-    else:
-        trees = json.dumps([t.key for t in s.trees] if s.annotated else None, separators=(",", ":"))
+    come from the graph's pairs; the bytes are the same. The trees are
+    their _labels, each in brackets: the same bytes as json.dumps of the
+    key tuples, and for a _Trees written from its masks."""
+    trees = "null"
+    if s.annotated:
+        labels = _labels(s.trees)
+        trees = "[[" + "],[".join(labels) + "]]" if labels else "[]"
     labels = {v: f'"{v}"' for v in s.graph.vertices}
     rows = getattr(s.graph, "_pairs", None)
     edges = None

@@ -37,6 +37,7 @@ from .recognition import enumerate_preimages, invert
 from .spanning_trees import (
     DEFAULT_MAX_TREES,
     count_spanning_trees,
+    enumerate_spanning_trees,
     serialize_trees,
 )
 
@@ -116,7 +117,7 @@ def _cmd_trees(args):
     if args.oracle:
         trees = oracles.brute_force_trees(g)
     else:
-        trees = build_stag(g, max_trees=args.max_trees).trees
+        trees = enumerate_spanning_trees(g, max_trees=args.max_trees)
     return "ok", _emit(serialize_trees(trees), args.output)
 
 

@@ -181,10 +181,12 @@ def fundamental_cycle(g, t, eid):
 
 def enumerate_spanning_trees(g, max_trees=DEFAULT_MAX_TREES):
     """All spanning trees, sorted by canonical key, from the exchange walk
-    (_exchange_walk). The Kirchhoff count is the size guard (TooManyTrees)
-    and the completeness check (ValidationFailed)."""
-    keys, _, _ = _exchange_walk(g, max_trees)
-    return [SpanningTree._sorted(g, k) for k in keys]
+    (_walk), as a _Trees: the SpanningTree objects are decoded on the
+    first read, and serialize_trees writes them from the masks. The
+    Kirchhoff count is the size guard (TooManyTrees) and the completeness
+    check (ValidationFailed)."""
+    masks, _, edges = _walk(g, max_trees)
+    return _Trees(g, masks, edges)
 
 
 def _exchange_walk(g, max_trees):
@@ -196,7 +198,7 @@ def _exchange_walk(g, max_trees):
     The keys are _walk's masks decoded once, by _decode: in their bit order
     the edge at position p of the edges sorted by id is bit m - 1 - p."""
     masks, pairs, edges = _walk(g, max_trees)
-    return _decode(masks, [(e.eid,) for e in edges], ()), pairs, len(pairs)
+    return _keys(masks, edges), pairs, len(pairs)
 
 
 def _walk(g, max_trees):
@@ -326,12 +328,16 @@ def _decode(masks, heads, empty):
     return keys
 
 
+def _keys(masks, edges):
+    """Each mask's sorted edge-id tuple, edges sorted by id as _walk gives them."""
+    return _decode(masks, [(e.eid,) for e in edges], ())
+
+
 class _Trees:
     """The walk's trees as a sized, re-iterable sequence of SpanningTree,
     held as (host, masks, edges), what _walk returns besides the pairs.
     The first index or iteration decodes every mask once and keeps the
-    trees; labels() and text() decode the masks straight to text and make
-    no tree."""
+    trees; _labels decodes the masks straight to text and makes no tree."""
 
     __slots__ = ("host", "masks", "edges", "_trees")
 
@@ -350,18 +356,8 @@ class _Trees:
     def _decoded(self):
         if self._trees is None:
             host = self.host
-            keys = _decode(self.masks, [(e.eid,) for e in self.edges], ())
-            self._trees = tuple([SpanningTree._sorted(host, k) for k in keys])
+            self._trees = tuple([SpanningTree._sorted(host, k) for k in _keys(self.masks, self.edges)])
         return self._trees
-
-    def labels(self):
-        """Each tree's edge ids joined by commas, as serialize_trees writes them."""
-        return [k[:-1] for k in _decode(self.masks, [f"{e.eid}," for e in self.edges], "")]
-
-    def text(self):
-        """The JSON list of the trees' keys, byte-identical to json.dumps
-        of the key tuples with separators (",", ":")."""
-        return "[[" + "],[".join(self.labels()) + "]]"
 
 
 class _Rows:
@@ -384,9 +380,11 @@ class _Rows:
 
 
 def _labels(trees):
-    """Each tree's edge ids joined by commas; a _Trees's from its masks."""
+    """Each tree's edge ids joined by commas, as serialize_trees writes
+    them; a _Trees's by the text decode of its masks, each id followed by
+    a comma and the last comma cut."""
     if isinstance(trees, _Trees):
-        return trees.labels()
+        return [k[:-1] for k in _decode(trees.masks, [f"{e.eid}," for e in trees.edges], "")]
     return [",".join(map(str, t.key)) for t in trees]
 
 

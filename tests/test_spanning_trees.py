@@ -29,6 +29,7 @@ from stag import (
     witness_edge_for_pair,
 )
 from stag import spanning_trees
+from stag.aux_graph import StagGraph, stag_to_json
 from stag.errors import Disconnected, NoWitness, ValidationFailed
 from stag.generators import (
     random_connected_graph,
@@ -272,11 +273,16 @@ def test_table_decode_matches_the_per_position_decode():
 def test_text_decode_is_the_json_of_the_tuple_decode():
     for g in _decode_corpus():
         masks, _, edges = spanning_trees._walk(g, 10_000)
-        keys = spanning_trees._decode(masks, [(e.eid,) for e in edges], ())
-        trees = spanning_trees._Trees(g, masks, edges)
-        assert trees.text() == json.dumps(keys, separators=(",", ":"))
-        assert trees.labels() == [",".join(map(str, k)) for k in keys]
-        assert serialize_trees(trees) == serialize_trees(enumerate_spanning_trees(g))
+        keys = spanning_trees._keys(masks, edges)
+        labels = spanning_trees._labels(spanning_trees._Trees(g, masks, edges))
+        assert labels == [",".join(map(str, k)) for k in keys]
+        s = build_stag(g)
+        member = '"trees":' + json.dumps(keys, separators=(",", ":"))
+        assert member in stag_to_json(s)
+        assert stag_to_json(StagGraph(s.graph, tuple(s.trees), g)) == stag_to_json(s)
+        assert serialize_trees(enumerate_spanning_trees(g)) == serialize_trees(tuple(s.trees))
+    # an oracle stag of a graph without spanning trees: json.dumps([])
+    assert '"trees":[]' in stag_to_json(StagGraph(single_vertex_graph(), (), None))
 
 
 def test_spanning_tree_validation(c4):

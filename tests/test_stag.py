@@ -16,6 +16,7 @@ from stag import (
     ground_truth_cliques,
     neighborhood_partitions,
     product_of_block_stags,
+    serialize_trees,
     single_vertex_graph,
     stag_to_dot,
     stag_to_json,
@@ -27,7 +28,7 @@ from stag.generators import (
     random_two_connected_graph,
 )
 from stag import spanning_trees
-from stag.oracles import brute_force_stag
+from stag.oracles import brute_force_stag, brute_force_trees
 from stag.params import maximal_cliques
 
 
@@ -246,7 +247,10 @@ def test_trees_stay_undecoded_until_one_is_read(monkeypatch):
         return decode(masks, heads, empty)
 
     monkeypatch.setattr(spanning_trees, "_decode", counting)
-    s = build_stag(random_multiblock_graph([4, 5], 3))
+    g = random_multiblock_graph([4, 5], 3)
+    assert serialize_trees(enumerate_spanning_trees(g)) and calls == [""]
+    calls.clear()
+    s = build_stag(g)
     assert s.annotated and len(s.trees) == s.graph.n and calls == []
     stag_to_json(s), stag_to_dot(s)
     assert calls == ["", ""]  # the text decode only: no tree, no key tuple
@@ -262,8 +266,9 @@ def test_trees_read_as_the_enumeration(k5, c6, theta):
     ids = random.Random(19).sample(range(60), h.m)
     gapped = Graph(h.vertices, [(ids[k], e.u, e.v) for k, e in enumerate(h.edges)])
     for g in (k5, c6, theta, single_vertex_graph(), gapped):
-        s, ref = build_stag(g), enumerate_spanning_trees(g)
-        assert len(s.trees) == len(ref)
+        s, ref = build_stag(g), brute_force_trees(g)
+        assert len(s.trees) == len(ref) == len(enumerate_spanning_trees(g))
+        assert [t.key for t in enumerate_spanning_trees(g)] == [t.key for t in ref]
         assert [t.key for t in tuple(s.trees)] == [t.key for t in ref]
         for i in (-1, -len(ref), len(ref) // 2):
             assert s.trees[i] == ref[i] and s.trees[i].edge_set == ref[i].edge_set
