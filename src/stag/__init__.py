@@ -45,19 +45,16 @@ from .generators import (
 from .graph_core import (
     BlockDecomposition,
     Edge,
-    EdgeCut,
     Graph,
     are_isomorphic,
     block_decomposition,
     bridges,
     cartesian_product,
-    circumference,
     common_cycle_classes,
     complete_graph,
     cycle_graph,
     is_connected,
     is_two_connected,
-    minimal_edge_cuts,
     parse_graph,
     path_graph,
     single_vertex_graph,
@@ -65,7 +62,7 @@ from .graph_core import (
     to_edgelist,
     to_json,
 )
-from .params import ParamReport, clique_number, exchange_diameter, maximal_cliques, param_report
+from .params import ParamReport, clique_number, exchange_diameter, param_report
 from .recognition import enumerate_preimages, invert
 from .spanning_trees import (
     SpanningTree,

@@ -13,7 +13,6 @@ import time
 from . import oracles
 from .aux_graph import build_stag, stag_to_dot, stag_to_json
 from .errors import (
-    Acyclic,
     Disconnected,
     NotAStag,
     NotMinimal,
@@ -250,7 +249,7 @@ def run(argv):
         status, payload = _COMMANDS[args.command](args)
         if status != "ok":
             code = 1
-    except (NotAStag, NotMinimal, Acyclic) as exc:
+    except (NotAStag, NotMinimal) as exc:
         status, message, code = "not_a_stag", str(exc), 1
     except _GUARDS as exc:
         status, message, code = "error", str(exc), 3

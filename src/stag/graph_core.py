@@ -1,5 +1,5 @@
-"""Simple undirected graphs: parsing, connectivity, blocks, cuts, cycles,
-Cartesian products and isomorphism testing.
+"""Simple undirected graphs: parsing, connectivity, blocks, tree paths and
+cycles, Cartesian products and isomorphism testing.
 
 Vertex ids are integers (dense when parsed; subgraphs inherit host ids).
 Edge ids are stable integers assigned at construction and preserved by all
@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import Acyclic, Disconnected, HasBridge, ParseError, TooLarge
+from .errors import Disconnected, HasBridge, ParseError, TooLarge
 
 
 class Edge(NamedTuple):
@@ -108,8 +108,7 @@ class Graph:
     def _subgraph(self, eids, vertices=None):
         """subgraph_edges before its adjacency: vertices, edges and names
         are set and checked, and the first read of _adj or _by_id builds
-        them (_EdgeGraph). block_decomposition keeps its blocks so, and
-        reverse_delete_tree hands its subgraphs to _blocks so."""
+        them (_EdgeGraph). block_decomposition keeps its blocks so."""
         by_id = self._by_id
         es = tuple([by_id[i] for i in sorted(set(eids)) if i in by_id])
         if vertices is None:
@@ -561,60 +560,7 @@ def common_cycle_classes(g):
     return sorted(map(frozenset, blocks), key=min)
 
 
-# -- cuts and cycles ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EdgeCut:
-    edge_ids: frozenset
-    sides: tuple
-
-
-def minimal_edge_cuts(g, max_n=12):
-    """All inclusion-minimal edge cuts, by brute force over bipartitions
-    whose sides both induce connected subgraphs: a BFS from each side over
-    the edges off the cut reaches that whole side."""
-    if g.n > max_n:
-        raise TooLarge(f"n={g.n} exceeds guard {max_n}")
-    if not is_connected(g):
-        raise Disconnected("edge cuts need a connected graph")
-    if g.n == 1:
-        return []
-    v0 = g.vertices[0]
-    others = g.vertices[1:]
-    every = set(g.edge_ids())
-    cuts = []
-    for mask in range(2 ** len(others) - 1):
-        side1 = {v0} | {others[i] for i in range(len(others)) if mask >> i & 1}
-        cut = frozenset(e.eid for e in g.edges if (e.u in side1) != (e.v in side1))
-        rest = every - cut
-        w = next(v for v in others if v not in side1)
-        if len(bfs(g, v0, rest)) == len(side1) and len(bfs(g, w, rest)) == g.n - len(side1):
-            cuts.append(EdgeCut(cut, (frozenset(side1), frozenset(g.vertices) - side1)))
-    return sorted(cuts, key=lambda c: (len(c.edge_ids), sorted(c.edge_ids)))
-
-
-def circumference(g, max_n=12):
-    """Length of a longest simple cycle, by exhaustive path search."""
-    if g.n > max_n:
-        raise TooLarge(f"n={g.n} exceeds guard {max_n}")
-    best = 0
-
-    def extend(start, v, visited, length):
-        nonlocal best
-        for w in g.adj(v):
-            if w == start and length >= 2:
-                best = max(best, length + 1)
-            elif w > start and w not in visited:
-                visited.add(w)
-                extend(start, w, visited, length + 1)
-                visited.discard(w)
-
-    for s in g.vertices:
-        extend(s, s, {s}, 0)
-    if best == 0:
-        raise Acyclic("graph has no cycle")
-    return best
+# -- tree paths and cycles ---------------------------------------------------------
 
 
 def tree_path_edges(g, eids, a, b):

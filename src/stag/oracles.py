@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from collections import defaultdict
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
 from .aux_graph import StagGraph
-from .errors import TooLarge
-from .graph_core import Graph
+from .errors import Acyclic, Disconnected, TooLarge
+from .graph_core import Graph, bfs, is_connected
 from .spanning_trees import SpanningTree
 
 
@@ -156,3 +157,56 @@ def brute_force_is_stag(h, n_max=7):
         if g.n <= n_max and aux_triangles == triangles and nx.is_isomorphic(aux, hx):
             return g
     return None
+
+
+@dataclass(frozen=True)
+class EdgeCut:
+    edge_ids: frozenset
+    sides: tuple
+
+
+def minimal_edge_cuts(g, max_n=12):
+    """All inclusion-minimal edge cuts, by brute force over bipartitions
+    whose sides both induce connected subgraphs: a BFS from each side over
+    the edges off the cut reaches that whole side."""
+    if g.n > max_n:
+        raise TooLarge(f"n={g.n} exceeds guard {max_n}")
+    if not is_connected(g):
+        raise Disconnected("edge cuts need a connected graph")
+    if g.n == 1:
+        return []
+    v0 = g.vertices[0]
+    others = g.vertices[1:]
+    every = set(g.edge_ids())
+    cuts = []
+    for mask in range(2 ** len(others) - 1):
+        side1 = {v0} | {others[i] for i in range(len(others)) if mask >> i & 1}
+        cut = frozenset(e.eid for e in g.edges if (e.u in side1) != (e.v in side1))
+        rest = every - cut
+        w = next(v for v in others if v not in side1)
+        if len(bfs(g, v0, rest)) == len(side1) and len(bfs(g, w, rest)) == g.n - len(side1):
+            cuts.append(EdgeCut(cut, (frozenset(side1), frozenset(g.vertices) - side1)))
+    return sorted(cuts, key=lambda c: (len(c.edge_ids), sorted(c.edge_ids)))
+
+
+def circumference(g, max_n=12):
+    """Length of a longest simple cycle, by exhaustive path search."""
+    if g.n > max_n:
+        raise TooLarge(f"n={g.n} exceeds guard {max_n}")
+    best = 0
+
+    def extend(start, v, visited, length):
+        nonlocal best
+        for w in g.adj(v):
+            if w == start and length >= 2:
+                best = max(best, length + 1)
+            elif w > start and w not in visited:
+                visited.add(w)
+                extend(start, w, visited, length + 1)
+                visited.discard(w)
+
+    for s in g.vertices:
+        extend(s, s, {s}, 0)
+    if best == 0:
+        raise Acyclic("graph has no cycle")
+    return best

@@ -67,40 +67,6 @@ def _all_pairs_diameter(nbrs):
     return diam
 
 
-def maximal_cliques(g):
-    """All maximal cliques (vertex frozensets), Bron-Kerbosch with the
-    Tomita pivot (most neighbours in P), on int bitmasks over vertex
-    positions. Bits are walked lowest first, as low = mask & -mask."""
-    vs = g.vertices
-    adj = _masks(_positions(g))
-    out = []
-
-    def expand(r, p, x):
-        if not p:
-            if not x:
-                out.append(frozenset(r))
-            return
-        best = -1
-        rest = p | x
-        while rest:
-            low = rest & -rest
-            a = adj[low.bit_length() - 1]
-            if (c := (a & p).bit_count()) > best:
-                best, pivot_nbrs = c, a
-            rest ^= low
-        cand = p & ~pivot_nbrs
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            expand((*r, vs[v]), p & adj[v], x & adj[v])
-            p ^= low
-            x |= low
-            cand ^= low
-
-    expand((), (1 << len(vs)) - 1, 0)
-    return out
-
-
 def clique_number(g):
     """Size of a largest clique of g."""
     return _clique_number(_masks(_positions(g)))
@@ -193,7 +159,7 @@ def param_report(g, max_trees=DEFAULT_MAX_TREES):
     |D| trees T - f + d, d in D, are pairwise adjacent: |D|(|D| - 1)/2 Aux
     edges meet in T - f. An Aux edge's union is a tree plus a chord and its
     meet a tree less an edge, so the largest groups by union and by meet
-    give the two (Maurer 1973). The tests check both against graph_core's
+    give the two (Maurer 1973). The tests check both against the oracles'
     brute-force circumference and minimal_edge_cuts. The unions and meets
     are taken on the walk's tree masks; the degrees, the diameter and the
     clique number of Aux(g) on neighbour lists and masks built once from

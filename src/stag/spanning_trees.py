@@ -15,14 +15,11 @@ from .errors import (
     ValidationFailed,
 )
 from .graph_core import (
-    _blocks,
     _UnionFind,
     bfs,
-    bridges,
     fundamental_cycle_edges,
     is_connected,
     is_two_connected,
-    tree_path_edges,
 )
 
 DEFAULT_MAX_TREES = 100_000
@@ -189,22 +186,11 @@ def enumerate_spanning_trees(g, max_trees=DEFAULT_MAX_TREES):
     return _Trees(g, masks, edges)
 
 
-def _exchange_walk(g, max_trees):
-    """Every spanning tree of g and every exchange between two of them.
-
-    Returns (keys, pairs, count): the trees' sorted edge-id tuples in
-    ascending order, the index pairs (i, j), i < j, of trees that differ by
-    one exchange, in ascending order (a _Rows), and the number of pairs.
-    The keys are _walk's masks decoded once, by _decode: in their bit order
-    the edge at position p of the edges sorted by id is bit m - 1 - p."""
-    masks, pairs, edges = _walk(g, max_trees)
-    return _keys(masks, edges), pairs, len(pairs)
-
-
 def _walk(g, max_trees):
     """The exchange walk on masks: (masks, pairs, edges), the trees in
-    ascending key order, their exchanges as a _Rows (see _exchange_walk)
-    and g's edges sorted by id.
+    ascending key order (_keys decodes them), the index pairs (i, j), i < j,
+    of trees one exchange apart in ascending order (a _Rows), and g's edges
+    sorted by id.
 
     Bit order: a tree is a bitmask in which the edge at position p of the
     edges sorted by id is bit m - 1 - p, so a greater key is a smaller
@@ -243,8 +229,7 @@ def _walk(g, max_trees):
         raise TooManyTrees(f"{expected} trees exceed guard {max_trees}")
     m = g.m
     edges = sorted(g.edges)
-    uf = _UnionFind(g.vertices)
-    start = sum(1 << (m - 1 - p) for p in reversed(range(m)) if uf.union(edges[p].u, edges[p].v))
+    start = _greedy_tree(g, edges, reversed(range(m)))
     cycles_of = {start: _fundamental_cycles(g, start)}
     pending = {start: []}
     heap = [start]
@@ -278,6 +263,15 @@ def _walk(g, max_trees):
         raise ValidationFailed(f"exchange walk found {len(masks)} of {expected} trees")
     masks.reverse()
     return masks, _Rows(rows), edges
+
+
+def _greedy_tree(g, edges, order):
+    """Kruskal's greedy tree: the mask, in _walk's bit order, of the edges
+    at the positions in order (into edges, sorted by id) that join two
+    components when taken in that order."""
+    m = len(edges)
+    uf = _UnionFind(g.vertices)
+    return sum(1 << (m - 1 - p) for p in order if uf.union(edges[p].u, edges[p].v))
 
 
 def _fundamental_cycles(g, tree):
@@ -396,8 +390,9 @@ def witness_edge_for_pair(g, t, e1, e2):
     """Non-tree edge whose fundamental cycle contains both tree edges.
 
     Not every tree admits one for a given pair (a diamond with the tree
-    {01, 02, 23} separates 01 from 23), but trees built by
-    reverse_delete_tree with the pair protected always do."""
+    {01, 02, 23} separates 01 from 23), but the tree reverse_delete_tree
+    builds with the pair protected always does: the chord it deletes last
+    closes the cycle through both edges that it keeps in the tree."""
     if not is_two_connected(g) or g.n == 2:
         raise NotTwoConnected("witness requires a 2-connected host != K2")
     if e1 == e2 or e1 not in t.edge_set or e2 not in t.edge_set:
@@ -411,51 +406,87 @@ def witness_edge_for_pair(g, t, e1, e2):
     raise NoWitness(f"no witness for pair ({e1}, {e2}) on this tree")
 
 
-def _edges_share_cycle(g, eids, e1, e2):
-    """True if the distinct edges e1, e2 lie on a common cycle of the
-    subgraph on eids, that is, in one of its blocks' edge-id lists."""
-    sub = g._subgraph(eids, vertices=g.vertices)
-    return any(e1 in b and e2 in b for b in _blocks(sub)[0])
-
-
 def reverse_delete_tree(g, protected_pair=None):
-    """Spanning tree by repeated deletion of cycle edges (reverse Kruskal).
+    """Spanning tree by repeated deletion of cycle edges (reverse Kruskal),
+    built directly: the tree is a greedy tree and its chords are the
+    deleted edges.
 
-    Edges are scanned in ascending id order. With protected_pair=(e1, e2)
-    on a 2-connected host, deletions that would destroy every surviving
-    cycle through both edges are deferred, so the last deleted edge lies
-    on a surviving cycle containing e1 and e2.
+    Without a pair the edges are deleted in ascending id order, which
+    leaves Kruskal's tree over descending ids, _walk's start tree. With
+    protected_pair=(e1, e2) on a 2-connected host, _menger_cycle gives a
+    cycle C through both edges and w is C's greatest edge other than e1
+    and e2: the greedy order takes C - w first and leaves w out, and the
+    chords are deleted in ascending id order with w last, so the last
+    deleted edge closes C.
 
-    Returns (tree, trace); each trace entry is (deleted edge id, edge ids
-    of a cycle of the surviving graph through it at deletion time).
+    Returns (tree, trace); each trace entry is (deleted edge id, the sorted
+    edge ids of its fundamental cycle in the tree). The tree survives every
+    deletion, so that cycle is a cycle of the surviving graph at its step.
     """
     if not is_connected(g):
         raise Disconnected("reverse delete needs a connected graph")
+    edges = sorted(g.edges)
+    order = reversed(range(g.m))
+    w = None
     if protected_pair is not None:
         e1, e2 = protected_pair
         if e1 == e2:
             raise ValueError("protected edges must be distinct")
         if not is_two_connected(g) or g.n == 2:
             raise NotTwoConnected("protected pair requires a 2-connected host != K2")
-    surviving = set(g.edge_ids())
-    trace = []
-    target = g.n - 1
-    while len(surviving) > target:
-        pick = None
-        nonbridge = surviving - set(bridges(g._subgraph(surviving, vertices=g.vertices)))
-        for d in sorted(nonbridge):
-            if protected_pair is None:
-                pick = d
-                break
-            if d in (e1, e2):
-                continue
-            rest = surviving - {d}
-            if len(rest) == target or _edges_share_cycle(g, rest, e1, e2):
-                pick = d
-                break
-        if pick is None:
-            raise NoWitness("no deletable edge preserves the protected cycle")
-        e = g.edge(pick)
-        surviving.discard(pick)
-        trace.append((pick, (pick, *tree_path_edges(g, surviving, e.u, e.v))))
-    return SpanningTree.of(g, surviving), trace
+        pos = {e.eid: p for p, e in enumerate(edges)}
+        cycle = _menger_cycle(g, e1, e2)
+        w = max(cycle - {e1, e2})
+        order = [p for p in chain(map(pos.get, cycle), order) if p != pos[w]]
+    mask = _greedy_tree(g, edges, order)
+    key, *cycles = _keys([mask, *_fundamental_cycles(g, mask)], edges)
+    in_tree = set(key)
+    chords = [e.eid for e in edges if e.eid not in in_tree]
+    trace = sorted(zip(chords, cycles), key=lambda entry: (entry[0] == w, entry[0]))
+    return SpanningTree._sorted(g, key), trace
+
+
+def _menger_cycle(g, e1, e2):
+    """The edge ids of a cycle of the 2-connected g through its edges e1
+    and e2. Subdivide e1 by a vertex s and e2 by a vertex t: the result is
+    2-connected, so by Menger's theorem two s-t paths share no vertex but
+    s and t, and together they are such a cycle. They are a flow of value
+    two with unit vertex capacities: each vertex v is split into (v, 0),
+    the head of its in-arcs, and (v, 1), the tail of its out-arcs, joined
+    by one arc. Each of the two augmentations is one BFS of the residual
+    graph, which follows an arc without flow forwards or one with flow
+    backwards; the paths are then read off the flow from s."""
+    adj = {(v, 0): [(v, 1)] for v in g.vertices}
+    for v in g.vertices:
+        adj[v, 1] = [(x, 0) for x, eid in g.adj(v).items() if eid != e1 and eid != e2]
+    adj["s"], adj["t"] = [(v, 0) for v in g.edge(e1).endpoints()], []
+    for v in g.edge(e2).endpoints():
+        adj[v, 1].append("t")
+    flow, into = set(), {x: [] for x in adj}
+    for _ in range(2):
+        parent = {"s": None}
+        queue = ["s"]
+        for x in queue:
+            for y in chain([y for y in adj[x] if (x, y) not in flow], into[x]):
+                if y not in parent:
+                    parent[y] = x
+                    queue.append(y)
+        y = "t"
+        while y != "s":
+            x = parent[y]
+            if (y, x) in flow:
+                flow.remove((y, x))
+                into[x].remove(y)
+            else:
+                flow.add((x, y))
+                into[y].append(x)
+            y = x
+    succ = dict(flow)
+    cycle = {e1, e2}
+    for x in adj["s"]:
+        while x != "t":
+            y = succ[x]
+            if x[1] and y != "t":
+                cycle.add(g.eid_between(x[0], y[0]))
+            x = y
+    return cycle

@@ -19,13 +19,11 @@ from stag import (
     bridges,
     build_stag,
     cartesian_product,
-    circumference,
     common_cycle_classes,
     complete_graph,
     cycle_graph,
     is_connected,
     is_two_connected,
-    minimal_edge_cuts,
     parse_graph,
     path_graph,
     single_vertex_graph,
@@ -42,7 +40,8 @@ from stag.generators import (
     random_two_connected_graph,
 )
 from stag.graph_core import bfs, tree_path_edges
-from stag.spanning_trees import _exchange_walk
+from stag.oracles import circumference, minimal_edge_cuts
+from stag.spanning_trees import _walk
 
 
 def test_graph_rejects_self_loops_and_duplicates():
@@ -86,10 +85,10 @@ def test_edge_keeps_its_api_and_works_as_a_dict_key(k4):
 
 def test_trusted_constructor_matches_graph(k4, k5):
     for g in (k4, k5, random_two_connected_graph(6, 9, 3), random_two_connected_graph(7, 10, 8)):
-        keys, pairs, _ = _exchange_walk(g, 10_000)
+        masks, pairs, _ = _walk(g, 10_000)
         pairs = list(pairs)
-        fast = Graph._trusted(len(keys), pairs)
-        slow = Graph(range(len(keys)), [(k, u, v) for k, (u, v) in enumerate(pairs)])
+        fast = Graph._trusted(len(masks), pairs)
+        slow = Graph(range(len(masks)), [(k, u, v) for k, (u, v) in enumerate(pairs)])
         assert fast.vertices == slow.vertices
         assert fast.edges == slow.edges
         assert all(type(e) is Edge for e in fast.edges)
@@ -99,8 +98,8 @@ def test_trusted_constructor_matches_graph(k4, k5):
 
 
 def _walk_graph(g):
-    keys, pairs, _ = _exchange_walk(g, 10_000)
-    return Graph._trusted(len(keys), pairs)
+    masks, pairs, _ = _walk(g, 10_000)
+    return Graph._trusted(len(masks), pairs)
 
 
 # Each input makes a fresh Graph._trusted graph, not yet expanded; the flag

@@ -11,41 +11,16 @@ from stag import (
     complete_graph,
     count_spanning_trees,
     exchange_diameter,
-    maximal_cliques,
     param_report,
 )
-from stag.graph_core import block_decomposition, bridges, circumference, minimal_edge_cuts
+from stag.graph_core import block_decomposition, bridges
 from stag.generators import (
     random_connected_graph,
     random_multiblock_graph,
     random_two_connected_graph,
 )
+from stag.oracles import circumference, minimal_edge_cuts
 from stag.params import clique_number, report_to_json, report_to_text
-
-
-def test_maximal_cliques_diamond(diamond):
-    cliques = maximal_cliques(diamond)
-    assert sorted(sorted(c) for c in cliques) == [[0, 1, 2], [0, 2, 3]]
-    assert max(map(len, maximal_cliques(diamond))) == 3
-
-
-def test_maximal_cliques_match_networkx():
-    rng = random.Random(61)
-    graphs = [complete_graph(6)]
-    while len(graphs) < 25:
-        n = rng.randint(1, 8)
-        m = rng.randint(n - 1, min(n + 4, n * (n - 1) // 2))
-        g = random_connected_graph(n, m, rng.randrange(1 << 30))
-        if count_spanning_trees(g) <= 600:
-            graphs.append(g)
-    for g in graphs:
-        aux = build_stag(g).graph
-        h = nx.Graph()
-        h.add_nodes_from(aux.vertices)
-        h.add_edges_from((e.u, e.v) for e in aux.edges)
-        got = maximal_cliques(aux)
-        assert len(got) == len(set(got))
-        assert set(got) == {frozenset(c) for c in nx.find_cliques(h)}
 
 
 def _nx_clique_number(h):

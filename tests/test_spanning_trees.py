@@ -2,6 +2,8 @@ import itertools
 import json
 import math
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 
 import networkx as nx
@@ -31,6 +33,7 @@ from stag import (
 from stag import spanning_trees
 from stag.aux_graph import StagGraph, stag_to_json
 from stag.errors import Disconnected, NoWitness, ValidationFailed
+from stag.graph_core import bfs
 from stag.generators import (
     random_connected_graph,
     random_multiblock_graph,
@@ -178,7 +181,8 @@ def _walk_inputs():
 
 def test_exchange_walk_emits_each_exchange_once():
     for g in _walk_inputs():
-        keys, pairs, count = spanning_trees._exchange_walk(g, 10_000)
+        masks, pairs, edges = spanning_trees._walk(g, 10_000)
+        keys, count = spanning_trees._keys(masks, edges), len(pairs)
         pairs = list(pairs)
         assert count == len(pairs) == len(set(pairs))
         assert len(keys) == count_spanning_trees(g)
@@ -196,7 +200,8 @@ def test_exchange_walk_emits_each_exchange_once():
 def test_exchange_walk_matches_brute_force_stag():
     # K6 and a chain of three blocks: trees in key order, pairs already sorted
     for g in (complete_graph(6), random_multiblock_graph([4, 4, 4], 0)):
-        keys, pairs, count = spanning_trees._exchange_walk(g, 10_000)
+        masks, pairs, edges = spanning_trees._walk(g, 10_000)
+        keys, count = spanning_trees._keys(masks, edges), len(pairs)
         s = brute_force_stag(g)
         assert keys == [t.key for t in s.trees]
         assert list(pairs) == [(e.u, e.v) for e in s.graph.edges]
@@ -204,12 +209,14 @@ def test_exchange_walk_matches_brute_force_stag():
 
 
 def test_exchange_walk_on_k1_and_on_trees():
-    keys, pairs, count = spanning_trees._exchange_walk(single_vertex_graph(), 1)
+    masks, pairs, edges = spanning_trees._walk(single_vertex_graph(), 1)
+    keys, count = spanning_trees._keys(masks, edges), len(pairs)
     assert (keys, list(pairs), count) == ([()], [], 0)
     # m = n - 1: the start tree has no chords, so nothing is exchanged
     for seed in range(10):
         g = random_connected_graph(seed + 2, seed + 1, seed)
-        keys, pairs, count = spanning_trees._exchange_walk(g, 1)
+        masks, pairs, edges = spanning_trees._walk(g, 1)
+        keys, count = spanning_trees._keys(masks, edges), len(pairs)
         assert (keys, list(pairs), count) == ([tuple(sorted(g.edge_ids()))], [], 0)
 
 
@@ -217,7 +224,8 @@ def test_exchange_walk_on_cycles_gives_complete_graphs():
     # Aux(C_n) = K_n; from n = 65 on the tree masks exceed 64 bits
     for n in range(3, 71):
         ids = sorted(cycle_graph(n).edge_ids())
-        keys, pairs, count = spanning_trees._exchange_walk(cycle_graph(n), n)
+        masks, pairs, edges = spanning_trees._walk(cycle_graph(n), n)
+        keys, count = spanning_trees._keys(masks, edges), len(pairs)
         # dropping a greater edge id gives a smaller key
         assert keys == [tuple(x for x in ids if x != drop) for drop in reversed(ids)]
         assert list(pairs) == list(itertools.combinations(range(n), 2))
@@ -231,7 +239,8 @@ def test_exchange_walk_on_block_chains_counts_product_edges():
         aux = [brute_force_stag(b).graph for b in block_decomposition(g).blocks]
         orders = [a.n for a in aux]
         expected = sum(a.m * math.prod(orders) // a.n for a in aux)
-        keys, pairs, count = spanning_trees._exchange_walk(g, 100_000)
+        masks, pairs, edges = spanning_trees._walk(g, 100_000)
+        keys, count = spanning_trees._keys(masks, edges), len(pairs)
         assert len(keys) == math.prod(orders)
         assert count == len(list(pairs)) == expected
 
@@ -264,10 +273,11 @@ def test_table_decode_matches_the_per_position_decode():
         eids = [e.eid for e in edges]
         bits = [1 << (m - 1 - p) for p in range(m)]
         reference = [tuple(eids[p] for p in range(m) if mask & bits[p]) for mask in masks]
-        keys, _, _ = spanning_trees._exchange_walk(g, 10_000)
+        keys = spanning_trees._keys(masks, edges)
         assert keys == reference
         assert keys == sorted(keys) and all(len(k) == g.n - 1 for k in keys)
-    assert spanning_trees._exchange_walk(single_vertex_graph(), 1)[0] == [()]
+    masks, _, edges = spanning_trees._walk(single_vertex_graph(), 1)
+    assert spanning_trees._keys(masks, edges) == [()]
 
 
 def test_text_decode_is_the_json_of_the_tuple_decode():
@@ -416,6 +426,61 @@ def test_reverse_delete_deletes_in_ascending_order(theta):
     tree, trace = reverse_delete_tree(theta)
     assert len(trace) == theta.m - (theta.n - 1)
     SpanningTree.of(theta, tree.key)
+
+
+def test_reverse_delete_leaves_the_greatest_tree():
+    # the greedy tree over descending ids, _walk's start
+    rng = random.Random(2020)
+    for k in range(100):
+        n = rng.randint(2, 8)
+        m = rng.randint(n - 1, min(n + 5, n * (n - 1) // 2))
+        g = random_connected_graph(n, m, rng.randrange(1 << 30))
+        if k % 2:
+            g = _gapped_ids(g, rng)
+        tree, _ = reverse_delete_tree(g)
+        assert tree == max(brute_force_trees(g), key=lambda t: sorted(t.key, reverse=True))
+
+
+def _assert_trace_cycles(g, tree, trace):
+    """Each trace entry's cycle, its sorted edge ids, is a cycle of the
+    graph that survives when its edge is deleted."""
+    surviving = set(g.edge_ids())
+    for d, cycle in trace:
+        assert d in cycle and set(cycle) <= surviving and list(cycle) == sorted(cycle)
+        degrees = Counter(x for eid in cycle for x in g.edge(eid).endpoints())
+        assert set(degrees.values()) == {2}
+        assert len(bfs(g, g.edge(d).u, set(cycle))) == len(degrees)
+        surviving.remove(d)
+    assert surviving == tree.edge_set
+
+
+def test_reverse_delete_trace_cycles_survive_each_step():
+    rng = random.Random(2121)
+    for k in range(30):
+        n = rng.randint(3, 7)
+        m = rng.randint(n, min(n + 5, n * (n - 1) // 2))
+        g = random_two_connected_graph(n, m, rng.randrange(1 << 30))
+        if k % 2:
+            g = _gapped_ids(g, rng)
+        for pair in (None, *itertools.combinations(g.edge_ids(), 2)):
+            tree, trace = reverse_delete_tree(g, pair)
+            _assert_trace_cycles(g, tree, trace)
+            deleted = [d for d, _ in trace]
+            if pair is None:
+                assert deleted == sorted(deleted)
+            else:
+                # w, the cycle's greatest edge other than the pair, goes last
+                assert deleted[:-1] == sorted(deleted[:-1])
+                assert deleted[-1] == max(set(trace[-1][1]) - set(pair))
+
+
+def test_protected_reverse_delete_at_m_2000_takes_under_a_second():
+    g = random_two_connected_graph(1000, 2000, 1)
+    e1, e2 = min(g.edge_ids()), max(g.edge_ids())
+    start = time.perf_counter()
+    tree, trace = reverse_delete_tree(g, protected_pair=(e1, e2))
+    assert time.perf_counter() - start < 1.0
+    assert {e1, e2} <= set(trace[-1][1]) <= tree.edge_set | {trace[-1][0]}
 
 
 def test_serialize_trees(c3):
