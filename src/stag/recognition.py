@@ -14,25 +14,20 @@ root
     a neighbor in one class hangs off a pendant root node. The root is
     B_T itself, a Graph whose edge y joins the two classes of y; a BFS
     gives its components, the blocks of the preimage, and its two sides.
-layout
-    In each block one side holds the tree edges and the other the
-    non-tree edges (the smaller side first, then the other; swapping the
-    sides gives the dual matroid, which has the same Aux). A complete
-    search lays the tree edges out so that each non-tree edge's tree
-    edges form a path; the chord joins the path's ends.
 certificate
-    x maps to T0 and each neighbor to T0 - f + e, read from its root
-    nodes. The map extends along a BFS, each vertex from its grandparent
-    and their common neighbors. It is checked vertex by vertex, with no
-    enumeration of the reconstruction's trees: T0 spans, the map is
-    one-to-one, every edge is an exchange, each tree is one pivot from its
-    BFS parent's, and each degree equals its tree's number of exchanges.
-    A tree's fundamental cycles ride along as one int, a slot of m bits
-    per chord: the pivot to a BFS child and the exchange count (popcount
-    less the number of chords) cost a few int operations per vertex.
-    Then the image is closed under exchange, so it is all of Aux of the
-    reconstruction and the map an isomorphism (McConnell, Mehlhorn, Naeher
-    and Schweitzer 2011, Certifying algorithms).
+    The root is a binary matroid in standard form [I | A]: the smaller
+    side of each block is the basis T0, and chord c's circuit is c plus
+    its root neighbors. x maps to T0 and each neighbor to T0 - f + e, and
+    the map extends along a BFS of h. Checked vertex by vertex with no
+    basis enumerated (_certify), it makes h that matroid's basis graph
+    before any layout runs.
+layout
+    In each block one side holds the tree edges (the smaller first, then
+    the other: the dual matroid has the same basis graph). A complete
+    search lays them out so that each chord's tree edges form a path; the
+    chord joins its ends. The result is checked against the root (each
+    chord closes its root circuit): a mismatch is a program fault,
+    ValidationFailed, not a verdict.
 
 Every rejection names the failed necessary condition.
 """
@@ -41,9 +36,9 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .errors import Disconnected, NotAStag, NotMinimal, TooManyTrees
+from .errors import Disconnected, NotAStag, NotMinimal, TooManyTrees, ValidationFailed
 from .graph_core import Graph, bfs, bridges, single_vertex_graph
-from .spanning_trees import DEFAULT_MAX_TREES, _fundamental_cycles
+from .spanning_trees import DEFAULT_MAX_TREES, _fundamental_cycles, _pack, _pivot
 
 # -- root ---------------------------------------------------------------------
 
@@ -191,15 +186,16 @@ def _block(tree, cycles, root):
 def invert(h, max_trees=DEFAULT_MAX_TREES):
     """Minimal preimage of h: a graph without bridges whose Aux is h.
 
-    Root: N(x) at x = h.vertices[0] is read as the line graph of the
-    fundamental graph of one tree T0; its components are the blocks.
-    Layout: each block's tree edges are laid out so that every non-tree
-    edge closes a path; the blocks share one vertex. Certificate: the
-    labeling of N(x) extends along the one BFS of h to a map into the
-    spanning trees of the result, whose degrees and exchanges are checked
-    vertex by vertex (_certify). A disconnected h raises Disconnected; a
-    verdict of NotAStag names the necessary condition that failed; more
-    than max_trees vertices raise TooManyTrees."""
+    Root: N(x) at x = h.vertices[0] is read as the fundamental graph of
+    one basis T0 of a binary matroid; its components are the blocks.
+    Certificate: the labeling of N(x) extends along the one BFS of h to a
+    map into the bases of that matroid, whose degrees and exchanges are
+    checked vertex by vertex (_certify). Layout: each block's tree edges
+    are laid out so that every non-tree edge closes a path; the blocks
+    share one vertex. A disconnected h raises Disconnected; a verdict of
+    NotAStag names the necessary condition that failed; more than
+    max_trees vertices raise TooManyTrees; a layout that does not realize
+    the root raises ValidationFailed."""
     x = h.vertices[0]
     span = bfs(h, x)
     if len(span) != h.n:
@@ -209,19 +205,25 @@ def invert(h, max_trees=DEFAULT_MAX_TREES):
     if h.n > max_trees:
         raise TooManyTrees(f"{h.n} trees exceed guard {max_trees}")
     _, root, blocks = neighborhood_root(h, x)
+    sides = [sorted(block, key=len) for block in blocks]
+    t0 = sum(1 << a for basis, _ in sides for a in basis)
+    circuits = [sum(1 << a for a in (c, *root.adj(c))) for _, cs in sides for c in cs]
+    phi = {y: t0 ^ (1 << a) ^ (1 << b) for y, a, b in root.edges}
+    _certify(h, span, t0, phi, circuits, root.n)
     pairs = []
     pos = {}
     trees = []
+    chords = []
     next_vertex = 1
-    for block in blocks:
-        sides = sorted(block, key=len)
-        for tree, cycles in (sides, sides[::-1]):
+    for block, (small, large) in zip(blocks, sides):
+        for tree, cycles in ((small, large), (large, small)):
             found = _block(tree, cycles, root)
             if found is not None:
                 break
         else:
             raise NotAStag(
-                f"neither side is graphic: no tree realizes root block {block[0][0]} of N({x})"
+                f"neither side is graphic: no tree realizes root block {block[0][0]} of N({x}), "
+                f"a binary matroid on {len(small) + len(large)} elements of rank {len(small)}"
             )
         place, path_ends = found
         base = next_vertex - 1
@@ -229,59 +231,48 @@ def invert(h, max_trees=DEFAULT_MAX_TREES):
             pos[a] = len(pairs)
             pairs.append((u + base if u else 0, v + base if v else 0))
         trees += tree
+        chords += cycles
         next_vertex += len(tree)
     g = Graph.from_pairs(pairs, vertices=range(next_vertex))
     top = len(pairs) - 1
     bit = {a: 1 << (top - p) for a, p in pos.items()}
-    tree_mask = sum(bit[a] for a in trees)
-    phi = {y: tree_mask ^ bit[a] ^ bit[b] for y, a, b in root.edges}
-    _certify(h, span, g, tree_mask, phi)
+    built = _fundamental_cycles(g, sum(bit[a] for a in trees))
+    if built != [sum(bit[a] for a in (c, *root.adj(c))) for c in chords]:
+        raise ValidationFailed("layout: a chord of the reconstruction does not close its root circuit")
     return g
 
 
-def _certify(h, span, g, t0, phi):
-    """Check that h is Aux(g) under the map that sends the first vertex x
-    of span, a BFS tree of all of h, to the tree t0 and each neighbor y of
-    x to the tree phi[y], extended along span.
+def _certify(h, span, t0, phi, cycles, m):
+    """Check that h is the basis graph of the binary matroid whose
+    fundamental circuits at the basis t0 are cycles, masks of m bits with
+    the chord bit, under the map that sends the first vertex x of span, a
+    BFS tree of all of h, to t0 and each neighbor y of x to the basis
+    phi[y], extended along span.
 
     A vertex w two levels below its grandparent u differs from it by two
     exchanges, and the common neighbors of u and w, one level between
-    them, take each half: phi(w) = phi(u) - removed + added. Trees are
-    masks in the bit order of spanning_trees._fundamental_cycles: g's edge
-    ids are 0..m-1 and edge p is bit m - 1 - p.
+    them, take each half: phi(w) = phi(u) - removed + added.
 
-    The checks: t0 is a spanning tree of g; phi is one-to-one; every edge
-    of h joins two trees whose masks differ in two bits; each vertex w's
-    tree is its BFS parent v's less one edge f on the fundamental cycle
-    C_e of one chord e of phi(v), plus e, so every tree is spanning; and
-    deg_h(w) is the number of exchanges of phi(w), the sum over its
-    chords c of |C_c| - 1. No tree of g is enumerated. A degree that does
-    not match is reported only after every tree has been found spanning,
-    so a map off the spanning trees is named as such.
+    The checks: phi is one-to-one; every edge of h joins two bases whose
+    masks differ in two bits; each vertex w's basis is its BFS parent v's
+    less one element f on the fundamental circuit C_e of one chord e of
+    phi(v), plus e, so every image is a basis; and deg_h(w) is the number
+    of exchanges of phi(w), the sum over its chords c of |C_c| - 1. No
+    basis is enumerated. A degree that does not match is reported only
+    after every image has been found a basis, so a map off the bases is
+    named as such. The circuits of each basis travel as one packed int
+    and pass from v to w = v - f + e by one spanning_trees._pivot.
 
-    Packed cycles: a tree's c = m - n + 1 fundamental cycles are one int
-    of c * m bits (_pack). Slot s, the m bits from s * m, holds the cycle
-    of the tree's s-th chord, at t0 in ascending id order. They pass from
-    v to w = v - f + e by one pivot, as in the exchange walk: chord f gets
-    C_e, and every C_c through f becomes C_c ^ C_e (_pivot). With pos(e)
-    the bit index of e and ones the int with bit s * m set for every
-    slot, (P >> pos(e)) & ones marks the slots whose cycle holds e: only
-    e's own, as a chord lies on no other fundamental cycle, so its one bit
-    is e's slot, and C_e the m bits there. (P >> pos(f)) & ones marks the
-    cycles through f; times C_e it holds C_e in each of those slots, with
-    no carry between slots, and the XOR pivots them. f is on C_e, so e's
-    slot is among them and becomes 0; the OR then writes C_e there, the
-    cycle of the new chord f. The number of exchanges of the tree is the
-    popcount less c.
-
-    Lemma: let h be connected and phi a one-to-one map into the spanning
-    trees of g under which every edge of h is an exchange and every degree
-    matches. Then phi is an isomorphism onto Aux(g). Proof: phi maps
-    N_h(w) one-to-one into the Aux-neighbors of phi(w), a set of the same
-    size, so onto it. The image is therefore closed under exchange, and
-    Aux(g) is connected (any two bases are joined by exchanges), so the
-    image is all of it. phi is then a bijection whose edges and non-edges
-    correspond: an Aux-neighbor of phi(w) is phi of a neighbor of w."""
+    Lemma: let h be connected and phi a one-to-one map into the bases of
+    a matroid under which every edge of h is an exchange and every degree
+    matches. Then phi is an isomorphism onto its basis graph. Proof: phi
+    maps N_h(w) one-to-one into the neighbors of phi(w), a set of the
+    same size, so onto it. The image is therefore closed under exchange,
+    and the basis graph is connected (any two bases are joined by
+    exchanges), so the image is all of it. phi is then a bijection whose
+    edges and non-edges correspond: a neighbor of phi(w) is phi of a
+    neighbor of w (McConnell, Mehlhorn, Naeher and Schweitzer 2011,
+    Certifying algorithms)."""
     x = next(iter(span))
     phi[x] = t0
     for w in islice(span, len(phi), None):
@@ -298,14 +289,7 @@ def _certify(h, span, g, t0, phi):
                 f"from vertex {u}"
             )
         phi[w] = pu ^ removed ^ added
-    cycles = _fundamental_cycles(g, t0)
-    if cycles is None:
-        raise NotAStag(
-            f"certificate does not extend: the tree of vertex {x} is not a spanning "
-            f"tree of the reconstruction"
-        )
     c = len(cycles)
-    m = g.m
     full = (1 << m) - 1
     ones = _pack([1] * c, m)
     first = {}
@@ -342,24 +326,6 @@ def _certify(h, span, g, t0, phi):
         raise NotAStag(
             "count mismatch: vertex {} has degree {}, its tree has {} exchanges".format(*short)
         )
-
-
-def _pack(cycles, m):
-    """The cycles, masks of m bits, as one int: cycle s in the m bits from
-    bit s * m (see _certify)."""
-    return sum(cycle << s * m for s, cycle in enumerate(cycles))
-
-
-def _pivot(packed, e, f, full, ones):
-    """The packed cycles of the tree T - f + e from those of T, e a chord
-    and f a tree edge of T, each a one-bit mask; None when f is not on the
-    cycle of e. full is the m-bit mask and ones _pack([1] * c, m); the
-    layout and the proof are in _certify."""
-    slot = ((packed >> (e.bit_length() - 1)) & ones).bit_length() - 1
-    ce = (packed >> slot) & full
-    if not ce & f:
-        return None
-    return packed ^ ((packed >> (f.bit_length() - 1)) & ones) * ce | ce << slot
 
 
 def enumerate_preimages(g_min, budget):

@@ -194,8 +194,7 @@ def _walk(g, max_trees):
 
     Bit order: a tree is a bitmask in which the edge at position p of the
     edges sorted by id is bit m - 1 - p, so a greater key is a smaller
-    mask. param_report reads the masks and relies on this order;
-    recognition._certify builds its own masks in it and reads no walk.
+    mask. param_report reads the masks and relies on this order.
 
     The walk starts from the greatest tree, Kruskal's over the positions
     in descending order, and pops masks from a min-heap, so trees come out
@@ -211,18 +210,11 @@ def _walk(g, max_trees):
     once, in descending order, and the rows read backwards are the pairs
     in ascending order.
 
-    Each tree carries its fundamental cycles as masks, chord bit included:
-    C_e for each non-tree edge e, so e = C_e & ~T, and the f of its
-    exchanges T - f + e are the tree bits of C_e; those with pos(e) <
-    pos(f) are the bits of C_e below e. The start tree's cycles come from
-    _fundamental_cycles. A tree T' = T - f + e found for the first time
-    inherits its cycles by one pivot: chord f gets C_e, and
-    each other chord g keeps C_g if f is not in C_g, else gets C_g ^ C_e.
-    Both are exact: C_e is a cycle of T' whose one non-tree edge is f; if
-    f is not in C_g, C_g lies in T' + g; otherwise C_g ^ C_e is a nonzero
-    sum in the cycle space whose edges are g, e and edges of T other than
-    f (f cancels), all in T' + g, and the only nonzero element of the
-    cycle space of T' + g is its one cycle.
+    Each pending tree carries its fundamental cycles C_e, chord bit
+    included, as one packed int (_pack); the f of its exchanges T - f + e
+    are the tree bits of C_e, and those with pos(e) < pos(f) the bits of
+    C_e below e. The start tree's cycles come from _fundamental_cycles; a
+    tree found for the first time gets its own by one _pivot.
     """
     expected = count_spanning_trees(g)
     if expected > max_trees:
@@ -230,7 +222,10 @@ def _walk(g, max_trees):
     m = g.m
     edges = sorted(g.edges)
     start = _greedy_tree(g, edges, reversed(range(m)))
-    cycles_of = {start: _fundamental_cycles(g, start)}
+    cycles = _fundamental_cycles(g, start)
+    full, ones = (1 << m) - 1, _pack([1] * len(cycles), m)
+    slots = [s * m for s in range(len(cycles))]
+    packed_of = {start: _pack(cycles, m)}
     pending = {start: []}
     heap = [start]
     masks = []
@@ -241,8 +236,9 @@ def _walk(g, max_trees):
         rank -= 1
         masks.append(cur)
         rows.append(pending.pop(cur))
-        cycles = cycles_of.pop(cur)
-        for i, ce in enumerate(cycles):
+        packed = packed_of.pop(cur)
+        for s in slots:
+            ce = packed >> s & full
             e = ce & ~cur
             below = ce & (e - 1)
             base = cur | e
@@ -254,9 +250,7 @@ def _walk(g, max_trees):
                 if row is None:
                     pending[nxt] = [rank]
                     heappush(heap, nxt)
-                    inherited = [c ^ ce if c & f else c for c in cycles]
-                    inherited[i] = ce
-                    cycles_of[nxt] = inherited
+                    packed_of[nxt] = _pivot(packed, e, f, full, ones)
                 else:
                     row.append(rank)
     if len(masks) != expected:
@@ -291,6 +285,41 @@ def _fundamental_cycles(g, tree):
     for v, (up, eid) in span.items():
         root[v] = 0 if up is None else root[up] | bit_of[eid]
     return [b | (root[e.u] ^ root[e.v]) for e, b in zip(edges, bits) if not tree & b]
+
+
+def _pack(cycles, m):
+    """The cycles, masks of m bits, as one int: slot s, the m bits from
+    bit s * m, holds cycle s (the cycle of a tree's s-th chord)."""
+    return sum(cycle << s * m for s, cycle in enumerate(cycles))
+
+
+def _pivot(packed, e, f, full, ones):
+    """The packed cycles of the tree T - f + e from those of T, e a chord
+    and f a tree edge of T, each a one-bit mask; None when f is not on
+    C_e, the cycle of e. full is the m-bit mask and ones _pack([1] * c, m).
+
+    Chord f gets C_e, and each other chord c keeps C_c if f is not in C_c,
+    else gets C_c ^ C_e. Both are exact: C_e is a cycle of T' = T - f + e
+    whose one non-tree edge is f; if f is not in C_c, C_c lies in T' + c;
+    otherwise C_c ^ C_e is a nonzero sum in the cycle space whose edges
+    are c, e and edges of T other than f (f cancels), all in T' + c, and
+    the only nonzero element of the cycle space of T' + c is its one
+    cycle. The same holds for the fundamental circuits of any binary
+    matroid, its cycle space the GF(2) row space of the circuits.
+
+    With pos(e) the bit index of e, (P >> pos(e)) & ones marks the slots
+    whose cycle holds e: only e's own, as a chord lies on no other
+    fundamental cycle, so its one bit is e's slot, and C_e the m bits
+    there. (P >> pos(f)) & ones marks the cycles through f; times C_e it
+    holds C_e in each of those slots, with no carry between slots, and the
+    XOR pivots them. f is on C_e, so e's slot is among them and becomes 0;
+    the OR then writes C_e there, the cycle of the new chord f. The number
+    of exchanges of the tree is the popcount less the number of chords."""
+    slot = ((packed >> (e.bit_length() - 1)) & ones).bit_length() - 1
+    ce = (packed >> slot) & full
+    if not ce & f:
+        return None
+    return packed ^ ((packed >> (f.bit_length() - 1)) & ones) * ce | ce << slot
 
 
 _CHUNK = 7
@@ -392,17 +421,19 @@ def witness_edge_for_pair(g, t, e1, e2):
     Not every tree admits one for a given pair (a diamond with the tree
     {01, 02, 23} separates 01 from 23), but the tree reverse_delete_tree
     builds with the pair protected always does: the chord it deletes last
-    closes the cycle through both edges that it keeps in the tree."""
+    closes the cycle through both edges that it keeps in the tree. The
+    witness is the least such chord, read off one _fundamental_cycles BFS."""
     if not is_two_connected(g) or g.n == 2:
         raise NotTwoConnected("witness requires a 2-connected host != K2")
     if e1 == e2 or e1 not in t.edge_set or e2 not in t.edge_set:
         raise ValueError("e1, e2 must be two distinct tree edges")
-    for e in g.edges:
-        if e.eid in t.edge_set:
-            continue
-        cyc = set(fundamental_cycle_edges(g, t.edge_set, e.eid))
-        if e1 in cyc and e2 in cyc:
-            return e.eid
+    edges = sorted(g.edges)
+    bit = {e.eid: 1 << (g.m - 1 - p) for p, e in enumerate(edges)}
+    chords = [e.eid for e in edges if e.eid not in t.edge_set]
+    pair = bit[e1] | bit[e2]
+    for eid, cycle in zip(chords, _fundamental_cycles(g, sum(bit[e] for e in t.edge_set))):
+        if cycle & pair == pair:
+            return eid
     raise NoWitness(f"no witness for pair ({e1}, {e2}) on this tree")
 
 

@@ -1,0 +1,107 @@
+"""Binary matroids by brute force, and crafted near-basis graphs, for tests.
+
+A binary matroid is given by the columns of a GF(2) matrix, each an int
+whose bit i is row i. Its bases are listed as the r-subsets of columns of
+full rank r and joined by single exchanges; nothing here comes from the
+exchange walk or the certificate.
+
+    PYTHONPATH=src:tests python -c "from binary_matroids import write_crafted; \
+        write_crafted(60, 80, 1, 1, 'neg.txt')"
+
+writes the (60, 80, 1) flip-1 crafted negative as an edge list.
+"""
+
+from __future__ import annotations
+
+import random
+from itertools import combinations
+
+from stag import Graph, to_edgelist
+from stag.generators import random_two_connected_graph
+from stag.graph_core import bfs, fundamental_cycle_edges
+
+# Standard representations [I | A], columns as ints over the rows.
+F7 = [1, 2, 4, 3, 5, 6, 7]
+R10 = [v for v in range(32) if v.bit_count() == 3]  # the 5-tuples with three ones
+
+
+def rank(columns):
+    """GF(2) rank by elimination on the columns as ints."""
+    pivots = {}
+    for v in columns:
+        while v:
+            top = v.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = v
+                break
+            v ^= pivots[top]
+    return len(pivots)
+
+
+def dual(columns, r):
+    """[A^T | I] from [I | A] (the first r columns the identity of r rows):
+    column i of A^T is row i of A."""
+    a = columns[r:]
+    return [sum(1 << j for j, col in enumerate(a) if col >> i & 1) for i in range(r)] + [
+        1 << j for j in range(len(a))
+    ]
+
+
+def bases(columns):
+    """The bases of the matroid of the columns, as sorted index tuples."""
+    r = rank(columns)
+    return [b for b in combinations(range(len(columns)), r)
+            if rank([columns[i] for i in b]) == r]
+
+
+def basis_graph(bs):
+    """The exchange graph of the bases bs: one vertex per basis in order,
+    an edge for each two bases that share all but one element."""
+    sets = [frozenset(b) for b in bs]
+    r = len(sets[0])
+    pairs = [(i, j) for i, j in combinations(range(len(sets)), 2) if len(sets[i] & sets[j]) == r - 1]
+    return Graph.from_pairs(pairs, vertices=range(len(sets)))
+
+
+def random_binary_matrix(rng, max_columns=10, max_rows=5):
+    """Uniform columns of 1..max_rows rows, as many as rows..max_columns:
+    loops, parallel elements and rank below the row count all occur."""
+    rows = rng.randint(1, max_rows)
+    return [rng.randrange(1 << rows) for _ in range(rng.randint(rows, max_columns))]
+
+
+def has_parallel_pair_component(columns):
+    """True when two elements form a connected component U(1,2) of the
+    matroid: parallel, and every basis holds exactly one of them. Its
+    basis graph is then a product with K2, whose edges lie in no triangle."""
+    r = rank(columns)
+    for i, j in combinations(range(len(columns)), 2):
+        rest = [c for k, c in enumerate(columns) if k not in (i, j)]
+        if columns[i] and columns[i] == columns[j] and rank(rest) == r - 1:
+            return True
+    return False
+
+
+def crafted_negative(n, m, seed, flip):
+    """One vertex joined to L(B), B the fundamental graph (tree edges
+    against chords, f ~ e when f is on the cycle of e) of
+    random_two_connected_graph(n, m, seed) for its BFS tree from vertex
+    0, with the entry at one tree edge and one chord drawn by
+    random.Random(flip) flipped. This is the closed neighborhood of one
+    vertex of a basis graph at most, so no Aux graph."""
+    g = random_two_connected_graph(n, m, seed)
+    tree = {eid for _, eid in bfs(g, g.vertices[0]).values() if eid is not None}
+    chords = sorted(set(g.edge_ids()) - tree)
+    entries = {(f, e) for e in chords for f in fundamental_cycle_edges(g, tree, e)[1:]}
+    rng = random.Random(flip)
+    entries ^= {(rng.choice(sorted(tree)), rng.choice(chords))}
+    nodes = sorted(entries)
+    pairs = [(0, i) for i in range(1, len(nodes) + 1)]
+    pairs += [(i + 1, j + 1) for i, j in combinations(range(len(nodes)), 2)
+              if nodes[i][0] == nodes[j][0] or nodes[i][1] == nodes[j][1]]
+    return Graph.from_pairs(pairs)
+
+
+def write_crafted(n, m, seed, flip, path):
+    with open(path, "w") as out:
+        out.write(to_edgelist(crafted_negative(n, m, seed, flip)))
