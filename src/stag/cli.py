@@ -147,7 +147,7 @@ def _cmd_invert(args):
         if g is None:
             raise NotAStag("no preimage at oracle scale")
     else:
-        g = invert(h, max_trees=args.max_trees)
+        g = invert(h)
     return "ok", _emit(_graph_text(g, args.output, args.format), args.output)
 
 
@@ -175,7 +175,7 @@ def _cmd_verify_roundtrip(args):
     are_isomorphic."""
     g = _load_graph(args.input, args.format)
     s = build_stag(g, max_trees=args.max_trees)
-    g2 = invert(s.graph, max_trees=args.max_trees)
+    g2 = invert(s.graph)
     s2 = build_stag(g2, max_trees=args.max_trees)
     ok, _ = are_isomorphic(s.graph, s2.graph)
     if not ok:
@@ -218,7 +218,7 @@ def _build_parser():
         p.add_argument("--json", action="store_true", dest="verdict_json")
         if name in ("count", "trees", "invert"):
             p.add_argument("--oracle", action="store_true")
-        if name in ("aux", "trees", "invert", "params", "verify-roundtrip"):
+        if name in ("aux", "trees", "params", "verify-roundtrip"):
             p.add_argument("--max-trees", type=int, default=DEFAULT_MAX_TREES)
         if name == "factor":
             p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)

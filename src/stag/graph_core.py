@@ -75,7 +75,7 @@ class Graph:
         and the first read of edges, _adj or _by_id builds them (and names,
         if none were given) as Graph would and releases pairs (_PairGraph).
         Subgraphs take the same hook with their edges already set
-        (_subgraph)."""
+        (subgraph_edges)."""
         g = object.__new__(_PairGraph)
         g.vertices = tuple(range(n))
         g._pairs = pairs
@@ -100,15 +100,8 @@ class Graph:
         graph's Edge tuples and names and equals the Graph that
         Graph(vertices, edges, names) builds: an empty vertex set, or
         vertices that omit an endpoint, raise ValueError as Graph does.
-        It is _subgraph's graph with its adjacency built at once."""
-        g = self._subgraph(eids, vertices)
-        g._expand()
-        return g
-
-    def _subgraph(self, eids, vertices=None):
-        """subgraph_edges before its adjacency: vertices, edges and names
-        are set and checked, and the first read of _adj or _by_id builds
-        them (_EdgeGraph). block_decomposition keeps its blocks so."""
+        Vertices, edges and names are set at once, and the first read of
+        _adj or _by_id builds them (_EdgeGraph)."""
         by_id = self._by_id
         es = tuple([by_id[i] for i in sorted(set(eids)) if i in by_id])
         if vertices is None:
@@ -188,7 +181,10 @@ class Graph:
 
 class _PairGraph(Graph):
     """A Graph._trusted graph until its structure is read. It adds no slot,
-    so _expand can turn it into a plain Graph in place. Reading names
+    so _expand can turn it into a plain Graph in place. The class is
+    swapped, not the hook kept, as on CPython 3.11 a class with
+    __getattr__, even one that never fires, loses the specialised method
+    calls and slot reads that every hot loop makes. Reading names
     builds only the default names. The hook is shared with _EdgeGraph and
     reads no missing slot through itself, so an object without state (copy
     and pickle make them) raises AttributeError rather than recursing;
@@ -235,10 +231,10 @@ class _PairGraph(Graph):
 
 
 class _EdgeGraph(_PairGraph):
-    """A Graph._subgraph graph: vertices, edges (its host's Edge tuples) and
-    names are set, and the first read of _adj or _by_id builds them through
-    _PairGraph's hook, after which it is a plain Graph. It adds no slot;
-    __reduce__ copies and pickles it unexpanded."""
+    """A Graph.subgraph_edges graph: vertices, edges (its host's Edge
+    tuples) and names are set, and the first read of _adj or _by_id builds
+    them through _PairGraph's hook, after which it is a plain Graph. It
+    adds no slot; __reduce__ copies and pickles it unexpanded."""
 
     __slots__ = ()
 
@@ -282,7 +278,8 @@ def single_vertex_graph():
 def parse_graph(text, fmt="edgelist"):
     """Parse EdgeList or JSON input into a Graph.
 
-    EdgeList: one "u v" pair per line, '#' comments and blank lines ignored.
+    EdgeList: a line "u v" is an edge and a line "v" names a vertex; lines
+    whose first token starts with '#' and blank lines are ignored.
     JSON: {"vertices": [names], "edges": [[u, v], ...]}.
     """
     if isinstance(text, bytes):
@@ -302,12 +299,14 @@ def _parse_edgelist(text):
     ids = {}
     pairs = {}  # insertion-ordered, so edge ids follow the input
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "#":
             continue
-        tokens = line.split()
+        if len(tokens) == 1:
+            ids.setdefault(tokens[0], len(ids))
+            continue
         if len(tokens) != 2:
-            raise ParseError(ln, f"expected two vertex tokens, got {len(tokens)}")
+            raise ParseError(ln, f"expected one or two vertex tokens, got {len(tokens)}")
         u, v = tokens
         if u == v:
             raise ParseError(ln, f"self-loop at {u!r}")
@@ -366,10 +365,11 @@ def to_edgelist(g):
     if joined.split() != list(names.values()) or "\n#" in "\n" + joined:
         v = next(v for v, t in names.items() if t.split() != [t] or t[0] == "#")
         raise ValueError(f"vertex {v} is named {names[v]!r}, which an edge list cannot hold")
-    lines = [f"{names[u]} {names[v]}" for u, v in g.edge_pairs()]
-    if not lines:
-        lines = [f"# single vertex {names[g.vertices[0]]}"]
-    return "\n".join(lines) + "\n"
+    if not g.m:
+        return joined + "\n"
+    pairs = g.edge_pairs()
+    return "".join(["".join([f"{names[u]} {names[v]}\n" for u, v in islice(pairs, 4096)])
+                    for _ in range(0, g.m, 4096)])
 
 
 def to_json(g):
@@ -517,16 +517,16 @@ def block_decomposition(g):
     """Blocks, cut vertices and block-cutpoint tree of a connected graph.
 
     Block i is the subgraph on its edges, ascending ids, and their
-    endpoints: it equals subgraph_edges of those ids, holds g's own Edge
-    tuples and names, and builds its adjacency the first time something
-    reads it (Graph._subgraph), so a caller that reads only vertices, edges
-    or names never pays for it. Blocks come in the order a depth-first
-    search from vertices[0], taking each vertex's edges by ascending id,
-    completes them. tree_edges lists (i, v) for each block i in that order
+    endpoints, subgraph_edges of those ids: it holds g's own Edge tuples
+    and names, and builds its adjacency the first time something reads
+    it, so a caller that reads only vertices, edges or names never pays
+    for it. Blocks come in the order a depth-first search from
+    vertices[0], taking each vertex's edges by ascending id, completes
+    them. tree_edges lists (i, v) for each block i in that order
     and each cut vertex v of block i in ascending order. An isolated vertex
     has no blocks. Raises Disconnected if g is not connected."""
     found, cut = _blocks(g)
-    blocks = tuple(g._subgraph(b) for b in found)
+    blocks = tuple(g.subgraph_edges(b) for b in found)
     tree_edges = tuple(
         (i, v) for i, b in enumerate(blocks) for v in b.vertices if v in cut
     )

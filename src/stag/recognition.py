@@ -36,9 +36,9 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .errors import Disconnected, NotAStag, NotMinimal, TooManyTrees, ValidationFailed
+from .errors import Disconnected, NotAStag, NotMinimal, ValidationFailed
 from .graph_core import Graph, bfs, bridges, single_vertex_graph
-from .spanning_trees import DEFAULT_MAX_TREES, _fundamental_cycles, _pack, _pivot
+from .spanning_trees import _fundamental_cycles, _pack, _pivot
 
 # -- root ---------------------------------------------------------------------
 
@@ -183,7 +183,7 @@ def _block(tree, cycles, root):
 # -- inversion ----------------------------------------------------------------
 
 
-def invert(h, max_trees=DEFAULT_MAX_TREES):
+def invert(h):
     """Minimal preimage of h: a graph without bridges whose Aux is h.
 
     Root: N(x) at x = h.vertices[0] is read as the fundamental graph of
@@ -193,17 +193,15 @@ def invert(h, max_trees=DEFAULT_MAX_TREES):
     checked vertex by vertex (_certify). Layout: each block's tree edges
     are laid out so that every non-tree edge closes a path; the blocks
     share one vertex. A disconnected h raises Disconnected; a verdict of
-    NotAStag names the necessary condition that failed; more than
-    max_trees vertices raise TooManyTrees; a layout that does not realize
-    the root raises ValidationFailed."""
+    NotAStag names the necessary condition that failed; a layout that
+    does not realize the root raises ValidationFailed. No tree guard: h
+    is already in memory, and only the layout searches, on the root."""
     x = h.vertices[0]
     span = bfs(h, x)
     if len(span) != h.n:
         raise Disconnected("recognition needs a connected candidate")
     if h.n == 1:
         return single_vertex_graph()
-    if h.n > max_trees:
-        raise TooManyTrees(f"{h.n} trees exceed guard {max_trees}")
     _, root, blocks = neighborhood_root(h, x)
     sides = [sorted(block, key=len) for block in blocks]
     t0 = sum(1 << a for basis, _ in sides for a in basis)

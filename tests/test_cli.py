@@ -183,6 +183,35 @@ def test_invert_oracle_agrees(p4_file, capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "not_a_stag"
 
 
+def test_k1_from_random_reads_back_in_every_command(tmp_path, capsys):
+    k1 = tmp_path / "k1.txt"
+    assert run(["random", "--n", "1", "--m", "0", "-o", str(k1)]) == 0
+    assert k1.read_text() == "0\n"
+    assert run(["count", "-i", str(k1)]) == 0
+    assert capsys.readouterr().out == "1\n"
+    assert run(["trees", "-i", str(k1)]) == 0
+    assert capsys.readouterr().out.count("\n") == 1  # the one empty tree
+    assert run(["blocks", "-i", str(k1)]) == 0
+    assert json.loads(capsys.readouterr().out)["blocks"] == []
+
+
+def test_aux_of_a_path_inverts_from_its_edge_list(tmp_path, p4_file, capsys):
+    aux = tmp_path / "aux.txt"
+    assert run(["aux", "-i", str(p4_file), "-o", str(aux)]) == 0
+    assert len(aux.read_text().split()) == 1  # one tree, one vertex
+    assert run(["invert", "-i", str(aux)]) == 0
+    assert capsys.readouterr().out == "0\n"
+
+
+def test_factor_of_k1_reads_back(tmp_path, capsys):
+    k1 = tmp_path / "k1.txt"
+    _write(k1, "0\n")
+    prefix = tmp_path / "f"
+    assert run(["factor", "-i", str(k1), "-o", str(prefix)]) == 0
+    assert run(["count", "-i", str(prefix) + "_0.txt"]) == 0
+    assert capsys.readouterr().out == "1\n"
+
+
 def test_factor_writes_files(tmp_path, capsys):
     c4 = tmp_path / "c4.txt"
     _write(c4, "0 1\n1 2\n2 3\n3 0\n")
@@ -281,8 +310,10 @@ def test_guard_exit_code(tmp_path, capsys):
     assert rc == 3
     aux_k4 = tmp_path / "aux_k4.txt"
     _write(aux_k4, to_edgelist(build_stag(complete_graph(4)).graph))
-    rc = run(["invert", "-i", str(aux_k4), "--max-trees", "10"])
-    assert rc == 3
+    assert run(["invert", "-i", str(aux_k4), "--max-trees", "10"]) == 2  # invert has no guard
+    k4 = tmp_path / "k4.txt"
+    _write(k4, to_edgelist(complete_graph(4)))
+    assert run(["verify-roundtrip", "-i", str(k4), "--max-trees", "10"]) == 3
 
 
 def test_guard_on_a_long_block_chain(tmp_path, capsys):

@@ -24,15 +24,16 @@ _TOKEN = st.text(
 @st.composite
 def named_graphs(draw, names, isolated):
     """A simple graph on shuffled integer vertices with shuffled edge ids
-    and distinct names. Without isolated vertices every vertex is an
-    endpoint and there is at least one edge, as an edge list needs."""
+    and distinct names. Without isolated, every vertex is an endpoint unless
+    there is no edge, as an edge list writes an edgeless graph as its vertex
+    names and leaves out a vertex beside edges that lies on none."""
     pool = draw(st.lists(st.integers(-5, 40), min_size=2, max_size=8, unique=True))
     pairs = draw(st.lists(
         st.tuples(st.sampled_from(pool), st.sampled_from(pool)).filter(lambda p: p[0] != p[1]),
-        min_size=0 if isolated else 1, max_size=14, unique_by=frozenset,
+        max_size=14, unique_by=frozenset,
     ))
     ids = draw(st.lists(st.integers(0, 60), min_size=len(pairs), max_size=len(pairs), unique=True))
-    vertices = pool if isolated else sorted({x for p in pairs for x in p})
+    vertices = sorted({x for p in pairs for x in p}) if pairs and not isolated else pool
     labels = draw(st.lists(names, min_size=len(vertices), max_size=len(vertices), unique=True))
     return Graph(vertices, [(k, u, v) for k, (u, v) in zip(ids, pairs)], dict(zip(vertices, labels)))
 
@@ -51,7 +52,7 @@ def test_json_parses_back_to_the_same_graph_and_bytes(g):
     assert to_json(back) == text
 
 
-@_settings
+@settings(_settings, max_examples=150)  # about a third come without edges
 @given(named_graphs(_TOKEN, isolated=False))
 def test_edgelist_parses_back_to_the_same_graph_and_bytes(g):
     text = to_edgelist(g)
