@@ -57,10 +57,11 @@ def build_stag(g, max_trees=DEFAULT_MAX_TREES):
     and the edges by vertex pair, already in that order, so builds are
     reproducible and nothing is sorted after it. The graph holds only the
     walk's rows (Graph._trusted): stag_to_json and stag_to_dot stream them,
-    and the first read of its edges or adjacency builds those and releases
-    the rows. The trees are only the walk's masks (a _Trees):
-    stag_to_json and stag_to_dot write their text from the masks, and the
-    first read of a tree decodes them all into SpanningTree objects."""
+    the first read of its adjacency builds it from the rows, and only the
+    first read of its edges releases them. The trees are only the walk's
+    masks (a _Trees): stag_to_json and stag_to_dot write their text from
+    the masks, and the first read of a tree decodes them all into
+    SpanningTree objects."""
     masks, pairs, edges = _walk(g, max_trees)
     return StagGraph(Graph._trusted(len(masks), pairs), _Trees(g, masks, edges), g)
 
@@ -134,7 +135,7 @@ def stag_to_json(s):
         labels = _labels(s.trees)
         trees = "[[" + "],[".join(labels) + "]]" if labels else "[]"
     labels = {v: f'"{v}"' for v in s.graph.vertices}
-    rows = getattr(s.graph, "_pairs", None)
+    rows = s.graph._pairs
     edges = None
     if isinstance(rows, _Rows):
         edges = ",".join([

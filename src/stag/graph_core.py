@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import Disconnected, HasBridge, ParseError, TooLarge
+from .errors import Disconnected, HasBridge, ParseError
 
 
 class Edge(NamedTuple):
@@ -36,9 +36,24 @@ class Edge(NamedTuple):
 
 
 class Graph:
-    """Immutable simple undirected graph with stable edge ids."""
+    """Immutable simple undirected graph with stable edge ids.
 
-    __slots__ = ("vertices", "edges", "names", "_adj", "_by_id", "_pairs")
+    Its structure sits in slots that are None until built: _pairs, the
+    (u, v), u < v, of edge k at index k; _edges, the Edge tuples; _adj,
+    {v: {w: edge id}}; _by_id, {edge id: Edge}; and _names, a str per
+    vertex in vertex order. Graph() builds all but _pairs. Graph._trusted
+    holds only _pairs and any names given: m, edge_pairs() and the
+    serialisers read the pairs, the first adjacency read builds _adj from
+    them, each id its pair's index, with no Edge, and the first read of
+    edges builds the Edge tuples and releases the pairs. A subgraph
+    (subgraph_edges) starts as its host's Edge tuples and names. The first
+    edge() or subgraph_edges builds _by_id. The hot accessors read the
+    slot before they call a builder: on CPython 3.11 a class with
+    __getattr__, even one that never fires, loses the specialised method
+    calls and slot reads that every hot loop makes. Copy and pickle keep
+    the slots as they are, built or not."""
+
+    __slots__ = ("vertices", "_names", "_edges", "_pairs", "_adj", "_by_id")
 
     def __init__(self, vertices, edges, names=None):
         vs = tuple(sorted({int(v) for v in vertices}))
@@ -58,11 +73,17 @@ class Graph:
             e = Edge(int(eid), *((u, v) if u < v else (v, u)))
             adj[e.u][e.v] = adj[e.v][e.u] = e.eid
             by_id[e.eid] = e
-        self.vertices = vs
-        self.edges = tuple(by_id.values())
-        self.names = {v: str(v if names is None else names.get(v, v)) for v in vs}
+        names = {v: str(v if names is None else names.get(v, v)) for v in vs}
+        self._set(vs, names, None, tuple(by_id.values()), adj, by_id)
+
+    def _set(self, vertices, names, pairs, edges, adj=None, by_id=None):
+        self.vertices = vertices
+        self._names = names
+        self._pairs = pairs
+        self._edges = edges
         self._adj = adj
         self._by_id = by_id
+        return self
 
     @classmethod
     def _trusted(cls, n, pairs, names=None):
@@ -71,17 +92,39 @@ class Graph:
         0 <= u < v < n, no repeated pair and names None or a str per vertex:
         only build_stag (the walk's rows) and the two parsers (their
         ordered pair dicts, after every ParseError) may call it. pairs,
-        sized and re-iterable, is all it keeps: m and edge_pairs() read it,
-        and the first read of edges, _adj or _by_id builds them (and names,
-        if none were given) as Graph would and releases pairs (_PairGraph).
-        Subgraphs take the same hook with their edges already set
-        (subgraph_edges)."""
-        g = object.__new__(_PairGraph)
-        g.vertices = tuple(range(n))
-        g._pairs = pairs
-        if names is not None:
-            g.names = names
-        return g
+        sized and re-iterable, is all it holds."""
+        return object.__new__(cls)._set(tuple(range(n)), names, pairs, None)
+
+    # -- caches ----------------------------------------------------------------
+
+    @property
+    def names(self):
+        if self._names is None:
+            self._names = {v: str(v) for v in self.vertices}
+        return self._names
+
+    @property
+    def edges(self):
+        if self._edges is None:
+            new = tuple.__new__
+            self._edges = tuple([new(Edge, (k, u, v)) for k, (u, v) in enumerate(self._pairs)])
+            self._pairs = None
+        return self._edges
+
+    def _adjacency(self):
+        """Build _adj from the pairs while they are held, else from edges."""
+        self._adj = adj = {v: {} for v in self.vertices}
+        if self._pairs is None:
+            for k, u, v in self._edges:
+                adj[u][v] = adj[v][u] = k
+        else:
+            for k, (u, v) in enumerate(self._pairs):
+                adj[u][v] = adj[v][u] = k
+        return adj
+
+    def _edge_index(self):
+        self._by_id = by_id = {e.eid: e for e in self.edges}
+        return by_id
 
     # -- construction helpers -------------------------------------------------
 
@@ -96,13 +139,12 @@ class Graph:
 
     def subgraph_edges(self, eids, vertices=None):
         """Subgraph keeping the given edge ids (and their endpoints), in
-        ascending id order; ids not in the graph are skipped. It shares this
-        graph's Edge tuples and names and equals the Graph that
-        Graph(vertices, edges, names) builds: an empty vertex set, or
-        vertices that omit an endpoint, raise ValueError as Graph does.
-        Vertices, edges and names are set at once, and the first read of
-        _adj or _by_id builds them (_EdgeGraph)."""
-        by_id = self._by_id
+        ascending id order; ids not in the graph are skipped. It holds this
+        graph's Edge tuples and names, builds the rest when read, and equals
+        the Graph that Graph(vertices, edges, names) builds: an empty vertex
+        set, or vertices that omit an endpoint, raise ValueError as Graph
+        does."""
+        by_id = self._by_id or self._edge_index()
         es = tuple([by_id[i] for i in sorted(set(eids)) if i in by_id])
         if vertices is None:
             vs = {x for e in es for x in (e.u, e.v)}
@@ -116,7 +158,8 @@ class Graph:
                     raise ValueError(f"edge ({e.u},{e.v}) touches unknown vertex")
         vs = tuple(sorted(vs))
         names = self.names
-        return _EdgeGraph._of(vs, es, {v: names[v] if v in names else str(v) for v in vs})
+        names = {v: names[v] if v in names else str(v) for v in vs}
+        return object.__new__(Graph)._set(vs, names, None, es)
 
     def relabeled(self):
         """Dense relabeling 0..n-1; returns (graph, old->new map)."""
@@ -124,7 +167,7 @@ class Graph:
         g = Graph(
             range(self.n),
             [(e.eid, remap[e.u], remap[e.v]) for e in self.edges],
-            {remap[v]: self.names[v] for v in self.vertices},
+            {remap[v]: name for v, name in self.names.items()},
         )
         return g, remap
 
@@ -136,35 +179,37 @@ class Graph:
 
     @property
     def m(self):
-        return len(self.edges)
+        return len(self._edges if self._pairs is None else self._pairs)
 
     def edge(self, eid):
-        return self._by_id[eid]
+        return (self._by_id or self._edge_index())[eid]
 
     def edge_ids(self):
         return tuple(e.eid for e in self.edges)
 
     def edge_pairs(self):
         """(u, v), u < v, of each edge in the order of edges."""
-        return map(itemgetter(1, 2), self.edges)
+        if self._pairs is None:
+            return map(itemgetter(1, 2), self._edges)
+        return iter(self._pairs)
 
     def adj(self, v):
-        return self._adj[v]
+        return (self._adj or self._adjacency())[v]
 
     def degree(self, v):
-        return len(self._adj[v])
+        return len((self._adj or self._adjacency())[v])
 
     def has_edge(self, u, v):
-        return v in self._adj.get(u, ())
+        return v in (self._adj or self._adjacency()).get(u, ())
 
     def eid_between(self, u, v):
-        return self._adj[u].get(v)
+        return (self._adj or self._adjacency())[u].get(v)
 
     def incident_eids(self, v):
-        return sorted(self._adj[v].values())
+        return sorted((self._adj or self._adjacency())[v].values())
 
     def degree_sequence(self):
-        return tuple(sorted(len(self._adj[v]) for v in self.vertices))
+        return tuple(sorted(map(len, (self._adj or self._adjacency()).values())))
 
     def is_complete(self):
         return self.m == self.n * (self.n - 1) // 2
@@ -177,81 +222,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
-
-
-class _PairGraph(Graph):
-    """A Graph._trusted graph until its structure is read. It adds no slot,
-    so _expand can turn it into a plain Graph in place. The class is
-    swapped, not the hook kept, as on CPython 3.11 a class with
-    __getattr__, even one that never fires, loses the specialised method
-    calls and slot reads that every hot loop makes. Reading names
-    builds only the default names. The hook is shared with _EdgeGraph and
-    reads no missing slot through itself, so an object without state (copy
-    and pickle make them) raises AttributeError rather than recursing;
-    __reduce__ copies and pickles it unexpanded."""
-
-    __slots__ = ()
-
-    @property
-    def m(self):
-        return len(self._pairs)
-
-    def edge_pairs(self):
-        return iter(self._pairs)
-
-    def __getattr__(self, name):
-        if name == "names":
-            self.names = {v: str(v) for v in self.vertices}
-        elif name in ("edges", "_adj", "_by_id"):
-            self._expand()
-        else:
-            raise AttributeError(name)
-        return getattr(self, name)
-
-    def _expand(self):
-        new = tuple.__new__
-        self.edges = edges = tuple([new(Edge, (k, u, v)) for k, (u, v) in enumerate(self._pairs)])
-        self.names  # read once, so the default names exist before the hook goes
-        del self._pairs
-        self._index(dict(enumerate(edges)))
-
-    def _index(self, by_id=None):
-        """Build _adj, and _by_id unless given, from vertices and edges, and
-        become a plain Graph. vertices is read first: on an object without
-        state it raises before edges can reach the hook."""
-        self._adj = adj = {v: {} for v in self.vertices}
-        edges = self.edges
-        for k, u, v in edges:
-            adj[u][v] = adj[v][u] = k
-        self._by_id = {e.eid: e for e in edges} if by_id is None else by_id
-        self.__class__ = Graph
-
-    def __reduce__(self):
-        return Graph._trusted, (self.n, self._pairs, self.names)
-
-
-class _EdgeGraph(_PairGraph):
-    """A Graph.subgraph_edges graph: vertices, edges (its host's Edge
-    tuples) and names are set, and the first read of _adj or _by_id builds
-    them through _PairGraph's hook, after which it is a plain Graph. It
-    adds no slot; __reduce__ copies and pickles it unexpanded."""
-
-    __slots__ = ()
-
-    m = Graph.m
-    edge_pairs = Graph.edge_pairs
-    _expand = _PairGraph._index
-
-    @classmethod
-    def _of(cls, vertices, edges, names):
-        g = object.__new__(cls)
-        g.vertices = vertices
-        g.edges = edges
-        g.names = names
-        return g
-
-    def __reduce__(self):
-        return _EdgeGraph._of, (self.vertices, self.edges, self.names)
 
 
 def complete_graph(k):
@@ -373,7 +343,7 @@ def to_edgelist(g):
 
 
 def to_json(g):
-    return _json_text(g, {v: encode_basestring_ascii(g.names[v]) for v in g.vertices})
+    return _json_text(g, {v: encode_basestring_ascii(name) for v, name in g.names.items()})
 
 
 def _json_text(g, labels, edges=None, **members):
@@ -394,8 +364,8 @@ def _json_text(g, labels, edges=None, **members):
 def to_dot(g):
     idx = {v: i for i, v in enumerate(g.vertices)}
     out = ["graph G {"]
-    for v in g.vertices:
-        out.append(f'  n{idx[v]} [label="{g.names[v]}"];')
+    for v, name in g.names.items():
+        out.append(f'  n{idx[v]} [label="{name}"];')
     for e in g.edges:
         out.append(f'  n{idx[e.u]} -- n{idx[e.v]} [label="{e.eid}"];')
     out.append("}")
@@ -411,7 +381,7 @@ def bfs(g, source, eids=None):
     only those edges are followed."""
     tree = {source: (None, None)}
     order = [source]
-    adj = g._adj
+    adj = g._adj or g._adjacency()
     for x in order:
         nbrs = adj[x]
         for y in nbrs:
@@ -591,10 +561,10 @@ def cartesian_product(g1, g2):
     n2 = len(v2)
     idx = {}
     names = {}
-    for i, a in enumerate(v1):
-        for j, b in enumerate(v2):
+    for i, (a, s) in enumerate(g1.names.items()):
+        for j, (b, t) in enumerate(g2.names.items()):
             idx[(a, b)] = i * n2 + j
-            names[i * n2 + j] = f"({g1.names[a]},{g2.names[b]})"
+            names[i * n2 + j] = f"({s},{t})"
     pairs = []
     for a in v1:
         for e in g2.edges:
@@ -608,15 +578,13 @@ def cartesian_product(g1, g2):
 # -- isomorphism --------------------------------------------------------------------
 
 
-def are_isomorphic(g1, g2, max_n=5000):
+def are_isomorphic(g1, g2):
     """Isomorphism test: colour refinement of the disjoint union by class
     splitting, then a search that matches g1's vertices in a fixed BFS order.
 
     Returns (True, mapping g1-vertex -> g2-vertex) or (False, None). The
     mapping depends only on the two graphs, so repeated calls agree.
     """
-    if g1.n > max_n or g2.n > max_n:
-        raise TooLarge(f"isomorphism guard {max_n} exceeded")
     if g1.n != g2.n or g1.m != g2.m:
         return False, None
     if g1.degree_sequence() != g2.degree_sequence():

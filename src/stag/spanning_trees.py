@@ -398,8 +398,9 @@ class _Rows:
         return self.count
 
     def __iter__(self):
-        rows = reversed(self.rows)
-        return chain.from_iterable(zip(repeat(u), reversed(row)) for u, row in enumerate(rows))
+        rows = self.rows
+        pairs = map(zip, map(repeat, range(len(rows))), map(reversed, reversed(rows)))
+        return chain.from_iterable(pairs)
 
 
 def _labels(trees):

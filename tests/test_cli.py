@@ -316,6 +316,16 @@ def test_guard_exit_code(tmp_path, capsys):
     assert run(["verify-roundtrip", "-i", str(k4), "--max-trees", "10"]) == 3
 
 
+def test_verify_roundtrip_has_no_isomorphism_guard(tmp_path, capsys):
+    # Aux of this preimage has 7,112 vertices; --max-trees alone bounds it
+    g = tmp_path / "g.txt"
+    assert run(["random", "--n", "8", "--m", "18", "--two-connected", "-o", str(g)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "g2.txt"
+    assert run(["verify-roundtrip", "-i", str(g), "-o", str(out), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"
+
+
 def test_guard_on_a_long_block_chain(tmp_path, capsys):
     # 60 blocks, 361 vertices: the count alone decides the guard
     chain = random_multiblock_graph([7] * 60, 3)

@@ -102,8 +102,22 @@ def _walk_graph(g):
     return Graph._trusted(len(masks), pairs)
 
 
-# Each input makes a fresh Graph._trusted graph, not yet expanded; the flag
-# says whether it was given vertex names.
+_ALL = {"_edges", "_adj", "_by_id"}
+
+
+def _state(g):
+    """Which of the caches _edges, _adj and _by_id g has built."""
+    return {name for name in _ALL if getattr(g, name) is not None}
+
+
+def _full(g):
+    """_state(g) once every public read has run: only edge() builds _by_id,
+    so without an edge it stays unbuilt."""
+    return _ALL if g.m else {"_edges", "_adj"}
+
+
+# Each input makes a fresh Graph._trusted graph, with nothing built; the
+# flag says whether it was given vertex names.
 _LAZY_INPUTS = {
     "walk rows": (lambda: build_stag(random_two_connected_graph(6, 9, 3)).graph, False),
     "walk rows k4": (lambda: _walk_graph(complete_graph(4)), False),
@@ -118,7 +132,7 @@ _LAZY_INPUTS = {
 def _lazy_and_reference(key):
     make, named = _LAZY_INPUTS[key]
     g = make()
-    assert type(g) is not Graph
+    assert _state(g) == set()
     pairs = list(make().edge_pairs())
     ref = Graph(range(g.n), [(k, u, v) for k, (u, v) in enumerate(pairs)],
                 make().names if named else None)
@@ -149,10 +163,10 @@ def test_lazy_graph_reads_equal_graph_in_any_order(key):
     for reads in (_READS, _READS[::-1]):
         g = make()
         assert (g.n, g.m, repr(g)) == (ref.n, ref.m, repr(ref))
-        assert type(g) is not Graph
+        assert _state(g) == set()
         for name, read in reads:
             assert read(g) == read(ref), name
-        assert type(g) is Graph
+        assert _state(g) == _full(g) and g._pairs is None
 
 
 @pytest.mark.parametrize("key", list(_LAZY_INPUTS))
@@ -161,33 +175,34 @@ def test_lazy_graph_serialises_like_graph_before_and_after_expansion(key):
     want = _serialised(ref)
     streamed = [to_edgelist(g), to_json(g), stag_to_json(StagGraph(g, None, None)),
                 stag_to_dot(StagGraph(g, None, None))]
-    assert type(g) is not Graph
+    assert _state(g) == set()
     assert streamed == want[:4]
     assert to_dot(g) == want[4]
-    assert type(g) is Graph
+    assert _state(g) == {"_edges"}
     assert _serialised(g) == want
 
 
 @pytest.mark.parametrize("key", list(_LAZY_INPUTS))
 def test_expansion_releases_the_pairs_and_leaves_a_plain_graph(key):
-    _, g, _ = _lazy_and_reference(key)
-    g.degree_sequence()
-    assert type(g) is Graph
+    _, g, ref = _lazy_and_reference(key)
+    pairs = g._pairs
+    assert g.degree_sequence() == ref.degree_sequence()
+    assert _state(g) == {"_adj"} and g._pairs is pairs  # no Edge is made
     # A class with __getattr__ loses CPython 3.11's specialised method
-    # calls and slot reads, so expansion swaps the class, not the hook.
+    # calls and slot reads, so the caches are slots, not built by a hook.
     assert not hasattr(Graph, "__getattr__")
-    with pytest.raises(AttributeError):
-        g._pairs
+    assert g.edges == ref.edges
+    assert _state(g) == {"_edges", "_adj"} and g._pairs is None
 
 
 @pytest.mark.parametrize("key", list(_LAZY_INPUTS))
 def test_lazy_graph_copies_and_pickles_unexpanded(key):
     _, g, ref = _lazy_and_reference(key)
     for c in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
-        assert type(c) is type(g) and c.m == ref.m
+        assert _state(c) == set() and c.m == ref.m
         assert _serialised(c) == _serialised(ref)
         assert all(read(c) == read(ref) for _, read in _READS)
-    assert type(g) is not Graph and g.edges == ref.edges
+    assert _state(g) == set() and g.edges == ref.edges
 
 
 def test_lazy_graph_without_state_raises_attribute_error():
@@ -431,10 +446,8 @@ def test_subgraph_edges_equals_the_graph_built_from_its_edges():
                 continue
             sub = g.subgraph_edges(eids, vertices)
             ref = Graph(ends if vertices is None else vertices, es, g.names)
-            assert (sub.vertices, sub.edges, sub.names) == (ref.vertices, ref.edges, ref.names)
-            assert list(sub._by_id.items()) == list(ref._by_id.items())
-            assert all(list(sub._adj[v].items()) == list(ref._adj[v].items()) for v in ref.vertices)
-            assert all(e is g.edge(e.eid) for e in sub.edges)
+            assert _state(sub) == {"_edges"}
+            _same_graph(sub, ref, g)
         if es:
             e = es[0]
             with pytest.raises(ValueError, match=r"touches unknown vertex"):
@@ -450,11 +463,14 @@ def _built(g, eids):
 
 def _same_graph(sub, ref, host):
     """Field by field: vertices, edges (each the host's own tuple), names,
-    and the ordered items of _by_id and of each vertex's _adj."""
+    and, once edge() and degree() have built them, the ordered items of
+    _by_id (none without an edge) and of each vertex's _adj."""
     assert (sub.vertices, sub.names) == (ref.vertices, ref.names)
     assert sub.edges == ref.edges
-    assert all(e is host.edge(e.eid) for e in sub.edges)
-    assert list(sub._by_id.items()) == list(ref._by_id.items())
+    assert all(e is host.edge(e.eid) is sub.edge(e.eid) for e in sub.edges)
+    assert [sub.degree(v) for v in ref.vertices] == [ref.degree(v) for v in ref.vertices]
+    assert _state(sub) == _full(sub)
+    assert list((sub._by_id or {}).items()) == list(ref._by_id.items())
     assert all(list(sub._adj[v].items()) == list(ref._adj[v].items()) for v in ref.vertices)
 
 
@@ -463,7 +479,7 @@ _FIRST_READS = {
     "adj": lambda b: [b.adj(v) for v in b.vertices],
     "degree": lambda b: [b.degree(v) for v in b.vertices],
     "edge_pairs": lambda b: list(b.edge_pairs()),
-    "_by_id": lambda b: list(b._by_id.items()),
+    "edge": lambda b: [b.edge(e.eid) for e in b.edges],
 }
 
 
@@ -474,7 +490,7 @@ def test_blocks_equal_subgraph_edges_of_their_ids():
             blocks = block_decomposition(g).blocks
             assert len(blocks) == len(refs)
             for b, ref in zip(blocks, refs):
-                assert type(b) is not Graph
+                assert _state(b) == {"_edges"}
                 assert read(b) == read(ref), name
                 _same_graph(b, ref, g)
 
@@ -485,11 +501,10 @@ def test_blocks_stay_unexpanded_until_their_adjacency_is_read():
     for b in blocks:
         b.edge_ids(), b.vertices, b.names, b.n, b.m, repr(b)
         assert bridges(b) == ([b.edges[0].eid] if b.m == 1 else [])  # _blocks reads edges only
-    assert all(type(b) is not Graph for b in blocks)
-    assert not any(hasattr(b, "_pairs") for b in blocks)
+    assert all(_state(b) == {"_edges"} and b._pairs is None for b in blocks)
     blocks[0].has_edge(*next(blocks[0].edge_pairs()))
-    assert type(blocks[0]) is Graph
-    assert all(type(b) is not Graph for b in blocks[1:])
+    assert _state(blocks[0]) == {"_edges", "_adj"}
+    assert all(_state(b) == {"_edges"} for b in blocks[1:])
 
 
 def test_unexpanded_blocks_copy_and_pickle_unexpanded():
@@ -497,12 +512,44 @@ def test_unexpanded_blocks_copy_and_pickle_unexpanded():
     for b in block_decomposition(g).blocks:
         ref = _built(g, b.edge_ids())
         for c in (copy.copy(b), copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
-            assert type(c) is type(b)
+            assert _state(c) == {"_edges"}
             assert (c.vertices, c.edges, c.names) == (ref.vertices, ref.edges, ref.names)
             assert all(read(c) == read(ref) for read in _FIRST_READS.values())
-            assert type(c) is Graph
-        assert type(b) is not Graph
+            assert _state(c) == _ALL
+        assert _state(b) == {"_edges"}
         _same_graph(b, ref, g)
+
+
+# _READS with edge() by the ids the graph has, dense or not.
+_ANY_READS = [read for name, read in _READS if name != "edge"] + [
+    lambda g: [g.edge(e.eid) for e in g.edges]
+]
+
+# Reads that leave a graph in each cache state it can reach.
+_PREPARE = {
+    "nothing": lambda g: None,
+    "adjacency": lambda g: g.degree_sequence(),
+    "edges": lambda g: g.edges,
+    "everything": lambda g: [read(g) for read in _ANY_READS],
+}
+
+
+@pytest.mark.parametrize("prepare", list(_PREPARE))
+def test_copies_keep_the_cache_state(prepare):
+    makes = [make for make, _ in _LAZY_INPUTS.values()] + [
+        lambda: block_decomposition(random_multiblock_graph([3, 5, 4], 9)).blocks[1],
+        lambda: _shuffled_ids(complete_graph(4), random.Random(3)),
+    ]
+    for make in makes:
+        fresh = make()
+        want = [read(fresh) for read in _ANY_READS] + _serialised(fresh)
+        g = make()
+        _PREPARE[prepare](g)
+        state = (_state(g), g._pairs is None)
+        for c in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert (_state(c), c._pairs is None) == state
+            assert [read(c) for read in _ANY_READS] + _serialised(c) == want
+        assert (_state(g), g._pairs is None) == state
 
 
 def test_block_without_state_raises_attribute_error():

@@ -17,7 +17,9 @@ from stag import (
     enumerate_preimages,
     invert,
     neighborhood_partitions,
+    parse_graph,
     single_vertex_graph,
+    to_edgelist,
 )
 from stag.generators import random_multiblock_graph, random_two_connected_graph
 from stag.oracles import brute_force_is_stag
@@ -411,6 +413,15 @@ def test_invert_random_roundtrip():
         h = build_stag(g).graph
         g2 = invert(h)
         assert are_isomorphic(build_stag(g2).graph, h)[0]
+
+
+@pytest.mark.parametrize("g", [complete_graph(5), random_two_connected_graph(6, 10, 7)])
+def test_invert_reads_only_the_adjacency_of_a_parsed_aux(g):
+    h = parse_graph(to_edgelist(build_stag(g).graph))
+    got = invert(h)
+    assert h._edges is None and h._by_id is None
+    want = invert(build_stag(g).graph)
+    assert (got.vertices, got.edges, got.names) == (want.vertices, want.edges, want.names)
 
 
 def test_enumerate_preimages(c3):
