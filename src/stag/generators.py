@@ -1,4 +1,9 @@
-"""Seeded random graph generators used by the stress tests and the CLI."""
+"""Seeded random graph generators used by the stress tests and the CLI.
+
+Each generator returns a Graph that holds only its (u, v) pairs, u < v, in
+edge id order: m, edge_pairs() and the serialisers read the pairs, and the
+Edge tuples, adjacency and id index are built on first read, as for a
+parsed graph. tests/test_generators.py pins the bytes each one writes."""
 
 import random
 
@@ -13,21 +18,12 @@ def random_connected_graph(n, m, seed):
         raise ValueError("need at least one vertex")
     if m < n - 1 or m > n * (n - 1) // 2:
         raise ValueError("edge count out of range for a connected simple graph")
-    pairs = []
-    present = set()
-    for v in range(1, n):
-        u = rng.randrange(v)
-        pairs.append((u, v))
-        present.add(frozenset((u, v)))
-    missing = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if frozenset((u, v)) not in present
-    ]
+    pairs = [(rng.randrange(v), v) for v in range(1, n)]
+    present = set(pairs)
+    missing = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in present]
     rng.shuffle(missing)
     pairs.extend(missing[: m - (n - 1)])
-    return Graph.from_pairs(pairs, vertices=range(n))
+    return Graph._trusted(n, pairs)
 
 
 def random_two_connected_graph(n, m, seed):
@@ -36,7 +32,12 @@ def random_two_connected_graph(n, m, seed):
     Built by ear addition: a base cycle, some ears with internal vertices
     (each such ear spends one edge beyond its vertex count), then chords
     (ears with no internal vertices) up to the edge budget."""
-    rng = random.Random(seed)
+    return Graph._trusted(n, _two_connected_pairs(n, m, random.Random(seed)))
+
+
+def _two_connected_pairs(n, m, rng):
+    """The pairs of random_two_connected_graph(n, m, seed), in edge id order,
+    each (u, v) with u < v, drawn from rng = random.Random(seed)."""
     if n < 3:
         raise ValueError("2-connected graphs need at least three vertices")
     if m < n or m > n * (n - 1) // 2:
@@ -52,8 +53,7 @@ def random_two_connected_graph(n, m, seed):
         bounds = [0] + cuts + [total]
         lengths = [b - a for a, b in zip(bounds, bounds[1:])]
         base = n - total
-    pairs = [(i, (i + 1) % base) for i in range(base)]
-    present = {frozenset(p) for p in pairs}
+    pairs = [(i, i + 1) for i in range(base - 1)] + [(0, base - 1)]
     used = base
     for length in lengths:
         a = rng.randrange(used)
@@ -61,19 +61,13 @@ def random_two_connected_graph(n, m, seed):
         while b == a:
             b = rng.randrange(used)
         chain = [a] + list(range(used, used + length)) + [b]
-        for x, y in zip(chain, chain[1:]):
-            pairs.append((x, y))
-            present.add(frozenset((x, y)))
+        pairs.extend((x, y) if x < y else (y, x) for x, y in zip(chain, chain[1:]))
         used += length
-    missing = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if frozenset((u, v)) not in present
-    ]
+    present = set(pairs)
+    missing = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in present]
     rng.shuffle(missing)
     pairs.extend(missing[: m - len(pairs)])
-    return Graph.from_pairs(pairs, vertices=range(n))
+    return pairs
 
 
 def random_multiblock_graph(block_sizes, seed, extra_edges=2):
@@ -82,20 +76,14 @@ def random_multiblock_graph(block_sizes, seed, extra_edges=2):
     if not block_sizes:
         raise ValueError("need at least one block size")
     pairs = []
-    next_id = 0
-    glue = None
+    n = 0
     for size in block_sizes:
         cap = size * (size - 1) // 2
         m = min(cap, size + rng.randint(0, extra_edges))
-        block = random_two_connected_graph(size, m, rng.randrange(1 << 30))
-        vmap = {}
-        verts = sorted(block.vertices)
-        if glue is not None:
-            vmap[verts[0]] = glue
-            verts = verts[1:]
-        for v in verts:
-            vmap[v] = next_id
-            next_id += 1
-        pairs.extend((vmap[e.u], vmap[e.v]) for e in block.edges)
-        glue = vmap[max(block.vertices)]
-    return Graph.from_pairs(pairs, vertices=range(next_id))
+        block = _two_connected_pairs(size, m, random.Random(rng.randrange(1 << 30)))
+        # block vertex 0 is the previous block's last vertex, n - 1, and
+        # the others take the next free ids in order
+        shift = n - 1 if n else 0
+        pairs.extend([(u + shift, v + shift) for u, v in block])
+        n = shift + size
+    return Graph._trusted(n, pairs)

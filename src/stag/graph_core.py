@@ -41,7 +41,8 @@ class Graph:
     Its structure sits in slots that are None until built: _pairs, the
     (u, v), u < v, of edge k at index k; _edges, the Edge tuples; _adj,
     {v: {w: edge id}}; _by_id, {edge id: Edge}; and _names, a str per
-    vertex in vertex order. Graph() builds all but _pairs. Graph._trusted
+    vertex in vertex order. Graph() builds all but _pairs. Graph._trusted,
+    which builds the walk's, the parsers' and the generators' graphs,
     holds only _pairs and any names given: m, edge_pairs() and the
     serialisers read the pairs, the first adjacency read builds _adj from
     them, each id its pair's index, with no Edge, and the first read of
@@ -61,6 +62,7 @@ class Graph:
             raise ValueError("graph must have at least one vertex")
         adj = {v: {} for v in vs}
         by_id = {}
+        new = tuple.__new__
         for eid, u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
@@ -70,9 +72,11 @@ class Graph:
                 raise ValueError(f"duplicate edge ({u},{v})")
             if eid in by_id:
                 raise ValueError(f"duplicate edge id {eid}")
-            e = Edge(int(eid), *((u, v) if u < v else (v, u)))
-            adj[e.u][e.v] = adj[e.v][e.u] = e.eid
-            by_id[e.eid] = e
+            if u > v:
+                u, v = v, u
+            eid = int(eid)
+            adj[u][v] = adj[v][u] = eid
+            by_id[eid] = new(Edge, (eid, u, v))
         names = {v: str(v if names is None else names.get(v, v)) for v in vs}
         self._set(vs, names, None, tuple(by_id.values()), adj, by_id)
 
@@ -88,11 +92,16 @@ class Graph:
     @classmethod
     def _trusted(cls, n, pairs, names=None):
         """Graph on vertices 0..n-1 whose edge k is the k-th (u, v) of pairs,
-        without Graph's checks. The caller guarantees n >= 1, integers
-        0 <= u < v < n, no repeated pair and names None or a str per vertex:
-        only build_stag (the walk's rows) and the two parsers (their
-        ordered pair dicts, after every ParseError) may call it. pairs,
-        sized and re-iterable, is all it holds."""
+        without Graph's checks; pairs, sized and re-iterable, is all it
+        holds. Each caller guarantees n >= 1, integers 0 <= u < v < n and
+        no repeated pair, and CI fails if another src/stag module calls it:
+        - build_stag: one vertex per tree, and the walk's rows, which hold
+          each exchange once, the greater rank second;
+        - _parse_edgelist and _parse_json: after every ParseError, a list
+          of dense ids, ordered and checked for repeats by a dict, and a
+          str name per vertex;
+        - the three stag.generators: after their ValueErrors, pairs that
+          are ordered and distinct by construction."""
         return object.__new__(cls)._set(tuple(range(n)), names, pairs, None)
 
     # -- caches ----------------------------------------------------------------
@@ -288,7 +297,7 @@ def _parse_edgelist(text):
         pairs[pair] = None
     if not ids:
         raise ParseError(0, "empty graph")
-    return Graph._trusted(len(ids), pairs, dict(enumerate(ids)))
+    return Graph._trusted(len(ids), list(pairs), dict(enumerate(ids)))
 
 
 def _parse_json(text):
@@ -326,7 +335,7 @@ def _parse_json(text):
         if pair in pairs:
             raise ParseError(k, f"duplicate edge {uv!r}")
         pairs[pair] = None
-    return Graph._trusted(len(names), pairs, dict(enumerate(names)))
+    return Graph._trusted(len(names), list(pairs), dict(enumerate(names)))
 
 
 def to_edgelist(g):

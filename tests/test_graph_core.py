@@ -126,6 +126,9 @@ _LAZY_INPUTS = {
                                  '["z","y"],["w","x"],["x","z"]]}', "json"), True),
     "json k1": (lambda: parse_graph('{"vertices":["only"],"edges":[]}', "json"), True),
     "walk k1": (lambda: build_stag(single_vertex_graph()).graph, False),
+    "connected": (lambda: random_connected_graph(9, 14, 4), False),
+    "two-connected": (lambda: random_two_connected_graph(10, 14, 2), False),
+    "multiblock": (lambda: random_multiblock_graph([4, 3, 5], 6, extra_edges=3), False),
 }
 
 
@@ -203,6 +206,31 @@ def test_lazy_graph_copies_and_pickles_unexpanded(key):
         assert _serialised(c) == _serialised(ref)
         assert all(read(c) == read(ref) for _, read in _READS)
     assert _state(g) == set() and g.edges == ref.edges
+
+
+_GENERATED = {
+    "k1": lambda: random_connected_graph(1, 0, 0),
+    "connected": lambda: random_connected_graph(12, 30, 1),
+    "triangle": lambda: random_two_connected_graph(3, 3, 0),
+    "ears": lambda: random_two_connected_graph(10, 14, 2),
+    "k7": lambda: random_two_connected_graph(7, 21, 0),
+    **{f"blocks extra {k}": lambda k=k: random_multiblock_graph([3, 5, 4], 8, k) for k in range(4)},
+}
+
+
+@pytest.mark.parametrize("key", list(_GENERATED))
+def test_generated_graphs_hold_only_their_pairs_until_read(key):
+    make = _GENERATED[key]
+    g = make()
+    assert _state(g) == set() and g._names is None
+    to_edgelist(g), to_json(g)
+    assert _state(g) == set()
+    fresh = make()
+    ref = Graph(fresh.vertices, fresh.edges)
+    assert [list(g.adj(v).items()) for v in g.vertices] == [
+        list(ref.adj(v).items()) for v in ref.vertices]
+    assert (g.vertices, g.edges, g.names) == (ref.vertices, ref.edges, ref.names)
+    assert [g.edge(k) for k in range(g.m)] == [ref.edge(k) for k in range(ref.m)]
 
 
 def test_lazy_graph_without_state_raises_attribute_error():
