@@ -2,7 +2,7 @@
 
 Exit codes: 0 ok, 1 not-a-STAG or property violated, 2 input error,
 3 resource guard tripped. Formats follow the file extension (.txt edge
-list, .json, .dot export only) unless --format overrides."""
+list, .json, .dot export only)."""
 
 import argparse
 import functools
@@ -12,15 +12,7 @@ import time
 
 from . import oracles
 from .aux_graph import build_stag, stag_to_dot, stag_to_json
-from .errors import (
-    Disconnected,
-    NotAStag,
-    NotMinimal,
-    ParseError,
-    StagError,
-    TooLarge,
-    TooManyTrees,
-)
+from .errors import NotAStag, NotMinimal, StagError, TooLarge, TooManyTrees
 from .factorization import DEFAULT_MAX_N, prime_factorize
 from .generators import random_connected_graph, random_two_connected_graph
 from .graph_core import (
@@ -40,13 +32,8 @@ from .spanning_trees import (
     serialize_trees,
 )
 
-_GUARDS = (TooLarge, TooManyTrees)
-_INPUT_ERRORS = (ParseError, Disconnected, OSError, ValueError)
 
-
-def _fmt_of(path, override):
-    if override:
-        return override
+def _fmt_of(path):
     if path.endswith(".json"):
         return "json"
     if path.endswith(".dot"):
@@ -54,8 +41,8 @@ def _fmt_of(path, override):
     return "edgelist"
 
 
-def _load_graph(path, override=None):
-    fmt = _fmt_of(path, override)
+def _load_graph(path):
+    fmt = _fmt_of(path)
     if fmt == "dot":
         raise ValueError("dot is export-only")
     with open(path, "rb") as fh:
@@ -73,8 +60,8 @@ def _emit(text, path):
     return []
 
 
-def _graph_text(g, path, override=None):
-    fmt = _fmt_of(path or "", override)
+def _graph_text(g, path):
+    fmt = _fmt_of(path or "")
     if fmt == "json":
         return to_json(g)
     if fmt == "dot":
@@ -90,9 +77,9 @@ def _write_edgelists(prefix, graphs):
 
 
 def _cmd_aux(args):
-    g = _load_graph(args.input, args.format)
+    g = _load_graph(args.input)
     s = build_stag(g, max_trees=args.max_trees)
-    fmt = _fmt_of(args.output, args.format) if args.output else "json"
+    fmt = _fmt_of(args.output) if args.output else "json"
     if fmt == "dot":
         text = stag_to_dot(s)
     elif fmt == "edgelist":
@@ -103,7 +90,7 @@ def _cmd_aux(args):
 
 
 def _cmd_count(args):
-    g = _load_graph(args.input, args.format)
+    g = _load_graph(args.input)
     if args.oracle:
         value = len(oracles.brute_force_trees(g))
     else:
@@ -112,7 +99,7 @@ def _cmd_count(args):
 
 
 def _cmd_trees(args):
-    g = _load_graph(args.input, args.format)
+    g = _load_graph(args.input)
     if args.oracle:
         trees = oracles.brute_force_trees(g)
     else:
@@ -121,7 +108,7 @@ def _cmd_trees(args):
 
 
 def _cmd_blocks(args):
-    g = _load_graph(args.input, args.format)
+    g = _load_graph(args.input)
     dec = block_decomposition(g)
     doc = {
         "blocks": [sorted(b.edge_ids()) for b in dec.blocks],
@@ -132,7 +119,7 @@ def _cmd_blocks(args):
 
 
 def _cmd_factor(args):
-    g = _load_graph(args.input, args.format)
+    g = _load_graph(args.input)
     fz = prime_factorize(g, max_n=args.max_n)
     prefix = args.output or "factor"
     paths = _write_edgelists(prefix, fz.factors)
@@ -141,26 +128,26 @@ def _cmd_factor(args):
 
 
 def _cmd_invert(args):
-    h = _load_graph(args.input, args.format)
+    h = _load_graph(args.input)
     if args.oracle:
         g = oracles.brute_force_is_stag(h)
         if g is None:
             raise NotAStag("no preimage at oracle scale")
     else:
         g = invert(h)
-    return "ok", _emit(_graph_text(g, args.output, args.format), args.output)
+    return "ok", _emit(_graph_text(g, args.output), args.output)
 
 
 def _cmd_preimages(args):
-    g = _load_graph(args.input, args.format)
+    g = _load_graph(args.input)
     graphs = enumerate_preimages(g, args.budget)
     return "ok", _write_edgelists(args.output or "preimage", graphs)
 
 
 def _cmd_params(args):
-    g = _load_graph(args.input, args.format)
+    g = _load_graph(args.input)
     report = param_report(g, max_trees=args.max_trees)
-    if args.output and _fmt_of(args.output, args.format) == "json":
+    if args.output and _fmt_of(args.output) == "json":
         text = report_to_json(report)
     else:
         text = report_to_text(report)
@@ -173,14 +160,14 @@ def _cmd_verify_roundtrip(args):
     """A second route, deliberately independent of invert's certificate:
     rebuild Aux of invert's preimage and compare it with Aux(G) by
     are_isomorphic."""
-    g = _load_graph(args.input, args.format)
+    g = _load_graph(args.input)
     s = build_stag(g, max_trees=args.max_trees)
     g2 = invert(s.graph)
     s2 = build_stag(g2, max_trees=args.max_trees)
     ok, _ = are_isomorphic(s.graph, s2.graph)
     if not ok:
         raise NotAStag("round trip failed")
-    return "ok", _emit(_graph_text(g2, args.output, args.format), args.output)
+    return "ok", _emit(_graph_text(g2, args.output), args.output)
 
 
 def _cmd_random(args):
@@ -188,7 +175,7 @@ def _cmd_random(args):
         g = random_two_connected_graph(args.n, args.m, args.seed)
     else:
         g = random_connected_graph(args.n, args.m, args.seed)
-    return "ok", _emit(_graph_text(g, args.output, args.format), args.output)
+    return "ok", _emit(_graph_text(g, args.output), args.output)
 
 
 _COMMANDS = {
@@ -214,7 +201,6 @@ def _build_parser():
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("-o", "--output")
-        p.add_argument("--format", choices=["edgelist", "json", "dot"])
         p.add_argument("--json", action="store_true", dest="verdict_json")
         if name in ("count", "trees", "invert"):
             p.add_argument("--oracle", action="store_true")
@@ -251,11 +237,9 @@ def run(argv):
             code = 1
     except (NotAStag, NotMinimal) as exc:
         status, message, code = "not_a_stag", str(exc), 1
-    except _GUARDS as exc:
+    except (TooLarge, TooManyTrees) as exc:
         status, message, code = "error", str(exc), 3
-    except _INPUT_ERRORS as exc:
-        status, message, code = "error", str(exc), 2
-    except StagError as exc:
+    except (StagError, OSError, ValueError) as exc:
         status, message, code = "error", str(exc), 2
     if args.verdict_json:
         verdict = {

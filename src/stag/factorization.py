@@ -181,9 +181,11 @@ def _try_extract(g, color):
 
 
 def _canon_key(g):
-    """Deterministic tie-break key for isomorphic-agnostic factor ordering."""
-    relab, _ = g.relabeled()
-    return (g.degree_sequence(), tuple(sorted((e.u, e.v) for e in relab.edges)))
+    """Deterministic tie-break key for isomorphic-agnostic factor ordering:
+    the degree sequence, then the sorted edges with each vertex replaced by
+    its index in the vertex order."""
+    idx = {v: i for i, v in enumerate(g.vertices)}
+    return (g.degree_sequence(), tuple(sorted((idx[u], idx[v]) for u, v in g.edge_pairs())))
 
 
 def prime_factorize(g, max_n=DEFAULT_MAX_N):

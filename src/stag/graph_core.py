@@ -1,4 +1,4 @@
-"""Simple undirected graphs: parsing, connectivity, blocks, tree paths and
+"""Simple undirected graphs: parsing, connectivity, blocks, fundamental
 cycles, Cartesian products and isomorphism testing.
 
 Vertex ids are integers (dense when parsed; subgraphs inherit host ids).
@@ -26,13 +26,6 @@ class Edge(NamedTuple):
 
     def endpoints(self):
         return (self.u, self.v)
-
-    def other(self, x):
-        return self.v if x == self.u else self.u
-
-    @property
-    def pair(self):
-        return frozenset((self.u, self.v))
 
 
 class Graph:
@@ -94,7 +87,8 @@ class Graph:
         """Graph on vertices 0..n-1 whose edge k is the k-th (u, v) of pairs,
         without Graph's checks; pairs, sized and re-iterable, is all it
         holds. Each caller guarantees n >= 1, integers 0 <= u < v < n and
-        no repeated pair, and CI fails if another src/stag module calls it:
+        no repeated pair, and tests/test_source_rules.py fails if another
+        src/stag module calls it:
         - build_stag: one vertex per tree, and the walk's rows, which hold
           each exchange once, the greater rank second;
         - _parse_edgelist and _parse_json: after every ParseError, a list
@@ -146,39 +140,19 @@ class Graph:
             vs.add(v)
         return cls(vs, [(i, u, v) for i, (u, v) in enumerate(pairs)], names)
 
-    def subgraph_edges(self, eids, vertices=None):
-        """Subgraph keeping the given edge ids (and their endpoints), in
-        ascending id order; ids not in the graph are skipped. It holds this
-        graph's Edge tuples and names, builds the rest when read, and equals
-        the Graph that Graph(vertices, edges, names) builds: an empty vertex
-        set, or vertices that omit an endpoint, raise ValueError as Graph
-        does."""
+    def subgraph_edges(self, eids):
+        """Subgraph on the given edge ids and their endpoints, in ascending
+        id order; ids not in the graph are skipped. It holds this graph's
+        Edge tuples and names, builds the rest when read, and equals the
+        Graph that Graph(endpoints, edges, names) builds: no edge raises
+        ValueError as Graph does for no vertex."""
         by_id = self._by_id or self._edge_index()
         es = tuple([by_id[i] for i in sorted(set(eids)) if i in by_id])
-        if vertices is None:
-            vs = {x for e in es for x in (e.u, e.v)}
-        else:
-            vs = {int(v) for v in vertices}
-        if not vs:
+        if not es:
             raise ValueError("graph must have at least one vertex")
-        if vertices is not None:
-            for e in es:
-                if e.u not in vs or e.v not in vs:
-                    raise ValueError(f"edge ({e.u},{e.v}) touches unknown vertex")
-        vs = tuple(sorted(vs))
+        vs = tuple(sorted({x for e in es for x in (e.u, e.v)}))
         names = self.names
-        names = {v: names[v] if v in names else str(v) for v in vs}
-        return object.__new__(Graph)._set(vs, names, None, es)
-
-    def relabeled(self):
-        """Dense relabeling 0..n-1; returns (graph, old->new map)."""
-        remap = {v: i for i, v in enumerate(self.vertices)}
-        g = Graph(
-            range(self.n),
-            [(e.eid, remap[e.u], remap[e.v]) for e in self.edges],
-            {remap[v]: name for v, name in self.names.items()},
-        )
-        return g, remap
+        return object.__new__(Graph)._set(vs, {v: names[v] for v in vs}, None, es)
 
     # -- basic accessors -------------------------------------------------------
 
@@ -214,20 +188,12 @@ class Graph:
     def eid_between(self, u, v):
         return (self._adj or self._adjacency())[u].get(v)
 
-    def incident_eids(self, v):
-        return sorted((self._adj or self._adjacency())[v].values())
-
     def degree_sequence(self):
         return tuple(sorted(map(len, (self._adj or self._adjacency()).values())))
 
-    def is_complete(self):
-        return self.m == self.n * (self.n - 1) // 2
-
     def same_labeled(self, other):
         """Equality as labeled graphs (ignoring edge ids and names)."""
-        return self.vertices == other.vertices and {e.pair for e in self.edges} == {
-            e.pair for e in other.edges
-        }
+        return self.vertices == other.vertices and set(self.edge_pairs()) == set(other.edge_pairs())
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -539,24 +505,20 @@ def common_cycle_classes(g):
     return sorted(map(frozenset, blocks), key=min)
 
 
-# -- tree paths and cycles ---------------------------------------------------------
-
-
-def tree_path_edges(g, eids, a, b):
-    """Edge-id sequence of a shortest a..b path in the subgraph on the edge
-    set eids: the unique one when eids is a spanning tree."""
-    tree = bfs(g, a, eids)
-    path = []
-    while b != a:
-        b, eid = tree[b]
-        path.append(eid)
-    return path[::-1]
+# -- fundamental cycles ------------------------------------------------------------
 
 
 def fundamental_cycle_edges(g, tree_eids, eid):
-    """Cycle of tree+e as an ordered edge-id list starting with e."""
-    e = g.edge(eid)
-    return [eid] + tree_path_edges(g, tree_eids, e.v, e.u)
+    """Cycle of tree+e as an ordered edge-id list: e, then the tree path
+    from e's higher end v to its lower end u, read off a BFS from v over
+    the tree edges."""
+    _, u, v = g.edge(eid)
+    tree = bfs(g, v, tree_eids)
+    path = []
+    while u != v:
+        u, k = tree[u]
+        path.append(k)
+    return [eid, *reversed(path)]
 
 
 # -- Cartesian product -------------------------------------------------------------

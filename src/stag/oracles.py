@@ -13,11 +13,14 @@ from .errors import Acyclic, Disconnected, TooLarge
 from .graph_core import Graph, bfs, is_connected
 from .spanning_trees import SpanningTree
 
+_MAX_M = 24  # brute_force_trees filters C(m, n - 1) edge subsets
+_MAX_N = 12  # minimal_edge_cuts and circumference search 2^(n-1) sides or all paths
 
-def brute_force_trees(g, max_m=24):
+
+def brute_force_trees(g):
     """All spanning trees by filtering every (n-1)-subset of the edges."""
-    if g.m > max_m:
-        raise TooLarge(f"m={g.m} exceeds guard {max_m}")
+    if g.m > _MAX_M:
+        raise TooLarge(f"m={g.m} exceeds guard {_MAX_M}")
     n = g.n
     out = []
     for combo in combinations(g.edge_ids(), n - 1):
@@ -132,9 +135,9 @@ def _atlas_auxes(target):
     return tuple(out)
 
 
-def brute_force_is_stag(h, n_max=7):
+def brute_force_is_stag(h):
     """Search all connected minimal-preimage graphs (no K2 block) on up to
-    n_max vertices for one whose Aux is isomorphic to h; None if absent.
+    7 vertices for one whose Aux is isomorphic to h; None if absent.
 
     Independent of the fast paths: the networkx graph atlas (all graphs on
     <= 7 vertices) supplies the candidates and the bridge test, trees are
@@ -144,8 +147,6 @@ def brute_force_is_stag(h, n_max=7):
     A candidate whose Aux has other per-vertex triangle counts than h
     (nx.triangles, sorted) cannot be isomorphic to h, so it is refuted
     before the isomorphism search."""
-    if n_max > 7:
-        raise TooLarge("preimage search is bounded at 7 vertices")
     target = h.n
     if target == 1:
         return Graph([0], []) if h.m == 0 else None
@@ -154,7 +155,7 @@ def brute_force_is_stag(h, n_max=7):
     hx = _nx_graph(h)
     triangles = sorted(nx.triangles(hx).values())
     for g, aux, aux_triangles in _atlas_auxes(target):
-        if g.n <= n_max and aux_triangles == triangles and nx.is_isomorphic(aux, hx):
+        if aux_triangles == triangles and nx.is_isomorphic(aux, hx):
             return g
     return None
 
@@ -165,12 +166,12 @@ class EdgeCut:
     sides: tuple
 
 
-def minimal_edge_cuts(g, max_n=12):
+def minimal_edge_cuts(g):
     """All inclusion-minimal edge cuts, by brute force over bipartitions
     whose sides both induce connected subgraphs: a BFS from each side over
     the edges off the cut reaches that whole side."""
-    if g.n > max_n:
-        raise TooLarge(f"n={g.n} exceeds guard {max_n}")
+    if g.n > _MAX_N:
+        raise TooLarge(f"n={g.n} exceeds guard {_MAX_N}")
     if not is_connected(g):
         raise Disconnected("edge cuts need a connected graph")
     if g.n == 1:
@@ -189,10 +190,10 @@ def minimal_edge_cuts(g, max_n=12):
     return sorted(cuts, key=lambda c: (len(c.edge_ids), sorted(c.edge_ids)))
 
 
-def circumference(g, max_n=12):
+def circumference(g):
     """Length of a longest simple cycle, by exhaustive path search."""
-    if g.n > max_n:
-        raise TooLarge(f"n={g.n} exceeds guard {max_n}")
+    if g.n > _MAX_N:
+        raise TooLarge(f"n={g.n} exceeds guard {_MAX_N}")
     best = 0
 
     def extend(start, v, visited, length):

@@ -195,7 +195,8 @@ def invert(h):
     share one vertex. A disconnected h raises Disconnected; a verdict of
     NotAStag names the necessary condition that failed; a layout that
     does not realize the root raises ValidationFailed. No tree guard: h
-    is already in memory, and only the layout searches, on the root."""
+    is already in memory, and only the layout searches, on the root. h is
+    read only through its vertices and adjacency."""
     x = h.vertices[0]
     span = bfs(h, x)
     if len(span) != h.n:
@@ -296,9 +297,11 @@ def _certify(h, span, t0, phi, cycles, m):
             raise NotAStag(
                 f"certificate does not extend: vertices {first[t]} and {w} map to the same tree"
             )
-    for a, b in h.edge_pairs():
-        if (phi[a] ^ phi[b]).bit_count() != 2:
-            raise NotAStag(f"certificate does not extend: edge {a}-{b} is not an exchange")
+    for a in span:  # each edge once, from its lower end
+        pa = phi[a]
+        for b in h.adj(a):
+            if b > a and (pa ^ phi[b]).bit_count() != 2:
+                raise NotAStag(f"certificate does not extend: edge {a}-{b} is not an exchange")
     packed_of = {}
     parent = x
     packed = _pack(cycles, m)

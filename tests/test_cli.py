@@ -8,13 +8,16 @@ from stag import (
     Graph,
     ParseError,
     TooManyTrees,
+    ValidationFailed,
     build_stag,
     complete_graph,
     cycle_graph,
     invert,
     parse_graph,
     path_graph,
+    to_dot,
     to_edgelist,
+    to_json,
 )
 from stag.aux_graph import stag_to_json
 from stag import cli
@@ -168,6 +171,10 @@ def test_invert_roundtrip_via_files(tmp_path, c3_file, capsys):
     assert verdict["status"] == "ok"
     lines = [ln for ln in pre.read_text().splitlines() if ln.strip()]
     assert len(lines) == 3  # a triangle
+    g = invert(parse_graph(aux.read_bytes(), "json"))
+    for name, text in (("back.json", to_json(g)), ("back.dot", to_dot(g))):
+        assert run(["invert", "-i", str(aux), "-o", str(tmp_path / name)]) == 0
+        assert (tmp_path / name).read_text() == text
 
 
 def test_invert_rejects_path(p4_file, capsys):
@@ -346,9 +353,23 @@ def test_input_error_exit_code(tmp_path):
     assert run(["count", "-i", str(tmp_path / "missing.txt")]) == 2
 
 
+def test_a_stag_error_raised_inside_a_command_is_exit_2(c3_file, capsys, monkeypatch):
+    def fail(h):
+        raise ValidationFailed("layout: a chord does not close its root circuit")
+
+    monkeypatch.setattr(cli, "invert", fail)
+    assert run(["invert", "-i", str(c3_file), "--json"]) == 2
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["status"] == "error"
+    assert verdict["message"] == "layout: a chord does not close its root circuit"
+
+
 def test_flags_a_command_does_not_read_are_rejected(c3_file):
     assert run(["aux", "-i", str(c3_file), "--oracle"]) == 2
     assert run(["count", "-i", str(c3_file), "--seed", "1"]) == 2
+    for name in cli._COMMANDS:  # the format follows the file name only
+        given = ["--n", "3", "--m", "3"] if name == "random" else ["-i", str(c3_file)]
+        assert run([name, *given, "--format", "json"]) == 2
 
 
 def test_one_parser_serves_every_run(tmp_path, capsys):

@@ -39,7 +39,7 @@ from stag.generators import (
     random_multiblock_graph,
     random_two_connected_graph,
 )
-from stag.graph_core import bfs, tree_path_edges
+from stag.graph_core import bfs, fundamental_cycle_edges
 from stag.oracles import circumference, minimal_edge_cuts
 from stag.spanning_trees import _walk
 
@@ -67,15 +67,13 @@ def test_graph_error_precedence():
 def test_edge_ids_are_stable(k4):
     assert list(k4.edge_ids()) == list(range(6))
     e = k4.edge(3)
-    assert e.other(e.u) == e.v
+    assert e.eid == 3 and e.u < e.v
 
 
 def test_edge_keeps_its_api_and_works_as_a_dict_key(k4):
     e = Edge(7, 1, 4)
     assert (e.eid, e.u, e.v) == (7, 1, 4)
     assert e.endpoints() == (1, 4)
-    assert e.other(1) == 4 and e.other(4) == 1
-    assert e.pair == frozenset((1, 4))
     assert {e: "x"}[Edge(7, 1, 4)] == "x"
     assert Edge(7, 1, 4) != Edge(8, 1, 4)
     by_edge = {k4.edge(eid): eid for eid in k4.edge_ids()}
@@ -245,7 +243,7 @@ def test_lazy_graph_without_state_raises_attribute_error():
 def test_parse_edgelist_roundtrip(theta):
     text = to_edgelist(theta)
     back = parse_graph(text)
-    assert back.same_labeled(theta.relabeled()[0])
+    assert back.same_labeled(theta)  # theta's ids are dense, in first-appearance order
 
 
 def test_to_edgelist_refuses_names_it_cannot_write():
@@ -341,22 +339,27 @@ def test_bfs_with_an_edge_filter_reaches_the_component():
             assert next(iter(tree)) == s and tree[s] == (None, None)
             seen = {s}
             for v, (p, eid) in list(tree.items())[1:]:
-                assert p in seen and eid in eids and g.edge(eid).pair == {p, v}
+                assert p in seen and eid in eids and set(g.edge(eid).endpoints()) == {p, v}
                 seen.add(v)
 
 
-def test_tree_path_edges_is_a_shortest_path():
-    for g, eids, sub in _edge_restricted_inputs():
-        for a, b in itertools.product(g.vertices, repeat=2):
-            if not nx.has_path(sub, a, b):
+def test_fundamental_cycle_edges_walk_the_tree_path_from_v_to_u():
+    rng = random.Random(44)
+    for _ in range(40):
+        n = rng.randint(2, 9)
+        g = random_connected_graph(n, rng.randint(n - 1, n * (n - 1) // 2), rng.randrange(1 << 30))
+        tree = {eid for _, eid in bfs(g, rng.choice(g.vertices)).values() if eid is not None}
+        for e in g.edges:
+            if e.eid in tree:
                 continue
-            path = tree_path_edges(g, eids, a, b)
-            assert len(path) == nx.shortest_path_length(sub, a, b)
-            x = a
-            for eid in path:
-                assert eid in eids
-                x = g.edge(eid).other(x)
-            assert x == b
+            cycle = fundamental_cycle_edges(g, tree, e.eid)
+            assert cycle[0] == e.eid and set(cycle[1:]) <= tree
+            x = e.v
+            for eid in cycle[1:]:
+                a, b = g.edge(eid).endpoints()
+                assert x in (a, b)
+                x = b if x == a else a
+            assert x == e.u
 
 
 def test_components_match_networkx():
@@ -466,20 +469,14 @@ def test_subgraph_edges_equals_the_graph_built_from_its_edges():
     for g in itertools.islice(_block_inputs(), 80):
         eids = rng.sample(g.edge_ids(), rng.randint(0, g.m)) + [3 * g.m + 1]
         es = [g.edge(i) for i in sorted(set(eids)) if i in g.edge_ids()]
-        ends = {x for e in es for x in e.endpoints()}
-        for vertices in (None, g.vertices):
-            if not es and vertices is None:
-                with pytest.raises(ValueError, match="at least one vertex"):
-                    g.subgraph_edges(eids)
-                continue
-            sub = g.subgraph_edges(eids, vertices)
-            ref = Graph(ends if vertices is None else vertices, es, g.names)
-            assert _state(sub) == {"_edges"}
-            _same_graph(sub, ref, g)
-        if es:
-            e = es[0]
-            with pytest.raises(ValueError, match=r"touches unknown vertex"):
-                g.subgraph_edges(eids, vertices=[x for x in g.vertices if x != e.v])
+        if not es:
+            with pytest.raises(ValueError, match="at least one vertex"):
+                g.subgraph_edges(eids)
+            continue
+        sub = g.subgraph_edges(eids)
+        ref = Graph({x for e in es for x in e.endpoints()}, es, g.names)
+        assert _state(sub) == {"_edges"}
+        _same_graph(sub, ref, g)
 
 
 def _built(g, eids):
@@ -619,13 +616,13 @@ def _brute_minimal_cuts(g):
     for r in range(1, len(eids) + 1):
         for combo in itertools.combinations(eids, r):
             keep = [e for e in eids if e not in combo]
-            sub = g.subgraph_edges(keep, vertices=g.vertices)
+            sub = Graph(g.vertices, [g.edge(i) for i in keep])
             if is_connected(sub):
                 continue
             minimal = True
             for drop in combo:
                 partial = [e for e in eids if e not in combo or e == drop]
-                if not is_connected(g.subgraph_edges(partial, vertices=g.vertices)):
+                if not is_connected(Graph(g.vertices, [g.edge(i) for i in partial])):
                     minimal = False
                     break
             if minimal:

@@ -47,8 +47,3 @@ def test_brute_force_is_stag_positive(c4):
 def test_brute_force_is_stag_negative(p4, k13):
     assert brute_force_is_stag(p4) is None
     assert brute_force_is_stag(k13) is None
-
-
-def test_brute_force_is_stag_guard(c4):
-    with pytest.raises(TooLarge):
-        brute_force_is_stag(c4, n_max=9)

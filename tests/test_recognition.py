@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -381,14 +382,21 @@ def test_invert_result_is_minimal():
         assert bridges(g2) == []
 
 
+# K5 less the edge 3-4: at vertex 0 the class of the edge 1-2 is {1, 2, 3, 4}
+K5_LESS_ONE_EDGE = Graph.from_pairs(list(itertools.combinations(range(5), 2))[:-1])
+
+
 def test_invert_rejections(p3, p4, c6, k13, petersen):
     for h in (p3, p4, c6, k13, petersen):
         with pytest.raises(NotAStag):
             invert(h)
+    message = "not a line graph of a triangle-free graph: class [1, 2, 3, 4] of N(0) is not a clique"
+    with pytest.raises(NotAStag, match=f"^{re.escape(message)}$"):
+        invert(K5_LESS_ONE_EDGE)
 
 
 def test_rejections_agree_with_brute_force(p3, p4, c6, k13):
-    for h in (p3, p4, c6, k13):
+    for h in (p3, p4, c6, k13, K5_LESS_ONE_EDGE):
         assert brute_force_is_stag(h) is None
 
 
@@ -415,9 +423,20 @@ def test_invert_random_roundtrip():
         assert are_isomorphic(build_stag(g2).graph, h)[0]
 
 
-@pytest.mark.parametrize("g", [complete_graph(5), random_two_connected_graph(6, 10, 7)])
+class _Unreadable(list):
+    """A pair list whose iteration fails, so any read of it shows."""
+
+    def __iter__(self):
+        raise AssertionError("the pairs of h were read")
+
+
+@pytest.mark.parametrize(
+    "g", [complete_graph(5), random_two_connected_graph(6, 10, 7), random_multiblock_graph([3, 4], 2)]
+)
 def test_invert_reads_only_the_adjacency_of_a_parsed_aux(g):
     h = parse_graph(to_edgelist(build_stag(g).graph))
+    h.adj(h.vertices[0])  # builds the adjacency from the pairs; invert reads no pair after it
+    h._pairs = _Unreadable(h._pairs)
     got = invert(h)
     assert h._edges is None and h._by_id is None
     want = invert(build_stag(g).graph)

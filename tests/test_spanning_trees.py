@@ -375,7 +375,7 @@ def test_exchange_distance_bound(k4):
 
 
 def test_witness_examples(k4, c4, theta):
-    star = SpanningTree.of(k4, tuple(sorted(k4.incident_eids(0))))
+    star = SpanningTree.of(k4, tuple(sorted(k4.adj(0).values())))
     e1, e2 = star.key[0], star.key[1]
     w = witness_edge_for_pair(k4, star, e1, e2)
     cyc = set(fundamental_cycle(k4, star, w))
