@@ -152,7 +152,7 @@ def _try_extract(g, color):
     for i in range(k):
         layer = bfs(g, g.vertices[0], {eid for eid, c in color.items() if c == i})
         es = [e for e in g.edges if color[e.eid] == i and e.u in layer and e.v in layer]
-        factors.append(Graph(layer, es, g.names))
+        factors.append(Graph(layer, es, g._names))
     total = prod(f.n for f in factors)
     if total != g.n:
         raise ValidationFailed(f"the factors span {total} vertices, the graph {g.n}")

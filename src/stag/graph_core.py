@@ -34,18 +34,18 @@ class Graph:
     Its structure sits in slots that are None until built: _pairs, the
     (u, v), u < v, of edge k at index k; _edges, the Edge tuples; _adj,
     {v: {w: edge id}}; _by_id, {edge id: Edge}; and _names, a str per
-    vertex in vertex order. Graph() builds all but _pairs. Graph._trusted,
+    vertex in vertex order, None if no names were given: each vertex's
+    name is then its id. Graph() builds all but _pairs. Graph._trusted,
     which builds the walk's, the parsers' and the generators' graphs,
     holds only _pairs and any names given: m, edge_pairs() and the
     serialisers read the pairs, the first adjacency read builds _adj from
     them, each id its pair's index, with no Edge, and the first read of
-    edges builds the Edge tuples and releases the pairs. A subgraph
-    (subgraph_edges) starts as its host's Edge tuples and names. The first
-    edge() or subgraph_edges builds _by_id. The hot accessors read the
-    slot before they call a builder: on CPython 3.11 a class with
-    __getattr__, even one that never fires, loses the specialised method
-    calls and slot reads that every hot loop makes. Copy and pickle keep
-    the slots as they are, built or not."""
+    edges builds the Edge tuples and releases the pairs. The first edge()
+    builds _by_id, and the first read of names the default names. The
+    hot accessors read the slot before they call a builder: on CPython
+    3.11 a class with __getattr__, even one that never fires, loses the
+    specialised method calls and slot reads that every hot loop makes.
+    Copy and pickle keep the slots as they are, built or not."""
 
     __slots__ = ("vertices", "_names", "_edges", "_pairs", "_adj", "_by_id")
 
@@ -70,7 +70,7 @@ class Graph:
             eid = int(eid)
             adj[u][v] = adj[v][u] = eid
             by_id[eid] = new(Edge, (eid, u, v))
-        names = {v: str(v if names is None else names.get(v, v)) for v in vs}
+        names = None if names is None else {v: str(names.get(v, v)) for v in vs}
         self._set(vs, names, None, tuple(by_id.values()), adj, by_id)
 
     def _set(self, vertices, names, pairs, edges, adj=None, by_id=None):
@@ -125,10 +125,6 @@ class Graph:
                 adj[u][v] = adj[v][u] = k
         return adj
 
-    def _edge_index(self):
-        self._by_id = by_id = {e.eid: e for e in self.edges}
-        return by_id
-
     # -- construction helpers -------------------------------------------------
 
     @classmethod
@@ -139,20 +135,6 @@ class Graph:
             vs.add(u)
             vs.add(v)
         return cls(vs, [(i, u, v) for i, (u, v) in enumerate(pairs)], names)
-
-    def subgraph_edges(self, eids):
-        """Subgraph on the given edge ids and their endpoints, in ascending
-        id order; ids not in the graph are skipped. It holds this graph's
-        Edge tuples and names, builds the rest when read, and equals the
-        Graph that Graph(endpoints, edges, names) builds: no edge raises
-        ValueError as Graph does for no vertex."""
-        by_id = self._by_id or self._edge_index()
-        es = tuple([by_id[i] for i in sorted(set(eids)) if i in by_id])
-        if not es:
-            raise ValueError("graph must have at least one vertex")
-        vs = tuple(sorted({x for e in es for x in (e.u, e.v)}))
-        names = self.names
-        return object.__new__(Graph)._set(vs, {v: names[v] for v in vs}, None, es)
 
     # -- basic accessors -------------------------------------------------------
 
@@ -165,7 +147,9 @@ class Graph:
         return len(self._edges if self._pairs is None else self._pairs)
 
     def edge(self, eid):
-        return (self._by_id or self._edge_index())[eid]
+        if self._by_id is None:
+            self._by_id = {e.eid: e for e in self.edges}
+        return self._by_id[eid]
 
     def edge_ids(self):
         return tuple(e.eid for e in self.edges)
@@ -305,20 +289,26 @@ def _parse_json(text):
 
 
 def to_edgelist(g):
-    names = g.names
-    joined = "\n".join(names.values())  # each name one token, and no comment
-    if joined.split() != list(names.values()) or "\n#" in "\n" + joined:
-        v = next(v for v, t in names.items() if t.split() != [t] or t[0] == "#")
-        raise ValueError(f"vertex {v} is named {names[v]!r}, which an edge list cannot hold")
+    names = g._names  # None: the ids, each one token that never starts with '#'
+    if names is not None:
+        joined = "\n".join(names.values())  # each name one token, and no comment
+        if joined.split() != list(names.values()) or "\n#" in "\n" + joined:
+            v = next(v for v, t in names.items() if t.split() != [t] or t[0] == "#")
+            raise ValueError(f"vertex {v} is named {names[v]!r}, which an edge list cannot hold")
     if not g.m:
-        return joined + "\n"
+        return "\n".join(map(str, g.vertices) if names is None else names.values()) + "\n"
     pairs = g.edge_pairs()
-    return "".join(["".join([f"{names[u]} {names[v]}\n" for u, v in islice(pairs, 4096)])
-                    for _ in range(0, g.m, 4096)])
+    chunks = (islice(pairs, 4096) for _ in range(0, g.m, 4096))
+    if names is None:
+        return "".join(["".join([f"{u} {v}\n" for u, v in c]) for c in chunks])
+    return "".join(["".join([f"{names[u]} {names[v]}\n" for u, v in c]) for c in chunks])
 
 
 def to_json(g):
-    return _json_text(g, {v: encode_basestring_ascii(name) for v, name in g.names.items()})
+    names = g._names
+    if names is None:
+        return _json_text(g, {v: f'"{v}"' for v in g.vertices})
+    return _json_text(g, {v: encode_basestring_ascii(name) for v, name in names.items()})
 
 
 def _json_text(g, labels, edges=None, **members):
@@ -337,10 +327,11 @@ def _json_text(g, labels, edges=None, **members):
 
 
 def to_dot(g):
+    names = g._names
     idx = {v: i for i, v in enumerate(g.vertices)}
     out = ["graph G {"]
-    for v, name in g.names.items():
-        out.append(f'  n{idx[v]} [label="{name}"];')
+    for v, i in idx.items():
+        out.append(f'  n{i} [label="{v if names is None else names[v]}"];')
     for e in g.edges:
         out.append(f'  n{idx[e.u]} -- n{idx[e.v]} [label="{e.eid}"];')
     out.append("}")
@@ -403,19 +394,19 @@ class BlockDecomposition:
 
 
 def _blocks(g, needs="block decomposition needs"):
-    """The blocks of g, each as a list of its edge ids, and its cut vertices,
-    from one iterative DFS (Hopcroft and Tarjan 1973). The DFS starts at
-    vertices[0] and takes each vertex's edges by ascending id, from
-    incidence lists filled in one pass over the edges sorted by id. A frame
-    keeps its vertex's discovery number, which indexes low, and where its
-    tree edge sits on the edge stack, so a block is the slice of the stack
-    from there. Blocks come in the order the DFS completes them. It reads
-    only g's vertices and edges, so a subgraph's adjacency is never built.
-    Raises Disconnected, "<needs> a connected graph", if it misses a vertex."""
+    """The blocks of g, each a list of g's own Edge tuples, and its cut
+    vertices, from one iterative DFS (Hopcroft and Tarjan 1973). The DFS
+    starts at vertices[0] and takes each vertex's edges by ascending id,
+    from incidence lists filled in one pass over the edges sorted by id. A
+    frame keeps its vertex's discovery number, which indexes low, and
+    where its tree edge sits on the edge stack, so a block is the slice of
+    the stack from there. Blocks come in the order the DFS completes them.
+    It reads only g's vertices and edges, so g gets no cache. Raises
+    Disconnected, "<needs> a connected graph", if it misses a vertex."""
     inc = {v: [] for v in g.vertices}
-    for eid, a, b in sorted(g.edges):
-        inc[a].append((b, eid))
-        inc[b].append((a, eid))
+    for e in sorted(g.edges):
+        inc[e[1]].append((e[2], e))
+        inc[e[2]].append((e[1], e))
     root = g.vertices[0]
     disc = {root: 0}
     low = [0] * g.n
@@ -426,15 +417,15 @@ def _blocks(g, needs="block decomposition needs"):
     stack = [(root, 0, None, iter(inc[root]), 0)]
     while stack:
         v, dv, pe, it, at = stack[-1]
-        for w, eid in it:
+        for w, e in it:
             dw = disc.get(w)
             if dw is None:
                 disc[w] = dw = low[dw] = len(disc)
-                stack.append((w, dw, eid, iter(inc[w]), len(estack)))
-                estack.append(eid)
+                stack.append((w, dw, e, iter(inc[w]), len(estack)))
+                estack.append(e)
                 break
-            if dw < dv and eid != pe:
-                estack.append(eid)
+            if dw < dv and e is not pe:
+                estack.append(e)
                 if dw < low[dv]:
                     low[dv] = dw
         else:
@@ -462,25 +453,31 @@ def block_decomposition(g):
     """Blocks, cut vertices and block-cutpoint tree of a connected graph.
 
     Block i is the subgraph on its edges, ascending ids, and their
-    endpoints, subgraph_edges of those ids: it holds g's own Edge tuples
-    and names, and builds its adjacency the first time something reads
-    it, so a caller that reads only vertices, edges or names never pays
-    for it. Blocks come in the order a depth-first search from
-    vertices[0], taking each vertex's edges by ascending id, completes
-    them. tree_edges lists (i, v) for each block i in that order
-    and each cut vertex v of block i in ascending order. An isolated vertex
-    has no blocks. Raises Disconnected if g is not connected."""
+    endpoints, built from the DFS's Edge tuples: it holds g's names of its
+    vertices, none if g has none, and builds its adjacency the first time
+    something reads it, so a caller that reads only vertices, edges or
+    names never pays for it. g gets no cache. Blocks come in the order a
+    depth-first search from vertices[0], taking each vertex's edges by
+    ascending id, completes them. tree_edges lists (i, v) for each block
+    i in that order and each cut vertex v of block i in ascending order.
+    An isolated vertex has no blocks. Raises Disconnected if g is not
+    connected."""
     found, cut = _blocks(g)
-    blocks = tuple(g.subgraph_edges(b) for b in found)
-    tree_edges = tuple(
-        (i, v) for i, b in enumerate(blocks) for v in b.vertices if v in cut
-    )
-    return BlockDecomposition(blocks, frozenset(cut), tree_edges)
+    names = g._names
+    blocks = []
+    tree_edges = []
+    for es in found:
+        es.sort()
+        vs = tuple(sorted({*map(itemgetter(1), es), *map(itemgetter(2), es)}))
+        sub = None if names is None else {v: names[v] for v in vs}
+        tree_edges += [(len(blocks), v) for v in vs if v in cut]
+        blocks.append(object.__new__(Graph)._set(vs, sub, None, tuple(es)))
+    return BlockDecomposition(tuple(blocks), frozenset(cut), tuple(tree_edges))
 
 
 def bridges(g):
     """Edge ids of all cut edges (the K2 blocks)."""
-    return sorted(b[0] for b in _blocks(g)[0] if len(b) == 1)
+    return sorted(b[0].eid for b in _blocks(g)[0] if len(b) == 1)
 
 
 def is_two_connected(g):
@@ -501,8 +498,8 @@ def common_cycle_classes(g):
     blocks = _blocks(g, "common cycle classes need")[0]
     for b in blocks:
         if len(b) == 1:
-            raise HasBridge(b[0])
-    return sorted(map(frozenset, blocks), key=min)
+            raise HasBridge(b[0].eid)
+    return sorted((frozenset(map(itemgetter(0), b)) for b in blocks), key=min)
 
 
 # -- fundamental cycles ------------------------------------------------------------

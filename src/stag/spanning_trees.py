@@ -106,8 +106,10 @@ def count_spanning_trees(g):
     order = sorted(range(g.n), key=deg.__getitem__)
     pos = {g.vertices[k]: i for i, k in enumerate(order)}
     rows = [{i: deg[k]} for i, k in enumerate(order[:-1])]
-    for e in g.edges:
-        i, j = sorted((pos[e.u], pos[e.v]))
+    for u, v in g.edge_pairs():
+        i, j = pos[u], pos[v]
+        if i > j:
+            i, j = j, i
         if j < size:
             rows[i][j] = -1
     # scale[t] = p_(t-1), scale[0] = 1; seen[i] = steps applied to row i

@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from stag import to_edgelist
+from stag import to_dot, to_edgelist, to_json
 from stag.generators import (
     random_connected_graph,
     random_multiblock_graph,
@@ -39,26 +39,38 @@ def _multiblock_sweep():
                 yield random_multiblock_graph, (sizes, seed, extra)
 
 
-# sha256 over the to_edgelist bytes of every graph of a seeded sweep, each
+# sha256 over each serialiser's bytes of every graph of a seeded sweep, each
 # after a line naming its arguments. The bytes fix each generator's draws,
 # edge order, endpoints and names, on which perfbench's seed tables rest.
 _SWEEPS = {
-    "connected": ("2db23cc7620dfca32b1238ddc71a582c0454f16d2b86471e41d7aebb188e5871",
-                  _connected_sweep),
-    "two-connected": ("e75a6c87fd0692c10bd94527b2d9b7ec4e5963d644faa8bcbf55b6d499272c76",
-                      _two_connected_sweep),
-    "multiblock": ("ebc68d3eb74af6e18fe55b9e586f08d758b7a91dc38141395747d4fcafaeb9b4",
-                   _multiblock_sweep),
+    "connected": (_connected_sweep, {
+        to_edgelist: "2db23cc7620dfca32b1238ddc71a582c0454f16d2b86471e41d7aebb188e5871",
+        to_json: "17b7e8cb3b63faf3cb54741811349557d44cc668dca46ae74f3d8d1c673fe471",
+        to_dot: "edc4f3fead2d4088925865204e2530c199f332ffaef68c86594cddfc91fe1a4e",
+    }),
+    "two-connected": (_two_connected_sweep, {
+        to_edgelist: "e75a6c87fd0692c10bd94527b2d9b7ec4e5963d644faa8bcbf55b6d499272c76",
+        to_json: "33893084214fd76f2b89529fb6be874866ba626148576fb5af61e753f2617ae4",
+        to_dot: "b32ba47a502b0f007fe9ea8b1b8bb5402326558ebf7b10f47e8ae695f20a1882",
+    }),
+    "multiblock": (_multiblock_sweep, {
+        to_edgelist: "ebc68d3eb74af6e18fe55b9e586f08d758b7a91dc38141395747d4fcafaeb9b4",
+        to_json: "73670f361a8fc76a9a93f854874af5b6c8f3e8468c792328e21f75e533f201fb",
+        to_dot: "a0c6c2af0e11029d418f7c88e4d4585c2cb95464616393e21dddbbfa4a3430ac",
+    }),
 }
 
 
 @pytest.mark.parametrize("name", list(_SWEEPS))
 def test_generator_output_is_pinned(name):
-    digest, sweep = _SWEEPS[name]
-    h = hashlib.sha256()
+    sweep, digests = _SWEEPS[name]
+    hashes = {write: hashlib.sha256() for write in digests}
     count = 0
     for make, args in sweep():
-        h.update(f"# {args}\n{to_edgelist(make(*args))}".encode())
+        g = make(*args)
+        for write, h in hashes.items():
+            h.update(f"# {args}\n{write(g)}".encode())
         count += 1
     assert count >= 100
-    assert h.hexdigest() == digest
+    assert {write.__name__: h.hexdigest() for write, h in hashes.items()} == {
+        write.__name__: digest for write, digest in digests.items()}

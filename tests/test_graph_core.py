@@ -41,7 +41,7 @@ from stag.generators import (
 )
 from stag.graph_core import bfs, fundamental_cycle_edges
 from stag.oracles import circumference, minimal_edge_cuts
-from stag.spanning_trees import _walk
+from stag.spanning_trees import _walk, count_spanning_trees
 
 
 def test_graph_rejects_self_loops_and_duplicates():
@@ -187,6 +187,8 @@ def test_lazy_graph_serialises_like_graph_before_and_after_expansion(key):
 def test_expansion_releases_the_pairs_and_leaves_a_plain_graph(key):
     _, g, ref = _lazy_and_reference(key)
     pairs = g._pairs
+    assert count_spanning_trees(g) == count_spanning_trees(ref)
+    assert _state(g) == {"_adj"} and g._pairs is pairs  # counting makes no Edge
     assert g.degree_sequence() == ref.degree_sequence()
     assert _state(g) == {"_adj"} and g._pairs is pairs  # no Edge is made
     # A class with __getattr__ loses CPython 3.11's specialised method
@@ -221,10 +223,14 @@ def test_generated_graphs_hold_only_their_pairs_until_read(key):
     make = _GENERATED[key]
     g = make()
     assert _state(g) == set() and g._names is None
-    to_edgelist(g), to_json(g)
-    assert _state(g) == set()
     fresh = make()
+    named = Graph(fresh.vertices, fresh.edges, {v: str(v) for v in fresh.vertices})
+    assert (to_edgelist(g), to_json(g)) == (to_edgelist(named), to_json(named))
+    assert _state(g) == set() and g._names is None
+    assert to_dot(g) == to_dot(named)
+    assert _state(g) == {"_edges"} and g._names is None
     ref = Graph(fresh.vertices, fresh.edges)
+    assert ref._names is None
     assert [list(g.adj(v).items()) for v in g.vertices] == [
         list(ref.adj(v).items()) for v in ref.vertices]
     assert (g.vertices, g.edges, g.names) == (ref.vertices, ref.edges, ref.names)
@@ -464,21 +470,6 @@ def test_block_decomposition_edge_cases():
     assert len(dec.blocks) == 1 and dec.blocks[0].m == k and not dec.cut_vertices
 
 
-def test_subgraph_edges_equals_the_graph_built_from_its_edges():
-    rng = random.Random(43)
-    for g in itertools.islice(_block_inputs(), 80):
-        eids = rng.sample(g.edge_ids(), rng.randint(0, g.m)) + [3 * g.m + 1]
-        es = [g.edge(i) for i in sorted(set(eids)) if i in g.edge_ids()]
-        if not es:
-            with pytest.raises(ValueError, match="at least one vertex"):
-                g.subgraph_edges(eids)
-            continue
-        sub = g.subgraph_edges(eids)
-        ref = Graph({x for e in es for x in e.endpoints()}, es, g.names)
-        assert _state(sub) == {"_edges"}
-        _same_graph(sub, ref, g)
-
-
 def _built(g, eids):
     """The Graph that Graph(vertices, edges, names) builds from g's edges
     eids and their endpoints."""
@@ -508,7 +499,7 @@ _FIRST_READS = {
 }
 
 
-def test_blocks_equal_subgraph_edges_of_their_ids():
+def test_blocks_equal_the_graph_built_from_their_edges():
     for g in _block_inputs():
         refs = [_built(g, b.edge_ids()) for b in block_decomposition(g).blocks]
         for name, read in _FIRST_READS.items():
@@ -521,12 +512,19 @@ def test_blocks_equal_subgraph_edges_of_their_ids():
 
 
 def test_blocks_stay_unexpanded_until_their_adjacency_is_read():
-    g = random_multiblock_graph([4, 5, 6], 3)
-    blocks = block_decomposition(g).blocks
-    for b in blocks:
-        b.edge_ids(), b.vertices, b.names, b.n, b.m, repr(b)
-        assert bridges(b) == ([b.edges[0].eid] if b.m == 1 else [])  # _blocks reads edges only
-    assert all(_state(b) == {"_edges"} and b._pairs is None for b in blocks)
+    generated = random_multiblock_graph([4, 5, 6], 3)
+    # a generated host holds no names; a parsed one names each vertex
+    for g in (parse_graph(to_edgelist(generated)), generated):
+        names = g._names
+        blocks = block_decomposition(g).blocks
+        for b in blocks:
+            b.edge_ids(), b.vertices, b.n, b.m, repr(b)
+            assert (b._names is None) == (names is None)
+            assert b.names == {v: str(v) if names is None else names[v] for v in b.vertices}
+            assert bridges(b) == ([b.edges[0].eid] if b.m == 1 else [])  # _blocks reads edges only
+        assert all(_state(b) == {"_edges"} and b._pairs is None for b in blocks)
+        # the host keeps only the Edge tuples the DFS reads: no edge index or names
+        assert _state(g) == {"_edges"} and g._names is names
     blocks[0].has_edge(*next(blocks[0].edge_pairs()))
     assert _state(blocks[0]) == {"_edges", "_adj"}
     assert all(_state(b) == {"_edges"} for b in blocks[1:])
