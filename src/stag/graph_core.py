@@ -63,11 +63,11 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) touches unknown vertex")
             if v in adj[u]:
                 raise ValueError(f"duplicate edge ({u},{v})")
+            eid = int(eid)
             if eid in by_id:
                 raise ValueError(f"duplicate edge id {eid}")
             if u > v:
                 u, v = v, u
-            eid = int(eid)
             adj[u][v] = adj[v][u] = eid
             by_id[eid] = new(Edge, (eid, u, v))
         names = None if names is None else {v: str(names.get(v, v)) for v in vs}
@@ -327,11 +327,13 @@ def _json_text(g, labels, edges=None, **members):
 
 
 def to_dot(g):
+    """DOT text, each vertex name's \\ and " escaped in its quoted label."""
     names = g._names
     idx = {v: i for i, v in enumerate(g.vertices)}
     out = ["graph G {"]
     for v, i in idx.items():
-        out.append(f'  n{i} [label="{v if names is None else names[v]}"];')
+        label = v if names is None else names[v].replace("\\", "\\\\").replace('"', '\\"')
+        out.append(f'  n{i} [label="{label}"];')
     for e in g.edges:
         out.append(f'  n{idx[e.u]} -- n{idx[e.v]} [label="{e.eid}"];')
     out.append("}")

@@ -212,11 +212,13 @@ def _walk(g, max_trees):
     once, in descending order, and the rows read backwards are the pairs
     in ascending order.
 
-    Each pending tree carries its fundamental cycles C_e, chord bit
-    included, as one packed int (_pack); the f of its exchanges T - f + e
-    are the tree bits of C_e, and those with pos(e) < pos(f) the bits of
-    C_e below e. The start tree's cycles come from _fundamental_cycles; a
-    tree found for the first time gets its own by one _pivot.
+    A pending tree's one entry in pending is [packed, rank, ...]: its
+    fundamental cycles C_e, chord bit included, as one packed int (_pack),
+    then its row so far; popping the tree takes the int off the front. The
+    f of its exchanges T - f + e are the tree bits of C_e, and those with
+    pos(e) < pos(f) the bits of C_e below e. The start tree's cycles come
+    from _fundamental_cycles; a tree found for the first time gets its own
+    by one _pivot of the slot and the C_e that the loop holds.
     """
     expected = count_spanning_trees(g)
     if expected > max_trees:
@@ -227,8 +229,7 @@ def _walk(g, max_trees):
     cycles = _fundamental_cycles(g, start)
     full, ones = (1 << m) - 1, _pack([1] * len(cycles), m)
     slots = [s * m for s in range(len(cycles))]
-    packed_of = {start: _pack(cycles, m)}
-    pending = {start: []}
+    pending = {start: [_pack(cycles, m)]}
     heap = [start]
     masks = []
     rows = []
@@ -237,8 +238,8 @@ def _walk(g, max_trees):
         cur = heappop(heap)
         rank -= 1
         masks.append(cur)
-        rows.append(pending.pop(cur))
-        packed = packed_of.pop(cur)
+        rows.append(row := pending.pop(cur))
+        packed = row.pop(0)
         for s in slots:
             ce = packed >> s & full
             e = ce & ~cur
@@ -250,9 +251,8 @@ def _walk(g, max_trees):
                 nxt = base ^ f
                 row = pending.get(nxt)
                 if row is None:
-                    pending[nxt] = [rank]
+                    pending[nxt] = [_pivot(packed, s, ce, f, ones), rank]
                     heappush(heap, nxt)
-                    packed_of[nxt] = _pivot(packed, e, f, full, ones)
                 else:
                     row.append(rank)
     if len(masks) != expected:
@@ -295,10 +295,11 @@ def _pack(cycles, m):
     return sum(cycle << s * m for s, cycle in enumerate(cycles))
 
 
-def _pivot(packed, e, f, full, ones):
-    """The packed cycles of the tree T - f + e from those of T, e a chord
-    and f a tree edge of T, each a one-bit mask; None when f is not on
-    C_e, the cycle of e. full is the m-bit mask and ones _pack([1] * c, m).
+def _pivot(packed, slot, ce, f, ones):
+    """The packed cycles of the tree T - f + e from those of T: ce is C_e,
+    the cycle of the chord e, at bit slot of packed, and f, a one-bit mask,
+    a tree edge of T on C_e; ones is _pack([1] * c, m). The walk holds slot
+    and C_e as it draws f from C_e, and _certify looks them up.
 
     Chord f gets C_e, and each other chord c keeps C_c if f is not in C_c,
     else gets C_c ^ C_e. Both are exact: C_e is a cycle of T' = T - f + e
@@ -309,18 +310,12 @@ def _pivot(packed, e, f, full, ones):
     cycle. The same holds for the fundamental circuits of any binary
     matroid, its cycle space the GF(2) row space of the circuits.
 
-    With pos(e) the bit index of e, (P >> pos(e)) & ones marks the slots
-    whose cycle holds e: only e's own, as a chord lies on no other
-    fundamental cycle, so its one bit is e's slot, and C_e the m bits
-    there. (P >> pos(f)) & ones marks the cycles through f; times C_e it
-    holds C_e in each of those slots, with no carry between slots, and the
-    XOR pivots them. f is on C_e, so e's slot is among them and becomes 0;
-    the OR then writes C_e there, the cycle of the new chord f. The number
-    of exchanges of the tree is the popcount less the number of chords."""
-    slot = ((packed >> (e.bit_length() - 1)) & ones).bit_length() - 1
-    ce = (packed >> slot) & full
-    if not ce & f:
-        return None
+    With pos(f) the bit index of f, (P >> pos(f)) & ones marks the slots
+    whose cycle holds f; times C_e it holds C_e in each of those slots,
+    with no carry between slots, and the XOR pivots them. f is on C_e, so
+    e's slot is among them and becomes 0; the OR then writes C_e there,
+    the cycle of the new chord f. The number of exchanges of the tree is
+    the popcount less the number of chords."""
     return packed ^ ((packed >> (f.bit_length() - 1)) & ones) * ce | ce << slot
 
 

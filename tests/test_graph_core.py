@@ -62,6 +62,9 @@ def test_graph_error_precedence():
         Graph([0, 1, 2], [(0, 0, 1), (0, 2, 2), (0, 0, 1)])
     with pytest.raises(ValueError, match=r"^edge \(0,5\) touches unknown vertex$"):
         Graph([0, 1, 2], [(0, 0, 1), (0, 0, 5), (0, 1, 0)])
+    # an id is compared after int(): 3 and "3" are one id
+    with pytest.raises(ValueError, match=r"^duplicate edge id 3$"):
+        Graph([0, 1, 2], [(3, 0, 1), ("3", 1, 2)])
 
 
 def test_edge_ids_are_stable(k4):
@@ -313,6 +316,17 @@ def test_parse_json_errors():
 def test_dot_export_mentions_every_edge(c4):
     dot = to_dot(c4)
     assert dot.count("--") == 4
+
+
+def test_dot_labels_escape_quotes_and_backslashes():
+    g = parse_graph('a"b c\nd\\ e\\"f\n')
+    dot = to_dot(g)
+    assert dot.splitlines()[1:5] == [
+        '  n0 [label="a\\"b"];', '  n1 [label="c"];',
+        '  n2 [label="d\\\\"];', '  n3 [label="e\\\\\\"f"];']
+    # read back as DOT reads a quoted string, each label is the name
+    labels = re.findall(r'^  n\d+ \[label="((?:[^"\\]|\\.)*)"\];$', dot, re.M)
+    assert [re.sub(r"\\(.)", r"\1", x) for x in labels] == ['a"b', "c", "d\\", 'e\\"f']
 
 
 def test_is_connected(p3):

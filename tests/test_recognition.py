@@ -339,11 +339,13 @@ def _pivot_inputs():
 
 
 def test_packed_pivot_equals_the_fundamental_cycles_of_every_exchange():
-    # Each exchange T -> T' = T - f + e of the walk, both ways: the c fields
-    # of m bits of the pivoted int are the fundamental cycles of T', it needs no
-    # more than c * m bits, and its popcount less c is the degree of T' in Aux.
+    # Each exchange T -> T' = T - f + e of the walk, both ways, given e's slot
+    # and C_e as read off T's packed int: the c fields of m bits of the pivoted
+    # int are the fundamental cycles of T', it needs no more than c * m bits,
+    # and its popcount less c is the degree of T' in Aux.
     graphs = _pivot_inputs()
     assert len(graphs) >= 40
+    k2 = Graph.from_pairs([(0, 1)])
     for g in graphs:
         masks, pairs, _ = _walk(g, 10_000)
         m, c = g.m, g.m - g.n + 1
@@ -357,17 +359,25 @@ def test_packed_pivot_equals_the_fundamental_cycles_of_every_exchange():
         for i, j in pairs:
             for a, b in ((i, j), (j, i)):
                 t, t2 = masks[a], masks[b]
-                out = _pivot(packed[a], t2 & ~t, t & ~t2, full, ones)
+                e = t2 & ~t
+                slot = ((packed[a] >> (e.bit_length() - 1)) & ones).bit_length() - 1
+                ce = (packed[a] >> slot) & full
+                assert slot % m == 0 and ce in cycles[a] and ce & e
+                out = _pivot(packed[a], slot, ce, t & ~t2, ones)
                 assert out.bit_length() <= c * m
                 assert sorted((out >> s * m) & full for s in range(c)) == sorted(cycles[b])
                 assert out.bit_count() - c == degree[b]
-        # f off the cycle of e is no exchange
+        # f off the cycle of e is no exchange: the certificate names it
         t = masks[0]
         for ce in cycles[0]:
             for p in range(m):
                 f = 1 << p
                 if t & f and not ce & f:
-                    assert _pivot(packed[0], ce & ~t, f, full, ones) is None
+                    args = (k2, bfs(k2, 0), t, {1: (t ^ f) | (ce & ~t)}, cycles[0], m)
+                    with pytest.raises(NotAStag) as exc:
+                        _certify(*args)
+                    assert str(exc.value) == (
+                        "certificate does not extend: vertex 1 is not one exchange from vertex 0")
 
 
 def test_invert_result_is_minimal():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -243,6 +244,42 @@ def test_exchange_walk_on_block_chains_counts_product_edges():
         keys, count = spanning_trees._keys(masks, edges), len(pairs)
         assert len(keys) == math.prod(orders)
         assert count == len(list(pairs)) == expected
+
+
+def _walk_sweep():
+    """K3-K7, C3-C30, 153 seeded 2-connected graphs on n = 4 to 12
+    vertices with n to n + 5 edges, and 48 seeded block chains."""
+    for k in range(3, 8):
+        yield complete_graph, (k,)
+    for n in range(3, 31):
+        yield cycle_graph, (n,)
+    for n in range(4, 13):
+        for m in range(n, min(n + 5, n * (n - 1) // 2) + 1):
+            for seed in range(3):
+                yield random_two_connected_graph, (n, m, seed)
+    for extra in range(3):
+        for sizes in ([3, 3], [4, 3], [3, 5], [4, 4, 3], [5, 3, 4], [3, 3, 3, 3], [6, 4],
+                      [4, 6, 3]):
+            for seed in range(2):
+                yield random_multiblock_graph, (sizes, seed, extra)
+
+
+def test_walk_output_is_pinned():
+    # sha256 over the walk's masks and over its pairs, in the order _walk
+    # gives them, each graph's after a line naming its arguments. Masks and
+    # rows fix every Aux artifact's bytes: tree order, vertex numbering and
+    # edge order.
+    masks_h, pairs_h = hashlib.sha256(), hashlib.sha256()
+    counts = Counter()
+    for make, args in _walk_sweep():
+        masks, pairs, _ = spanning_trees._walk(make(*args), 20_000)
+        masks_h.update(f"# {args}\n{','.join(map(str, masks))}\n".encode())
+        pairs_h.update(f"# {args}\n{' '.join(f'{i}-{j}' for i, j in pairs)}\n".encode())
+        counts[make.__name__] += 1
+    assert counts == {"complete_graph": 5, "cycle_graph": 28,
+                      "random_two_connected_graph": 153, "random_multiblock_graph": 48}
+    assert masks_h.hexdigest() == "c4f833a563448df23083e627c96ab8975fb35ce0809b2ceda23827f4c25bce96"
+    assert pairs_h.hexdigest() == "ed3425c240b7543d3f834e15ce8536495e499d3cecd11762fa16b8a3d44bcc75"
 
 
 def _gapped_ids(g, rng):
