@@ -27,6 +27,7 @@ from .params import param_report, report_to_json, report_to_text
 from .recognition import enumerate_preimages, invert
 from .spanning_trees import (
     DEFAULT_MAX_TREES,
+    _decimal,
     count_spanning_trees,
     enumerate_spanning_trees,
     serialize_trees,
@@ -95,7 +96,7 @@ def _cmd_count(args):
         value = len(oracles.brute_force_trees(g))
     else:
         value = count_spanning_trees(g)
-    return "ok", _emit(f"{value}\n", args.output)
+    return "ok", _emit(f"{_decimal(value)}\n", args.output)
 
 
 def _cmd_trees(args):

@@ -3,7 +3,8 @@ reverse-delete construction with a protected edge pair."""
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from decimal import Decimal
+from heapq import heapify, heappop, heappush
 from itertools import chain, repeat
 
 from .errors import (
@@ -15,6 +16,7 @@ from .errors import (
     ValidationFailed,
 )
 from .graph_core import (
+    _blocks,
     _UnionFind,
     bfs,
     fundamental_cycle_edges,
@@ -75,14 +77,32 @@ class SpanningTree:
 
 
 def count_spanning_trees(g):
-    """Matrix-Tree count: the determinant of the reduced Laplacian, by a
-    sparse symmetric fraction-free (Bareiss 1968) elimination.
+    """Matrix-Tree count: the product over the blocks of g (_blocks) of
+    each block's reduced Laplacian determinant, as the spanning trees of g
+    are the products of spanning trees of its blocks. A bridge block has
+    one tree and is skipped. Each other block grounds a vertex of highest
+    degree and is eliminated in minimum-degree order up to the point where
+    the rest is a clique (_elimination_order): fraction-free on sparse dict
+    rows, then on plain list rows for that clique (_block_count). Every
+    division is exact, as each leading principal minor of a connected
+    graph's reduced Laplacian is positive in any symmetric order. Raises
+    Disconnected if g is not connected."""
+    count = 1
+    for block in _blocks(g, "spanning trees need")[0]:
+        if len(block) > 1:
+            count *= _block_count(block)
+    return count
 
-    Order: vertices by ascending degree, ties in vertex order; the last (a
-    highest-degree vertex) is the ground whose row and column are removed.
-    For connected g the reduced Laplacian is positive definite under any
-    symmetric permutation, so every pivot p_k, a leading principal minor,
-    is positive: there is no pivot search, no row swap and no sign.
+
+def _block_count(edges):
+    """The reduced Laplacian determinant of the 2-connected graph on edges,
+    by a sparse symmetric fraction-free (Bareiss 1968) elimination in the
+    order _elimination_order gives.
+
+    For a connected graph the reduced Laplacian is positive definite under
+    any symmetric permutation, so every pivot p_k, a leading principal
+    minor, is positive and every division below is exact: there is no pivot
+    search, no row swap and no sign.
 
     After k steps, entry (i, j) with i, j >= k is the minor on rows
     0..k-1, i and columns 0..k-1, j: an integer, symmetric in i and j. So
@@ -95,19 +115,23 @@ def count_spanning_trees(g):
     it becomes the pivot or its pivot-column entry is nonzero. Eliminating
     part of a Laplacian leaves a Laplacian (off-diagonal entries <= 0, the
     two terms above never cancel), so the rows updated at step k are
-    exactly the columns of the pivot row.
+    exactly the columns of the pivot row, and the nonzero entries are the
+    symbolic fill. The tail that the order ends with is a clique of that
+    fill, a dense matrix: its rows are caught up once and become plain
+    lists over their columns j >= i, each step one comprehension per row.
     """
-    if not is_connected(g):
-        raise Disconnected("spanning trees need a connected graph")
-    size = g.n - 1
-    if size == 0:
-        return 1
-    deg = [g.degree(v) for v in g.vertices]
-    order = sorted(range(g.n), key=deg.__getitem__)
-    pos = {g.vertices[k]: i for i, k in enumerate(order)}
-    rows = [{i: deg[k]} for i, k in enumerate(order[:-1])]
-    for u, v in g.edge_pairs():
-        i, j = pos[u], pos[v]
+    nbrs = {}
+    for _, u, v in edges:
+        nbrs.setdefault(u, set()).add(v)
+        nbrs.setdefault(v, set()).add(u)
+    deg = {v: len(ws) for v, ws in nbrs.items()}
+    order, tail = _elimination_order(nbrs)
+    seq = order + tail
+    size = len(seq)
+    pos = dict(zip(seq, range(size)))
+    rows = [{i: deg[v]} for i, v in enumerate(seq)]
+    for _, u, v in edges:
+        i, j = pos.get(u, size), pos.get(v, size)
         if i > j:
             i, j = j, i
         if j < size:
@@ -115,7 +139,7 @@ def count_spanning_trees(g):
     # scale[t] = p_(t-1), scale[0] = 1; seen[i] = steps applied to row i
     scale = [1]
     seen = [0] * size
-    for k in range(size):
+    for k in range(len(order)):
         prev = scale[k]
         pivot = _catch_up(rows[k], prev, scale[seen[k]])
         rows[k] = None
@@ -129,7 +153,58 @@ def count_spanning_trees(g):
                 new[j] = x * p // prev
             rows[i] = new
             seen[i] = k + 1
+    prev = scale[-1]
+    dense = []
+    for i in range(len(order), size):
+        row = _catch_up(rows[i], prev, scale[seen[i]])
+        dense.append([row.get(j, 0) for j in range(i, size)])
+    for k, pivot in enumerate(dense):
+        p = pivot[0]
+        for i in range(k + 1, len(dense)):
+            a = pivot[i - k]
+            dense[i] = [(x * p - a * b) // prev for x, b in zip(dense[i], pivot[i - k:])]
+        prev = p
     return p
+
+
+def _elimination_order(nbrs):
+    """A minimum-degree elimination order (George and Liu 1989) of the
+    graph nbrs, {vertex: set of neighbours}, as (order, tail), with the
+    ground left out: a vertex of highest degree. One symbolic elimination,
+    in place on nbrs, takes the remaining vertex with the fewest remaining
+    neighbours, ties by vertex id, from a heap whose stale entries are
+    skipped, and makes its neighbours a clique. It stops at the first
+    pivot that is adjacent to every remaining vertex: every other has at
+    least as many neighbours, so the rest, the tail, is a clique and any
+    order of it fills nothing more."""
+    ground = max(nbrs, key=lambda v: len(nbrs[v]))
+    for w in nbrs.pop(ground):
+        nbrs[w].discard(ground)
+    heap = [(len(ws), v) for v, ws in nbrs.items()]
+    heapify(heap)
+    order = []
+    while True:
+        d, v = heappop(heap)
+        ws = nbrs.get(v)
+        if ws is None or len(ws) != d:
+            continue
+        if d == len(nbrs) - 1:
+            return order, list(nbrs)
+        del nbrs[v]
+        order.append(v)
+        for w in ws:
+            fill = nbrs[w]
+            fill.discard(v)
+            fill |= ws
+            fill.discard(w)
+            heappush(heap, (len(fill), w))
+
+
+def _decimal(count):
+    """The decimal text of a count. str() refuses an int of more than 4,300
+    digits, a limit that only a process-wide setting raises; a Decimal made
+    from the int is exact and prints all of its digits."""
+    return str(Decimal(count))
 
 
 def _catch_up(row, s, t):
@@ -222,7 +297,7 @@ def _walk(g, max_trees):
     """
     expected = count_spanning_trees(g)
     if expected > max_trees:
-        raise TooManyTrees(f"{expected} trees exceed guard {max_trees}")
+        raise TooManyTrees(f"{_decimal(expected)} trees exceed guard {max_trees}")
     m = g.m
     edges = sorted(g.edges)
     start = _greedy_tree(g, edges, reversed(range(m)))

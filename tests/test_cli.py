@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 
@@ -74,6 +75,31 @@ def test_count_stdout(c3_file, capsys):
     assert capsys.readouterr().out.strip() == "3"
     assert run(["count", "-i", str(c3_file), "--oracle"]) == 0
     assert capsys.readouterr().out.strip() == "3"
+
+
+@pytest.fixture
+def k5_chain_file(tmp_path):
+    # 2,100 K5 blocks in a chain: 125^2100 trees, 4,404 digits
+    p = tmp_path / "k5chain.txt"
+    _write(p, "".join(f"{4 * b + x} {4 * b + y}\n"
+                      for b in range(2100) for x, y in itertools.combinations(range(5), 2)))
+    return p
+
+
+def test_count_prints_more_digits_than_str_allows(k5_chain_file, capsys):
+    assert run(["count", "-i", str(k5_chain_file)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6283beeb9d6edd76c5c51f333de527d14fe606db0deea00589f606717d5debd2")
+
+
+@pytest.mark.parametrize("command", ["trees", "aux", "params"])
+def test_guard_names_more_digits_than_str_allows(k5_chain_file, capsys, command):
+    assert run([command, "-i", str(k5_chain_file), "--json"]) == 3
+    verdict = json.loads(capsys.readouterr().out)
+    count, rest = verdict["message"].split(" ", 1)
+    assert rest == "trees exceed guard 100000"
+    assert len(count) == 4404 and count.startswith("324360018800213661")
 
 
 def test_trees_output(tmp_path, c3_file):

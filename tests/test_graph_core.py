@@ -188,10 +188,14 @@ def test_lazy_graph_serialises_like_graph_before_and_after_expansion(key):
 
 @pytest.mark.parametrize("key", list(_LAZY_INPUTS))
 def test_expansion_releases_the_pairs_and_leaves_a_plain_graph(key):
-    _, g, ref = _lazy_and_reference(key)
+    make, g, ref = _lazy_and_reference(key)
+    counted = make()
+    assert count_spanning_trees(counted) == count_spanning_trees(ref)
+    # the block DFS reads the Edge tuples and builds no adjacency
+    assert _state(counted) == {"_edges"} and counted._pairs is None
     pairs = g._pairs
-    assert count_spanning_trees(g) == count_spanning_trees(ref)
-    assert _state(g) == {"_adj"} and g._pairs is pairs  # counting makes no Edge
+    assert is_connected(g)
+    assert _state(g) == {"_adj"} and g._pairs is pairs  # a BFS makes no Edge
     assert g.degree_sequence() == ref.degree_sequence()
     assert _state(g) == {"_adj"} and g._pairs is pairs  # no Edge is made
     # A class with __getattr__ loses CPython 3.11's specialised method

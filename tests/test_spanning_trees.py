@@ -78,6 +78,33 @@ def test_closed_forms():
             assert count_spanning_trees(kab) == a ** (b - 1) * b ** (a - 1)
     for seed in range(20):
         assert count_spanning_trees(random_connected_graph(seed + 1, seed, seed)) == 1
+    # n x n grids, OEIS A007341
+    grids = [1, 4, 192, 100352, 557568000, 32565539635200, 19872369301840986112]
+    for c, want in enumerate(grids, 1):
+        assert count_spanning_trees(_grid(c, c)) == want
+    # ladders P2 x Pn: t(n) = 4 t(n - 1) - t(n - 2)
+    ladders = [1, 4]
+    while len(ladders) < 40:
+        ladders.append(4 * ladders[-1] - ladders[-2])
+    for n, want in enumerate(ladders, 1):
+        assert count_spanning_trees(_grid(2, n)) == want
+    for k in range(3, 7):
+        for b in (1, 2, 3, 10, 50):
+            assert count_spanning_trees(_clique_chain(k, b)) == (k ** (k - 2)) ** b
+
+
+def _grid(rows, cols):
+    """The rows x cols grid graph, vertex i * cols + j at row i, column j."""
+    pairs = [(i * cols + j, i * cols + j + 1) for i in range(rows) for j in range(cols - 1)]
+    pairs += [(i * cols + j, (i + 1) * cols + j) for i in range(rows - 1) for j in range(cols)]
+    return Graph(range(rows * cols), [(k, u, v) for k, (u, v) in enumerate(pairs)])
+
+
+def _clique_chain(k, b):
+    """b copies of K_k in a chain, copy x on vertices (k - 1) x .. (k - 1) x + k - 1,
+    so consecutive copies share one cut vertex."""
+    return Graph.from_pairs([((k - 1) * x + u, (k - 1) * x + v)
+                             for x in range(b) for u, v in itertools.combinations(range(k), 2)])
 
 
 def _fraction_count(g):
@@ -134,6 +161,20 @@ def test_count_matches_fraction_elimination():
         expected = _fraction_count(g)
         assert count_spanning_trees(g) == expected
         assert count_spanning_trees(_shuffled(g, rng)) == expected
+    # inputs where the elimination order matters: grids, and chains of blocks
+    shaped = [_grid(r, c) for r in range(1, 7) for c in range(r, 7)]
+    shaped += [_clique_chain(k, b) for k in (4, 5) for b in (1, 2, 3, 6)]
+    for g in shaped:
+        expected = _fraction_count(g)
+        assert count_spanning_trees(g) == expected
+        assert count_spanning_trees(_shuffled(g, rng)) == expected
+
+
+def test_count_of_a_disconnected_graph_names_the_need():
+    g = Graph.from_pairs([(0, 1), (1, 2), (0, 2), (3, 4)])
+    with pytest.raises(Disconnected) as err:
+        count_spanning_trees(g)
+    assert str(err.value) == "spanning trees need a connected graph"
 
 
 def test_count_is_the_product_over_blocks():
