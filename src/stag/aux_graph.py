@@ -6,8 +6,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import Unannotated
-from .graph_core import Graph, _json_text, bfs, fundamental_cycle_edges
-from .spanning_trees import DEFAULT_MAX_TREES, _labels, _Rows, _Trees, _walk
+from .graph_core import Graph, _json_text
+from .spanning_trees import (
+    DEFAULT_MAX_TREES,
+    _cut_groups,
+    _cycle_groups,
+    _labels,
+    _Rows,
+    _Trees,
+    _walk,
+)
 
 
 @dataclass(frozen=True)
@@ -100,25 +108,11 @@ def ground_truth_cliques(s):
     index = {t.key: i for i, t in enumerate(s.trees)}
     found = {}
     for t in s.trees:
-        tset = t.edge_set
-        for f in t.key:
-            comp = bfs(g, g.edge(f).u, tset - {f})
-            cut_eids = [
-                e.eid for e in g.edges if (e.u in comp) != (e.v in comp)
-            ]
-            members = frozenset(
-                index[tuple(sorted((tset - {f}) | {e}))] for e in cut_eids
-            )
-            found[("cut", members)] = CliqueClass(members, "cut", len(members))
-        for e in g.edges:
-            if e.eid in tset:
-                continue
-            cyc = fundamental_cycle_edges(g, tset, e.eid)
-            base = tset - set(cyc)
-            members = frozenset(
-                index[tuple(sorted(base | (set(cyc) - {f})))] for f in cyc
-            )
-            found[("cycle", members)] = CliqueClass(members, "cycle", len(members))
+        cuts, cycles = _cut_groups(g, t.edge_set), _cycle_groups(g, t.edge_set)
+        for tag, groups in (("cut", cuts), ("cycle", cycles)):
+            for keys in groups:
+                members = frozenset(map(index.__getitem__, keys))
+                found[tag, members] = CliqueClass(members, tag, len(members))
     return sorted(found.values(), key=lambda c: (c.tag, sorted(c.members)))
 
 

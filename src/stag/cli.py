@@ -10,7 +10,6 @@ import json
 import sys
 import time
 
-from . import oracles
 from .aux_graph import build_stag, stag_to_dot, stag_to_json
 from .errors import NotAStag, NotMinimal, StagError, TooLarge, TooManyTrees
 from .factorization import DEFAULT_MAX_N, prime_factorize
@@ -92,19 +91,12 @@ def _cmd_aux(args):
 
 def _cmd_count(args):
     g = _load_graph(args.input)
-    if args.oracle:
-        value = len(oracles.brute_force_trees(g))
-    else:
-        value = count_spanning_trees(g)
-    return "ok", _emit(f"{_decimal(value)}\n", args.output)
+    return "ok", _emit(f"{_decimal(count_spanning_trees(g))}\n", args.output)
 
 
 def _cmd_trees(args):
     g = _load_graph(args.input)
-    if args.oracle:
-        trees = oracles.brute_force_trees(g)
-    else:
-        trees = enumerate_spanning_trees(g, max_trees=args.max_trees)
+    trees = enumerate_spanning_trees(g, max_trees=args.max_trees)
     return "ok", _emit(serialize_trees(trees), args.output)
 
 
@@ -129,13 +121,7 @@ def _cmd_factor(args):
 
 
 def _cmd_invert(args):
-    h = _load_graph(args.input)
-    if args.oracle:
-        g = oracles.brute_force_is_stag(h)
-        if g is None:
-            raise NotAStag("no preimage at oracle scale")
-    else:
-        g = invert(h)
+    g = invert(_load_graph(args.input))
     return "ok", _emit(_graph_text(g, args.output), args.output)
 
 
@@ -203,8 +189,6 @@ def _build_parser():
         p = sub.add_parser(name)
         p.add_argument("-o", "--output")
         p.add_argument("--json", action="store_true", dest="verdict_json")
-        if name in ("count", "trees", "invert"):
-            p.add_argument("--oracle", action="store_true")
         if name in ("aux", "trees", "params", "verify-roundtrip"):
             p.add_argument("--max-trees", type=int, default=DEFAULT_MAX_TREES)
         if name == "factor":

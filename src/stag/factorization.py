@@ -86,11 +86,11 @@ def _distances(g, s):
 
 
 def _theta_closure(g, classes):
-    """Merge the square classes along Theta between the edges of the BFS
-    tree from g.vertices[0] and all edges, until the groups extract, and
-    return that extraction. The groups are numbered by their largest
-    class: the order in which a finest-first search over set partitions
-    lists them.
+    """Extract the square classes, or else merge them along Theta between
+    the edges of the BFS tree from g.vertices[0] and all edges until the
+    groups extract, and return that extraction. The groups are numbered by
+    their largest class, the order in which a finest-first search over set
+    partitions lists them: before any merge, class i is colour i.
 
     The groups never get coarser than sigma, as Theta and the square
     classes lie inside it, and a product colouring no coarser than sigma
@@ -106,27 +106,29 @@ def _theta_closure(g, classes):
         rank = {r: b for b, r in enumerate(sorted(last, key=last.get))}
         return {eid: rank[uf.find(c)] for eid, c in cls.items()}
 
-    px = None
     # BFS order lists a vertex's children together: one BFS per parent
-    for y, (x, eid) in islice(bfs(g, g.vertices[0]).items(), 1, None):
-        if x != px:
-            px, dx = x, _distances(g, x)
-        dy = _distances(g, y)
-        # xy Theta uv iff d(x,u) - d(y,u) != d(x,v) - d(y,v)
-        delta = {v: dx[v] - dy[v] for v in dy}
-        a = cls[eid]
-        before = uf.count
-        for c, pairs in enumerate(members):
-            if uf.find(c) != uf.find(a) and any(delta[u] != delta[v] for u, v in pairs):
-                uf.union(a, c)
-        if uf.count == before:
-            continue
-        if uf.count == 1:
-            break
+    tree = islice(bfs(g, g.vertices[0]).items(), 1, None)
+    px = None
+    while uf.count > 1:
         try:
             return _try_extract(g, colouring())
         except ValidationFailed:
             pass
+        before = uf.count
+        for y, (x, eid) in tree:
+            if x != px:
+                px, dx = x, _distances(g, x)
+            dy = _distances(g, y)
+            # xy Theta uv iff d(x,u) - d(y,u) != d(x,v) - d(y,v)
+            delta = {v: dx[v] - dy[v] for v in dy}
+            a = cls[eid]
+            for c, pairs in enumerate(members):
+                if uf.find(c) != uf.find(a) and any(delta[u] != delta[v] for u, v in pairs):
+                    uf.union(a, c)
+            if uf.count < before:
+                break
+        if uf.count == before:
+            break
     return _try_extract(g, colouring())
 
 
@@ -199,12 +201,7 @@ def prime_factorize(g, max_n=DEFAULT_MAX_N):
         raise Disconnected("factorization needs a connected graph")
     if g.n == 1:
         return Factorization((g,), {g.vertices[0]: (g.vertices[0],)})
-    classes = _square_classes(g)
-    color = {eid: i for i, c in enumerate(classes) for eid in c}
-    try:
-        factors, coords = _try_extract(g, color)
-    except ValidationFailed:
-        factors, coords = _theta_closure(g, classes)
+    factors, coords = _theta_closure(g, _square_classes(g))
     order = sorted(range(len(factors)), key=lambda i: (-factors[i].n, _canon_key(factors[i])))
     factors = tuple(factors[i] for i in order)
     coords = {v: tuple(c[i] for i in order) for v, c in coords.items()}

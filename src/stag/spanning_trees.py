@@ -212,38 +212,37 @@ def _catch_up(row, s, t):
     return row if s == t else {j: x * s // t for j, x in row.items()}
 
 
-def _type2_keys(g, tree_eids):
-    res = set()
-    tset = frozenset(tree_eids)
+def _cut_groups(g, tset):
+    """For each tree edge f of the tree with edge-id set tset, the keys of
+    T - f + e over the edges e of f's fundamental cut, f included (which
+    gives T): the two sides of T - f by one BFS."""
     for f in tset:
         base = tset - {f}
-        comp = bfs(g, g.edge(f).u, base)
-        for e in g.edges:
-            if e.eid in tset:
-                continue
-            if (e.u in comp) != (e.v in comp):
-                res.add(base | {e.eid})
-    return res
+        side = bfs(g, g.edge(f).u, base)
+        yield [tuple(sorted(base | {e.eid})) for e in g.edges if (e.u in side) != (e.v in side)]
+
+
+def _cycle_groups(g, tset):
+    """For each chord e of the tree with edge-id set tset, the keys of
+    T - f + e over the edges f of e's fundamental cycle, e included (which
+    gives T)."""
+    for e in g.edges:
+        if e.eid not in tset:
+            grown = tset | {e.eid}
+            yield [tuple(sorted(grown - {f})) for f in fundamental_cycle_edges(g, tset, e.eid)]
 
 
 def type2_neighbors(g, t):
     """Trees reachable by deleting a tree edge and relinking the two sides of the cut."""
-    return {SpanningTree(g, k) for k in _type2_keys(g, t.edge_set)}
+    keys = chain.from_iterable(_cut_groups(g, t.edge_set))
+    return {SpanningTree._sorted(g, k) for k in keys if k != t.key}
 
 
 def type1_neighbors(g, t):
     """Trees reachable by adding a non-tree edge and deleting another edge
     of the created cycle."""
-    res = set()
-    tset = t.edge_set
-    for e in g.edges:
-        if e.eid in tset:
-            continue
-        cycle = fundamental_cycle_edges(g, tset, e.eid)
-        for f in cycle:
-            if f != e.eid:
-                res.add(SpanningTree(g, (tset - {f}) | {e.eid}))
-    return res
+    keys = chain.from_iterable(_cycle_groups(g, t.edge_set))
+    return {SpanningTree._sorted(g, k) for k in keys if k != t.key}
 
 
 def fundamental_cycle(g, t, eid):

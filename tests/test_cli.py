@@ -1,7 +1,11 @@
 import hashlib
 import itertools
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -28,7 +32,9 @@ from stag.generators import (
     random_multiblock_graph,
     random_two_connected_graph,
 )
+from stag.oracles import brute_force_is_stag, brute_force_trees
 from stag.params import param_report, report_to_text
+from stag.spanning_trees import serialize_trees
 
 
 def _write(path, text):
@@ -73,8 +79,7 @@ def test_aux_writes_an_edge_list_to_a_txt_path(tmp_path, c3_file, capsys):
 def test_count_stdout(c3_file, capsys):
     assert run(["count", "-i", str(c3_file)]) == 0
     assert capsys.readouterr().out.strip() == "3"
-    assert run(["count", "-i", str(c3_file), "--oracle"]) == 0
-    assert capsys.readouterr().out.strip() == "3"
+    assert len(brute_force_trees(parse_graph(c3_file.read_bytes()))) == 3
 
 
 @pytest.fixture
@@ -163,8 +168,8 @@ def _gapped_host():
 
 
 # sha256 of the `stag trees` output, taken when the command listed the keys
-# of enumerate_spanning_trees; the brute-force route (--oracle) must give the
-# same bytes. The parser numbers edges in input order, so the host with
+# of enumerate_spanning_trees; the brute-force oracle's trees, serialized,
+# give the same bytes. The parser numbers edges in input order, so the host with
 # gapped ids, in an order unrelated to its edges, is handed to the command
 # in place of the parsed file.
 _TREES_DIGESTS = {
@@ -183,9 +188,10 @@ def test_trees_output_is_pinned(tmp_path, monkeypatch, name):
     _write(src, to_edgelist(g))
     if name == "gapped":
         monkeypatch.setattr(cli, "_load_graph", lambda path, fmt=None: g)
-    for route in ([], ["--oracle"]):
-        assert run(["trees", "-i", str(src), "-o", str(dst), *route]) == 0
-        assert hashlib.sha256(dst.read_bytes()).hexdigest() == digest
+    assert run(["trees", "-i", str(src), "-o", str(dst)]) == 0
+    assert hashlib.sha256(dst.read_bytes()).hexdigest() == digest
+    oracle = serialize_trees(brute_force_trees(g)).encode()
+    assert hashlib.sha256(oracle).hexdigest() == digest
 
 
 def test_invert_roundtrip_via_files(tmp_path, c3_file, capsys):
@@ -211,9 +217,43 @@ def test_invert_rejects_path(p4_file, capsys):
 
 
 def test_invert_oracle_agrees(p4_file, capsys):
-    rc = run(["invert", "-i", str(p4_file), "--oracle", "--json"])
-    assert rc == 1
+    assert run(["invert", "-i", str(p4_file), "--json"]) == 1
     assert json.loads(capsys.readouterr().out)["status"] == "not_a_stag"
+    assert brute_force_is_stag(parse_graph(p4_file.read_bytes())) is None
+
+
+# Every command, run with networkx made unimportable: stag needs nothing
+# beyond the standard library, and stag.oracles imports networkx only inside
+# its functions.
+_NO_NETWORKX = """
+import json, sys
+sys.modules["networkx"] = None
+import stag, stag.oracles
+from stag.cli import run
+print(json.dumps([run(argv.split()) for argv in [
+    "random --n 4 --m 5 -o g.txt",
+    "aux -i g.txt -o aux.json",
+    "count -i g.txt -o count.txt",
+    "trees -i g.txt -o trees.txt",
+    "blocks -i g.txt -o blocks.json",
+    "factor -i aux.json -o f",
+    "invert -i aux.json -o back.txt",
+    "preimages -i g.txt --budget 2 -o pre",
+    "params -i g.txt -o params.txt",
+    "verify-roundtrip -i g.txt -o rt.txt",
+]]))
+"""
+
+
+def test_every_command_runs_without_networkx(tmp_path):
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", _NO_NETWORKX], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    codes = json.loads(done.stdout)
+    assert codes == [0] * len(cli._COMMANDS), done.stderr
+    assert (tmp_path / "count.txt").read_text() == "8\n"  # the diamond
 
 
 def test_k1_from_random_reads_back_in_every_command(tmp_path, capsys):
@@ -372,11 +412,16 @@ def test_guard_on_a_long_block_chain(tmp_path, capsys):
     assert "exceed guard 100000" in verdict["message"]
 
 
-def test_input_error_exit_code(tmp_path):
+def test_input_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     _write(bad, "a a\n")
     assert run(["count", "-i", str(bad)]) == 2
     assert run(["count", "-i", str(tmp_path / "missing.txt")]) == 2
+    dot = tmp_path / "g.dot"
+    _write(dot, to_dot(cycle_graph(3)))
+    capsys.readouterr()
+    assert run(["count", "-i", str(dot)]) == 2
+    assert capsys.readouterr().err == "error: dot is export-only\n"
 
 
 def test_a_stag_error_raised_inside_a_command_is_exit_2(c3_file, capsys, monkeypatch):
@@ -391,7 +436,8 @@ def test_a_stag_error_raised_inside_a_command_is_exit_2(c3_file, capsys, monkeyp
 
 
 def test_flags_a_command_does_not_read_are_rejected(c3_file):
-    assert run(["aux", "-i", str(c3_file), "--oracle"]) == 2
+    for name in ("aux", "count", "trees", "invert"):  # one route per command
+        assert run([name, "-i", str(c3_file), "--oracle"]) == 2
     assert run(["count", "-i", str(c3_file), "--seed", "1"]) == 2
     for name in cli._COMMANDS:  # the format follows the file name only
         given = ["--n", "3", "--m", "3"] if name == "random" else ["-i", str(c3_file)]

@@ -21,6 +21,7 @@ from stag import (
     product_of_block_stags,
     single_vertex_graph,
 )
+from stag.errors import Disconnected
 from stag.factorization import _canon_key, _square_classes, _try_extract
 from stag.generators import (
     random_connected_graph,
@@ -349,3 +350,16 @@ def test_agrees_with_the_networkx_product_oracle():
         assert is_prime(g) == (len(sizes) == 1)
         perturbed_primes += len(sizes) == 1 and h.number_of_nodes() > 7
     assert perturbed_primes >= 10
+
+
+def test_factorization_and_block_product_need_a_connected_graph():
+    g = Graph(range(4), [(0, 0, 1), (1, 2, 3)])
+    with pytest.raises(Disconnected, match="^factorization needs a connected graph$"):
+        prime_factorize(g)
+    with pytest.raises(Disconnected, match="^block product needs a connected graph$"):
+        product_of_block_stags(g)
+
+
+def test_block_product_of_k1_is_one_unannotated_vertex():
+    s = product_of_block_stags(single_vertex_graph())
+    assert (s.annotated, s.graph.n, s.graph.m) == (False, 1, 0)

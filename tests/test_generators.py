@@ -74,3 +74,16 @@ def test_generator_output_is_pinned(name):
     assert count >= 100
     assert {write.__name__: h.hexdigest() for write, h in hashes.items()} == {
         write.__name__: digest for write, digest in digests.items()}
+
+
+@pytest.mark.parametrize("make, args, message", [
+    (random_connected_graph, (0, 0, 1), "need at least one vertex"),
+    (random_connected_graph, (4, 2, 1), "edge count out of range for a connected simple graph"),
+    (random_two_connected_graph, (2, 1, 1), "2-connected graphs need at least three vertices"),
+    (random_two_connected_graph, (4, 7, 1),
+     "edge count out of range for a 2-connected simple graph"),
+    (random_multiblock_graph, ([], 1), "need at least one block size"),
+])
+def test_generator_arguments_out_of_range(make, args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make(*args)

@@ -67,6 +67,15 @@ def test_graph_error_precedence():
         Graph([0, 1, 2], [(3, 0, 1), ("3", 1, 2)])
 
 
+def test_empty_graph_short_cycle_and_unknown_format_are_refused():
+    with pytest.raises(ValueError, match="^graph must have at least one vertex$"):
+        Graph([], [])
+    with pytest.raises(ValueError, match="^cycle needs at least 3 vertices$"):
+        cycle_graph(2)
+    with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+        parse_graph("0 1\n", "xml")
+
+
 def test_edge_ids_are_stable(k4):
     assert list(k4.edge_ids()) == list(range(6))
     e = k4.edge(3)
@@ -315,6 +324,8 @@ def test_parse_json_errors():
     dup = {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["b", "a"]]}
     with pytest.raises(ParseError, match=r"^line 2: duplicate edge \['b', 'a'\]$"):
         parse_graph(json.dumps(dup), fmt="json")
+    with pytest.raises(ParseError, match="^line 0: self-loop at 'a'$"):
+        parse_graph(json.dumps({"vertices": ["a", "b"], "edges": [["a", "a"]]}), fmt="json")
 
 
 def test_dot_export_mentions_every_edge(c4):
@@ -693,6 +704,8 @@ def test_are_isomorphic_positive_and_negative(c4, p4):
     assert ok
     assert len(mapping) == 4
     assert not are_isomorphic(c4, p4)[0]
+    # same n and m as P4: only the degree sequences tell the claw apart
+    assert are_isomorphic(p4, Graph.from_pairs([(0, 1), (0, 2), (0, 3)])) == (False, None)
 
 
 def test_are_isomorphic_regular_pair():

@@ -36,8 +36,28 @@ def test_no_assert_statements():
     assert _found(lambda node: isinstance(node, ast.Assert)) == []
 
 
-def test_only_the_cli_imports_the_oracles():
-    assert _found(_imports_oracles, skip={"cli.py"}) == []
+def test_no_module_imports_the_oracles():
+    # the oracles cross-check the library from the tests; the library never calls them
+    assert _found(_imports_oracles) == []
+
+
+def _imports_networkx(node):
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "networkx" for a in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "networkx"
+
+
+def test_only_the_oracles_import_networkx_and_only_inside_a_function():
+    # stag has no runtime dependency: import stag, stag.oracles needs no networkx
+    assert _found(_imports_networkx, skip={"oracles.py"}) == []
+    oracles = ast.parse((SRC / "oracles.py").read_text(encoding="utf-8"))
+    nested = {
+        id(node)
+        for fn in ast.walk(oracles)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+    }
+    assert [n.lineno for n in ast.walk(oracles) if _imports_networkx(n) and id(n) not in nested] == []
 
 
 def test_only_build_stag_the_parsers_and_the_generators_call_graph_trusted():

@@ -478,6 +478,18 @@ def test_witness_can_fail_on_an_adversarial_tree(diamond):
         witness_edge_for_pair(diamond, t, 0, 2)
 
 
+def test_witness_and_reverse_delete_argument_errors(c4, p4):
+    t = enumerate_spanning_trees(c4)[0]
+    with pytest.raises(ValueError, match="^e1, e2 must be two distinct tree edges$"):
+        witness_edge_for_pair(c4, t, t.key[0], t.key[0])
+    with pytest.raises(Disconnected, match="^reverse delete needs a connected graph$"):
+        reverse_delete_tree(Graph(range(4), [(0, 0, 1), (1, 2, 3)]))
+    with pytest.raises(ValueError, match="^protected edges must be distinct$"):
+        reverse_delete_tree(c4, protected_pair=(0, 0))
+    with pytest.raises(NotTwoConnected, match="^protected pair requires a 2-connected host != K2$"):
+        reverse_delete_tree(p4, protected_pair=(0, 1))
+
+
 def test_protected_reverse_delete_always_yields_witness():
     rng = random.Random(21)
     for _ in range(20):
