@@ -23,18 +23,19 @@ certificate
     before any layout runs.
 layout
     In each block one side holds the tree edges (the smaller first, then
-    the other: the dual matroid has the same basis graph). A complete
-    search lays them out so that each chord's tree edges form a path; the
-    chord joins its ends. The result is checked against the root (each
-    chord closes its root circuit): a mismatch is a program fault,
-    ValidationFailed, not a verdict.
+    the other: the dual matroid has the same basis graph). A side with two
+    parallel elements describes no simple graph. Otherwise a complete
+    search over one tree edge per series class lays them out so that each
+    chord's tree edges form a path; the chord joins its ends. The result
+    is checked against the root (each chord closes its root circuit): a
+    mismatch is a program fault, ValidationFailed, not a verdict.
 
 Every rejection names the failed necessary condition.
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import count, islice
 
 from .errors import Disconnected, NotAStag, NotMinimal, ValidationFailed
 from .graph_core import Graph, bfs, bridges, single_vertex_graph
@@ -106,16 +107,26 @@ def layout(tree, paths):
     the tree nodes paths[c] of every cycle c form a path. The cycles must
     connect all tree nodes, as they do in one component of a root.
 
-    Complete search: at each step the open cycle with the fewest legal
-    moves is extended by one of its remaining tree nodes, attached as a
-    new leaf at one end of its path. Returns (place, ends), place[f] the
-    vertex pair of tree node f in placement order and ends[c] the two
-    ends of c's path, or None when no such tree exists."""
+    Tree nodes on exactly the same cycles form a series class, and every
+    cycle holds a whole class or none of it: a layout of one node per
+    class subdivides into a full one with the same path ends, and
+    contracting a full one gives a reduced one. Complete search over the
+    first node of each class: at each step the open cycle with the fewest
+    legal moves is extended by one of its remaining nodes, attached as a
+    new leaf at one end of its path. Then, in placement order, each node's
+    (u, v) becomes the path u - w1 - ... - v through its class in tree
+    order, w1, ... fresh vertices. Returns (place, ends), place[f] the
+    vertex pair of tree node f and ends[c] the two ends of c's path, or
+    None when no such tree exists."""
     labels = {f: [] for f in tree}
     for c in sorted(paths):
         for f in paths[c]:
             labels[f].append(c)
-    remaining = {c: set(p) for c, p in paths.items()}
+    classes = {}
+    for f in tree:
+        classes.setdefault(tuple(labels[f]), []).append(f)
+    heads = {members[0]: members for members in classes.values()}
+    remaining = {c: heads.keys() & p for c, p in paths.items()}
     place = {}
     ends = {}
     undo = []
@@ -158,7 +169,7 @@ def layout(tree, paths):
 
     attach(tree[0], 0)
     frames = []
-    while len(place) < len(tree):
+    while len(place) < len(heads):
         frames.append(iter(moves()))
         while (move := next(frames[-1], None)) is None:
             frames.pop()
@@ -166,18 +177,26 @@ def layout(tree, paths):
                 return None
             detach()
         attach(*move)
-    return place, ends
+    full = {}
+    fresh = count(len(heads) + 1)
+    for f, (u, v) in place.items():
+        chain = [u, *islice(fresh, len(heads[f]) - 1), v]
+        full.update(zip(heads[f], zip(chain, chain[1:])))
+    return full, ends
 
 
 def _block(tree, cycles, root):
-    """Layout of one root component with the given side as tree edges,
-    or None when that side does not describe a simple graph."""
+    """Layout of one root component with the given side as tree edges, or
+    the reason that side describes no simple graph: "elements a and b are
+    parallel" for a chord whose path is one tree node or two chords with
+    the same path, "not graphic" when layout finds no tree."""
     paths = {c: set(root.adj(c)) for c in cycles}
-    if any(len(p) < 2 for p in paths.values()):
-        return None  # a chord would parallel a tree edge
-    if len({frozenset(p) for p in paths.values()}) != len(paths):
-        return None  # two chords would be parallel
-    return layout(tree, paths)
+    first = {}
+    for c, p in paths.items():
+        twin = min(p) if len(p) == 1 else first.setdefault(frozenset(p), c)
+        if twin != c:
+            return f"elements {min(c, twin)} and {max(c, twin)} are parallel"
+    return layout(tree, paths) or "not graphic"
 
 
 # -- inversion ----------------------------------------------------------------
@@ -193,10 +212,11 @@ def invert(h):
     checked vertex by vertex (_certify). Layout: each block's tree edges
     are laid out so that every non-tree edge closes a path; the blocks
     share one vertex. A disconnected h raises Disconnected; a verdict of
-    NotAStag names the necessary condition that failed; a layout that
-    does not realize the root raises ValidationFailed. No tree guard: h
-    is already in memory, and only the layout searches, on the root. h is
-    read only through its vertices and adjacency."""
+    NotAStag names the necessary condition that failed (for a block, why
+    each side fails: _block); a layout that does not realize the root
+    raises ValidationFailed. No tree guard: h is already in memory, and
+    only the layout searches, on the root. h is read only through its
+    vertices and adjacency."""
     x = h.vertices[0]
     span = bfs(h, x)
     if len(span) != h.n:
@@ -215,15 +235,20 @@ def invert(h):
     chords = []
     next_vertex = 1
     for block, (small, large) in zip(blocks, sides):
+        reasons = []
         for tree, cycles in ((small, large), (large, small)):
             found = _block(tree, cycles, root)
-            if found is not None:
+            if not isinstance(found, str):
                 break
+            reasons.append(found)
         else:
-            raise NotAStag(
-                f"neither side is graphic: no tree realizes root block {block[0][0]} of N({x}), "
+            matroid = (
+                f"root block {block[0][0]} of N({x}), "
                 f"a binary matroid on {len(small) + len(large)} elements of rank {len(small)}"
             )
+            if reasons == ["not graphic"] * 2:
+                raise NotAStag(f"neither side is graphic: no tree realizes {matroid}")
+            raise NotAStag(f"no simple graph realizes {matroid}: {reasons[0]}; in its dual, {reasons[1]}")
         place, path_ends = found
         base = next_vertex - 1
         for a, (u, v) in [*place.items(), *((c, path_ends[c]) for c in cycles)]:

@@ -8,7 +8,12 @@ exchange walk or the certificate.
     PYTHONPATH=src:tests python -c "from binary_matroids import write_crafted; \
         write_crafted(60, 80, 1, 1, 'neg.txt')"
 
-writes the (60, 80, 1) flip-1 crafted negative as an edge list.
+writes the (60, 80, 1) flip-1 crafted negative as an edge list, and
+
+    PYTHONPATH=src:tests python -c "from binary_matroids import write_one_flip_basis_graph; \
+        write_one_flip_basis_graph(18, 22, 3, 2, 'flip.txt')"
+
+the basis graph of the (18, 22, 3) flip-2 one-flip matroid.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from itertools import combinations
 from stag import Graph, to_edgelist
 from stag.generators import random_two_connected_graph
 from stag.graph_core import bfs, fundamental_cycle_edges
+from stag.spanning_trees import _fundamental_cycles, _greedy_tree
 
 # Standard representations [I | A], columns as ints over the rows.
 F7 = [1, 2, 4, 3, 5, 6, 7]
@@ -105,3 +111,67 @@ def crafted_negative(n, m, seed, flip):
 def write_crafted(n, m, seed, flip, path):
     with open(path, "w") as out:
         out.write(to_edgelist(crafted_negative(n, m, seed, flip)))
+
+
+def fundamental_matrix(g):
+    """(tree, paths) as recognition.layout takes them: the fundamental
+    circuits of g, its edge ids 0..m - 1 as the generators give them, at
+    the exchange walk's start tree (Kruskal's over the edge ids in
+    descending order), tree the tree edge ids in ascending order and
+    paths[c] the tree edges on chord c's cycle."""
+    m = g.m
+    start = _greedy_tree(g, sorted(g.edges), reversed(range(m)))
+    tree = [p for p in range(m) if start >> (m - 1 - p) & 1]
+    chords = [p for p in range(m) if not start >> (m - 1 - p) & 1]
+    return tree, {c: {f for f in tree if cycle >> (m - 1 - f) & 1}
+                  for c, cycle in zip(chords, _fundamental_cycles(g, start))}
+
+
+def one_flip_matrix(n, m, seed, flip):
+    """fundamental_matrix of random_two_connected_graph(n, m, seed) with
+    the entry at one tree edge and one chord, drawn as crafted_negative
+    draws it by random.Random(flip), flipped: a nearly graphic matroid."""
+    tree, paths = fundamental_matrix(random_two_connected_graph(n, m, seed))
+    rng = random.Random(flip)
+    f = rng.choice(tree)
+    paths[rng.choice(sorted(paths))] ^= {f}
+    return tree, paths
+
+
+def one_flip_basis_graph(n, m, seed, flip):
+    """The basis graph of the binary matroid [I | A] of one_flip_matrix,
+    its vertices the bases in the order a BFS over single exchanges from
+    the start tree reaches them, so vertex 0 is the start tree."""
+    tree, paths = one_flip_matrix(n, m, seed, flip)
+    row = {f: 1 << i for i, f in enumerate(tree)}
+    columns = {f: row[f] for f in tree} | {c: sum(row[f] for f in p) for c, p in paths.items()}
+    start = frozenset(tree)
+    index = {start: 0}
+    order = [start]
+    pairs = []
+    for i, b in enumerate(order):  # grows as the BFS finds new bases
+        pivots = {}  # top bit: (column reduced over b, the elements of b summed into it)
+        for f in sorted(b):
+            v, used = columns[f], 1 << f
+            while v.bit_length() - 1 in pivots:
+                w, more = pivots[v.bit_length() - 1]
+                v, used = v ^ w, used ^ more
+            pivots[v.bit_length() - 1] = (v, used)
+        for e in sorted(columns.keys() - b):
+            v, used = columns[e], 0
+            while v:
+                w, more = pivots[v.bit_length() - 1]
+                v, used = v ^ w, used ^ more
+            for f in sorted(f for f in b if used >> f & 1):  # e's circuit in b
+                nb = b - {f} | {e}
+                if nb not in index:
+                    index[nb] = len(order)
+                    order.append(nb)
+                if index[nb] > i:
+                    pairs.append((i, index[nb]))
+    return Graph.from_pairs(pairs, vertices=range(len(order)))
+
+
+def write_one_flip_basis_graph(n, m, seed, flip, path):
+    with open(path, "w") as out:
+        out.write(to_edgelist(one_flip_basis_graph(n, m, seed, flip)))

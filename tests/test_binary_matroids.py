@@ -19,6 +19,7 @@ from binary_matroids import (
 from stag import NotAStag, ValidationFailed, are_isomorphic, build_stag, complete_graph, invert
 from stag import recognition
 
+NO_REALIZATION = ("neither side is graphic", "no simple graph realizes")
 CRAFTED = [(*case, flip) for case in ((20, 30, 3), (30, 45, 1), (40, 60, 2), (60, 80, 1))
            for flip in (0, 1, 2)]
 
@@ -50,6 +51,24 @@ def test_non_graphic_binary_matroids_are_certified_then_named(columns, elements,
     assert message.endswith(f"a binary matroid on {elements} elements of rank {rank}")
 
 
+@pytest.mark.parametrize(
+    "columns, message",
+    [
+        ([1, 2, 3, 3], "a binary matroid on 4 elements of rank 2: elements 1 and 2 are "
+                       "parallel; in its dual, elements 0 and 3 are parallel"),
+        ([1, 2, 4, 7, 7], "a binary matroid on 5 elements of rank 2: elements 0 and 3 are "
+                          "parallel; in its dual, elements 1 and 2 are parallel"),
+    ],
+    ids=["C3+1", "C4+1"],
+)
+def test_parallel_elements_are_named(columns, message):
+    # A cycle with one edge doubled: both sides are graphic, and every
+    # realization of either has two parallel edges, so no simple preimage.
+    with pytest.raises(NotAStag) as exc:
+        invert(basis_graph(bases(columns)))
+    assert str(exc.value) == f"no simple graph realizes root block 0 of N(0), {message}"
+
+
 def test_every_binary_basis_graph_passes_the_certificate(monkeypatch):
     # A U(1,2) component (two parallel elements that no other element
     # meets) multiplies the basis graph by K2, whose edges lie in no
@@ -68,14 +87,15 @@ def test_every_binary_basis_graph_passes_the_certificate(monkeypatch):
         try:
             g = invert(h)
         except NotAStag as exc:
-            assert str(exc).startswith("neither side is graphic"), (columns, str(exc))
+            assert str(exc).startswith(NO_REALIZATION), (columns, str(exc))
         else:
             assert are_isomorphic(build_stag(g).graph, h)[0], columns
         if h.n > 1:
             with monkeypatch.context() as patch:
                 patch.setattr(recognition, "layout", _no_layout)
-                with pytest.raises(NotAStag, match="neither side is graphic"):
+                with pytest.raises(NotAStag) as exc:
                     invert(h)
+                assert str(exc.value).startswith(NO_REALIZATION), (columns, str(exc.value))
 
 
 def test_the_octahedron_is_rejected():
