@@ -1,8 +1,13 @@
 """Command line front end.
 
-Exit codes: 0 ok, 1 not-a-STAG or property violated, 2 input error,
-3 resource guard tripped. Formats follow the file extension (.txt edge
-list, .json, .dot export only)."""
+Each command is a function (g, args) -> (status, outputs) of the input
+graph g, None for `random`, the one command without -i; outputs lists
+(path, text) in write order, a None path meaning stdout. run() is the
+one place that reads the input and the one place that writes: every
+text exists before the first write, so a command that fails writes no
+file. Exit codes: 0 ok, 1 not-a-STAG or property violated, 2 input
+error, 3 resource guard tripped. Formats follow the file extension
+(.txt edge list, .json, .dot export only)."""
 
 import argparse
 import functools
@@ -49,15 +54,18 @@ def _load_graph(path):
         return parse_graph(fh.read(), fmt)
 
 
-def _emit(text, path):
-    if path:
+def _write(outputs):
+    """Write each (path, text) in order, a None path to stdout with a
+    final newline, and return the paths written."""
+    paths = []
+    for path, text in outputs:
+        if path is None:
+            sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            continue
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        return [path]
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
-    return []
+        paths.append(path)
+    return paths
 
 
 def _graph_text(g, path):
@@ -69,15 +77,7 @@ def _graph_text(g, path):
     return to_edgelist(g)
 
 
-def _write_edgelists(prefix, graphs):
-    """Write graph i to prefix_i.txt. Every text is made first, so a name
-    that to_edgelist refuses leaves no file behind."""
-    texts = [to_edgelist(g) for g in graphs]
-    return [_emit(text, f"{prefix}_{i}.txt")[0] for i, text in enumerate(texts)]
-
-
-def _cmd_aux(args):
-    g = _load_graph(args.input)
+def _cmd_aux(g, args):
     s = build_stag(g, max_trees=args.max_trees)
     fmt = _fmt_of(args.output) if args.output else "json"
     if fmt == "dot":
@@ -86,83 +86,72 @@ def _cmd_aux(args):
         text = to_edgelist(s.graph)
     else:
         text = stag_to_json(s)
-    return "ok", _emit(text, args.output)
+    return "ok", [(args.output, text)]
 
 
-def _cmd_count(args):
-    g = _load_graph(args.input)
-    return "ok", _emit(f"{_decimal(count_spanning_trees(g))}\n", args.output)
+def _cmd_count(g, args):
+    return "ok", [(args.output, f"{_decimal(count_spanning_trees(g))}\n")]
 
 
-def _cmd_trees(args):
-    g = _load_graph(args.input)
+def _cmd_trees(g, args):
     trees = enumerate_spanning_trees(g, max_trees=args.max_trees)
-    return "ok", _emit(serialize_trees(trees), args.output)
+    return "ok", [(args.output, serialize_trees(trees))]
 
 
-def _cmd_blocks(args):
-    g = _load_graph(args.input)
+def _cmd_blocks(g, args):
     dec = block_decomposition(g)
     doc = {
         "blocks": [sorted(b.edge_ids()) for b in dec.blocks],
         "cut_vertices": sorted(dec.cut_vertices),
         "tree_edges": [list(t) for t in dec.tree_edges],
     }
-    return "ok", _emit(json.dumps(doc, indent=2) + "\n", args.output)
+    return "ok", [(args.output, json.dumps(doc, indent=2) + "\n")]
 
 
-def _cmd_factor(args):
-    g = _load_graph(args.input)
+def _cmd_factor(g, args):
     fz = prime_factorize(g, max_n=args.max_n)
     prefix = args.output or "factor"
-    paths = _write_edgelists(prefix, fz.factors)
-    coords = {str(v): list(coord) for v, coord in sorted(fz.coordinates.items())}
-    return "ok", paths + _emit(json.dumps(coords, indent=2) + "\n", f"{prefix}_coords.json")
+    coords = {g.names[v]: [f.names[c] for f, c in zip(fz.factors, coord)]
+              for v, coord in sorted(fz.coordinates.items())}
+    outputs = [(f"{prefix}_{i}.txt", to_edgelist(f)) for i, f in enumerate(fz.factors)]
+    return "ok", outputs + [(f"{prefix}_coords.json", json.dumps(coords, indent=2) + "\n")]
 
 
-def _cmd_invert(args):
-    g = invert(_load_graph(args.input))
-    return "ok", _emit(_graph_text(g, args.output), args.output)
+def _cmd_invert(g, args):
+    return "ok", [(args.output, _graph_text(invert(g), args.output))]
 
 
-def _cmd_preimages(args):
-    g = _load_graph(args.input)
+def _cmd_preimages(g, args):
+    prefix = args.output or "preimage"
     graphs = enumerate_preimages(g, args.budget)
-    return "ok", _write_edgelists(args.output or "preimage", graphs)
+    return "ok", [(f"{prefix}_{i}.txt", to_edgelist(h)) for i, h in enumerate(graphs)]
 
 
-def _cmd_params(args):
-    g = _load_graph(args.input)
+def _cmd_params(g, args):
     report = param_report(g, max_trees=args.max_trees)
-    if args.output and _fmt_of(args.output) == "json":
-        text = report_to_json(report)
-    else:
-        text = report_to_text(report)
-    paths = _emit(text, args.output)
+    text = (report_to_json if _fmt_of(args.output or "") == "json" else report_to_text)(report)
     violated = any(ok is False for ok, _ in report.verdicts.values())
-    return ("not_a_stag" if violated else "ok"), paths
+    return ("not_a_stag" if violated else "ok"), [(args.output, text)]
 
 
-def _cmd_verify_roundtrip(args):
+def _cmd_verify_roundtrip(g, args):
     """A second route, deliberately independent of invert's certificate:
     rebuild Aux of invert's preimage and compare it with Aux(G) by
     are_isomorphic."""
-    g = _load_graph(args.input)
     s = build_stag(g, max_trees=args.max_trees)
     g2 = invert(s.graph)
     s2 = build_stag(g2, max_trees=args.max_trees)
-    ok, _ = are_isomorphic(s.graph, s2.graph)
-    if not ok:
+    if not are_isomorphic(s.graph, s2.graph)[0]:
         raise NotAStag("round trip failed")
-    return "ok", _emit(_graph_text(g2, args.output), args.output)
+    return "ok", [(args.output, _graph_text(g2, args.output))]
 
 
-def _cmd_random(args):
+def _cmd_random(_, args):
     if args.two_connected:
         g = random_two_connected_graph(args.n, args.m, args.seed)
     else:
         g = random_connected_graph(args.n, args.m, args.seed)
-    return "ok", _emit(_graph_text(g, args.output), args.output)
+    return "ok", [(args.output, _graph_text(g, args.output))]
 
 
 _COMMANDS = {
@@ -212,14 +201,12 @@ def run(argv):
     except SystemExit as exc:
         return 2 if exc.code else 0
     start = time.monotonic()
-    status = "ok"
-    payload = []
-    message = None
-    code = 0
+    payload, message = [], None
     try:
-        status, payload = _COMMANDS[args.command](args)
-        if status != "ok":
-            code = 1
+        g = _load_graph(args.input) if "input" in args else None
+        status, outputs = _COMMANDS[args.command](g, args)
+        payload = _write(outputs)
+        code = 0 if status == "ok" else 1
     except (NotAStag, NotMinimal) as exc:
         status, message, code = "not_a_stag", str(exc), 1
     except (TooLarge, TooManyTrees) as exc:

@@ -28,6 +28,7 @@ from .aux_graph import StagGraph, build_stag
 from .errors import Disconnected, TooLarge, ValidationFailed
 from .graph_core import (
     Graph,
+    _components,
     _UnionFind,
     bfs,
     block_decomposition,
@@ -130,17 +131,6 @@ def _theta_closure(g, classes):
         if uf.count == before:
             break
     return _try_extract(g, colouring())
-
-
-def _components(g, eids):
-    """Vertex -> component id (its first vertex) over the subgraph
-    restricted to eids."""
-    allowed = set(eids)
-    comp = {}
-    for s in g.vertices:
-        if s not in comp:
-            comp.update(dict.fromkeys(bfs(g, s, allowed), s))
-    return comp
 
 
 def _try_extract(g, color):

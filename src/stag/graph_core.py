@@ -70,7 +70,11 @@ class Graph:
                 u, v = v, u
             adj[u][v] = adj[v][u] = eid
             by_id[eid] = new(Edge, (eid, u, v))
-        names = None if names is None else {v: str(names.get(v, v)) for v in vs}
+        if names is not None:
+            names = {v: str(names.get(v, v)) for v in vs}
+            if len(set(names.values())) < len(names):
+                name = next(t for t, k in Counter(names.values()).items() if k > 1)
+                raise ValueError(f"two vertices are named {name!r}")
         self._set(vs, names, None, tuple(by_id.values()), adj, by_id)
 
     def _set(self, vertices, names, pairs, edges, adj=None, by_id=None):
@@ -359,6 +363,17 @@ def bfs(g, source, eids=None):
     return tree
 
 
+def _components(g, eids=None):
+    """Vertex -> component id (its first vertex) over the subgraph
+    restricted to eids, or over all of g."""
+    allowed = None if eids is None else set(eids)
+    comp = {}
+    for s in g.vertices:
+        if s not in comp:
+            comp.update(dict.fromkeys(bfs(g, s, allowed), s))
+    return comp
+
+
 class _UnionFind:
     def __init__(self, items):
         self.parent = {x: x for x in items}
@@ -549,8 +564,12 @@ def cartesian_product(g1, g2):
 
 
 def are_isomorphic(g1, g2):
-    """Isomorphism test: colour refinement of the disjoint union by class
-    splitting, then a search that matches g1's vertices in a fixed BFS order.
+    """Isomorphism test: degree sequences and component sizes first, then
+    colour refinement of the disjoint union by class splitting, then a
+    search that matches g1's vertices in a fixed BFS order. Refinement
+    gives a cycle and two cycles of half its length one colour, and the
+    search would try every vertex as the image of g1's first, each at
+    linear cost.
 
     Returns (True, mapping g1-vertex -> g2-vertex) or (False, None). The
     mapping depends only on the two graphs, so repeated calls agree.
@@ -558,6 +577,9 @@ def are_isomorphic(g1, g2):
     if g1.n != g2.n or g1.m != g2.m:
         return False, None
     if g1.degree_sequence() != g2.degree_sequence():
+        return False, None
+    sizes = [sorted(Counter(_components(h).values()).values()) for h in (g1, g2)]
+    if sizes[0] != sizes[1]:
         return False, None
     n = g1.n
     idx1 = {v: i for i, v in enumerate(g1.vertices)}

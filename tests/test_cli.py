@@ -15,6 +15,7 @@ from stag import (
     TooManyTrees,
     ValidationFailed,
     build_stag,
+    cartesian_product,
     complete_graph,
     cycle_graph,
     invert,
@@ -296,6 +297,24 @@ def test_factor_writes_files(tmp_path, capsys):
     assert str(prefix) + "_coords.json" in payload
     coords = json.loads((tmp_path / "f_coords.json").read_text())
     assert len(coords) == 4
+
+
+@pytest.mark.parametrize("text", [
+    "1 2\n2 3\n3 0\n0 1\n",  # C4 whose names are not its ids
+    "".join(f"{v} {u}\n" for u, v in cartesian_product(cycle_graph(3), path_graph(3)).edge_pairs()),
+    to_edgelist(build_stag(random_multiblock_graph([3, 4], 0)).graph),
+], ids=["C4", "K3xP3", "Aux"])
+def test_factor_coordinates_are_in_vertex_names(tmp_path, text):
+    src = tmp_path / "g.txt"
+    _write(src, text)
+    assert run(["factor", "-i", str(src), "-o", str(tmp_path / "f")]) == 0
+    coords = json.loads((tmp_path / "f_coords.json").read_text())
+    assert list(coords) == list(parse_graph(text).names.values())
+    factors = [{frozenset(line.split()) for line in (tmp_path / f"f_{i}.txt").read_text().splitlines()}
+               for i in range(len(coords[text.split()[0]]))]
+    for u, v in map(str.split, text.splitlines()):
+        steps = [(i, frozenset((a, b))) for i, (a, b) in enumerate(zip(coords[u], coords[v])) if a != b]
+        assert len(steps) == 1 and steps[0][1] in factors[steps[0][0]], (u, v, steps)
 
 
 def test_params_text(c3_file, capsys):

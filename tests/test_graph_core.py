@@ -4,6 +4,7 @@ import json
 import pickle
 import random
 import re
+import signal
 import sys
 
 import networkx as nx
@@ -33,13 +34,12 @@ from stag import (
 )
 from stag.aux_graph import StagGraph, stag_to_dot, stag_to_json
 from stag.errors import Acyclic, Disconnected
-from stag.factorization import _components
 from stag.generators import (
     random_connected_graph,
     random_multiblock_graph,
     random_two_connected_graph,
 )
-from stag.graph_core import bfs, fundamental_cycle_edges
+from stag.graph_core import _components, bfs, fundamental_cycle_edges
 from stag.oracles import circumference, minimal_edge_cuts
 from stag.spanning_trees import _walk, count_spanning_trees
 
@@ -65,6 +65,18 @@ def test_graph_error_precedence():
     # an id is compared after int(): 3 and "3" are one id
     with pytest.raises(ValueError, match=r"^duplicate edge id 3$"):
         Graph([0, 1, 2], [(3, 0, 1), ("3", 1, 2)])
+
+
+def test_two_vertices_with_one_name_are_refused():
+    # each would be written as text that reads back as another graph
+    with pytest.raises(ValueError, match=r"^two vertices are named 'a'$"):
+        Graph([0, 1, 2, 3], [(0, 0, 1), (1, 2, 3)], names={0: "a", 1: "b", 2: "a", 3: "c"})
+    with pytest.raises(ValueError, match=r"^two vertices are named '1'$"):
+        Graph([0, 1], [(0, 0, 1)], names={0: "1"})  # vertex 1 keeps its id as its name
+    g1 = Graph.from_pairs([(0, 1)], names={0: "a,b", 1: "a"})
+    g2 = Graph.from_pairs([(0, 1)], names={0: "c", 1: "b,c"})
+    with pytest.raises(ValueError, match=r"^two vertices are named '\(a,b,c\)'$"):
+        cartesian_product(g1, g2)
 
 
 def test_empty_graph_short_cycle_and_unknown_format_are_refused():
@@ -808,6 +820,24 @@ def test_are_isomorphic_long_inputs_keep_the_recursion_limit():
         assert ok
         _assert_mapping(g, h, mapping)
     assert sys.getrecursionlimit() == limit
+
+
+def test_are_isomorphic_compares_component_sizes_first():
+    # one colour class and no component check: past 60 s, quadratic in n
+    c = cycle_graph(4000)
+    halves = Graph.from_pairs([(i, (i + 1) % 2000) for i in range(2000)]
+                              + [(2000 + i, 2000 + (i + 1) % 2000) for i in range(2000)])
+
+    def expire(signum, frame):
+        raise TimeoutError("are_isomorphic ran past 1 s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        assert are_isomorphic(c, halves) == (False, None)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_are_isomorphic_aux_k6_relabelled():
