@@ -98,14 +98,25 @@ def _cmd_trees(g, args):
     return "ok", [(args.output, serialize_trees(trees))]
 
 
+def _indented(items, depth):
+    """A list as json.dumps(indent=2) lays it out at the given depth, from
+    the JSON text of each of its elements."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return f"[{pad}{(',' + pad).join(items)}\n{'  ' * depth}]"
+
+
 def _cmd_blocks(g, args):
+    """json.dumps(indent=2) of {"blocks": each block's edge ids,
+    "cut_vertices": sorted, "tree_edges": [block, cut vertex] pairs}, laid
+    out directly: CPython runs an indented dump in its pure-Python encoder."""
     dec = block_decomposition(g)
-    doc = {
-        "blocks": [sorted(b.edge_ids()) for b in dec.blocks],
-        "cut_vertices": sorted(dec.cut_vertices),
-        "tree_edges": [list(t) for t in dec.tree_edges],
-    }
-    return "ok", [(args.output, json.dumps(doc, indent=2) + "\n")]
+    blocks = _indented([_indented([str(e.eid) for e in b.edges], 2) for b in dec.blocks], 1)
+    cut = _indented(list(map(str, sorted(dec.cut_vertices))), 1)
+    tree = _indented([_indented([str(i), str(v)], 2) for i, v in dec.tree_edges], 1)
+    text = f'{{\n  "blocks": {blocks},\n  "cut_vertices": {cut},\n  "tree_edges": {tree}\n}}\n'
+    return "ok", [(args.output, text)]
 
 
 def _cmd_factor(g, args):

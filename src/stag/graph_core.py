@@ -414,31 +414,44 @@ def _blocks(g, needs="block decomposition needs"):
     """The blocks of g, each a list of g's own Edge tuples, and its cut
     vertices, from one iterative DFS (Hopcroft and Tarjan 1973). The DFS
     starts at vertices[0] and takes each vertex's edges by ascending id,
-    from incidence lists filled in one pass over the edges sorted by id. A
-    frame keeps its vertex's discovery number, which indexes low, and
-    where its tree edge sits on the edge stack, so a block is the slice of
-    the stack from there. Blocks come in the order the DFS completes them.
-    It reads only g's vertices and edges, so g gets no cache. Raises
-    Disconnected, "<needs> a connected graph", if it misses a vertex."""
-    inc = {v: [] for v in g.vertices}
+    from (neighbour, Edge) incidence lists filled in one pass over the
+    edges sorted by id; they and the discovery numbers are lists when the
+    ids are 0..n-1, dicts otherwise. The current frame (vertex, discovery
+    number, tree edge, incidence iterator, and where that tree edge sits
+    on the edge stack) is held in locals: a descent pushes the parent's
+    frame and a return pops it. A block is the slice of the edge stack
+    from the child's tree edge, and blocks come in the order the DFS
+    completes them. It reads only g's vertices and edges, so g gets no
+    cache. Raises Disconnected, "<needs> a connected graph", if it misses
+    a vertex."""
+    vs = g.vertices
+    n = len(vs)
+    if vs[-1] == n - 1 and vs[0] == 0:  # ids 0..n-1: lists index faster than dicts
+        inc = [[] for _ in vs]
+        disc = [-1] * n
+    else:
+        inc = {v: [] for v in vs}
+        disc = dict.fromkeys(vs, -1)
     for e in sorted(g.edges):
         inc[e[1]].append((e[2], e))
         inc[e[2]].append((e[1], e))
-    root = g.vertices[0]
-    disc = {root: 0}
-    low = [0] * g.n
+    v = root = vs[0]
+    disc[root] = 0
+    low = [0]
     estack = []
     blocks = []
     cut = set()
     root_children = 0
-    stack = [(root, 0, None, iter(inc[root]), 0)]
-    while stack:
-        v, dv, pe, it, at = stack[-1]
+    stack = []
+    dv, pe, it, at = 0, None, iter(inc[v]), 0
+    while True:
         for w, e in it:
-            dw = disc.get(w)
-            if dw is None:
-                disc[w] = dw = low[dw] = len(disc)
-                stack.append((w, dw, e, iter(inc[w]), len(estack)))
+            dw = disc[w]
+            if dw < 0:
+                stack.append((v, dv, pe, it, at))
+                disc[w] = dv = len(low)
+                low.append(dv)
+                v, pe, it, at = w, e, iter(inc[w]), len(estack)
                 estack.append(e)
                 break
             if dw < dv and e is not pe:
@@ -446,20 +459,20 @@ def _blocks(g, needs="block decomposition needs"):
                 if dw < low[dv]:
                     low[dv] = dw
         else:
-            stack.pop()
             if not stack:
                 break
-            u, du = stack[-1][:2]
-            if low[dv] < low[du]:
-                low[du] = low[dv]
-            if low[dv] >= du:
-                blocks.append(estack[at:])
-                del estack[at:]
-                if du == 0:
-                    root_children += 1
+            lv, top = low[dv], at
+            v, dv, pe, it, at = stack.pop()
+            if lv < low[dv]:
+                low[dv] = lv
+            elif lv >= dv:
+                blocks.append(estack[top:])
+                del estack[top:]
+                if dv:
+                    cut.add(v)
                 else:
-                    cut.add(u)
-    if len(disc) != g.n:
+                    root_children += 1
+    if len(low) != n:
         raise Disconnected(f"{needs} a connected graph")
     if root_children > 1:
         cut.add(root)
@@ -470,7 +483,7 @@ def block_decomposition(g):
     """Blocks, cut vertices and block-cutpoint tree of a connected graph.
 
     Block i is the subgraph on its edges, ascending ids, and their
-    endpoints, built from the DFS's Edge tuples: it holds g's names of its
+    endpoints, built from _blocks's Edge tuples: it holds g's names of its
     vertices, none if g has none, and builds its adjacency the first time
     something reads it, so a caller that reads only vertices, edges or
     names never pays for it. g gets no cache. Blocks come in the order a
@@ -483,11 +496,12 @@ def block_decomposition(g):
     names = g._names
     blocks = []
     tree_edges = []
-    for es in found:
+    for i, es in enumerate(found):
         es.sort()
-        vs = tuple(sorted({*map(itemgetter(1), es), *map(itemgetter(2), es)}))
+        _, us, ws = zip(*es)
+        vs = tuple(sorted({*us, *ws}))
         sub = None if names is None else {v: names[v] for v in vs}
-        tree_edges += [(len(blocks), v) for v in vs if v in cut]
+        tree_edges += [(i, v) for v in vs if v in cut]
         blocks.append(object.__new__(Graph)._set(vs, sub, None, tuple(es)))
     return BlockDecomposition(tuple(blocks), frozenset(cut), tuple(tree_edges))
 

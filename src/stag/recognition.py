@@ -360,15 +360,21 @@ def _certify(h, span, t0, phi, cycles, m):
 
 def enumerate_preimages(g_min, budget):
     """Up to budget further preimages: attach pendant edges (K2 blocks)
-    breadth-first; every output has the same auxiliary graph."""
+    breadth-first; every output has the same auxiliary graph. Each keeps
+    the names of the graph it grows from, if that has any, and names its
+    new vertex w by the least integer >= w that no vertex is named."""
     if bridges(g_min):
         raise NotMinimal("input has a K2 block (bridge)")
     graphs = [g_min]
     for g in graphs:
         w = max(g.vertices) + 1
         eid = max(g.edge_ids(), default=-1) + 1
+        names = g._names
+        if names is not None:
+            taken = set(names.values())
+            names = {**names, w: next(str(k) for k in count(w) if str(k) not in taken)}
         for v in g.vertices:
             if len(graphs) > budget:
                 return graphs[1:]
-            graphs.append(Graph(g.vertices + (w,), [*g.edges, (eid, v, w)]))
+            graphs.append(Graph(g.vertices + (w,), [*g.edges, (eid, v, w)], names))
     return graphs[1:]

@@ -21,12 +21,13 @@ from stag import (
     invert,
     parse_graph,
     path_graph,
+    single_vertex_graph,
     to_dot,
     to_edgelist,
     to_json,
 )
 from stag.aux_graph import stag_to_json
-from stag import cli
+from stag import block_decomposition, cli
 from stag.cli import _build_parser, run
 from stag.generators import (
     random_connected_graph,
@@ -36,6 +37,7 @@ from stag.generators import (
 from stag.oracles import brute_force_is_stag, brute_force_trees
 from stag.params import param_report, report_to_text
 from stag.spanning_trees import serialize_trees
+from test_graph_core import _block_inputs
 
 
 def _write(path, text):
@@ -159,6 +161,23 @@ def test_blocks_output_is_pinned(tmp_path, name):
     _write(src, "".join(f"{u} {v}\n" for u, v in lines))
     assert run(["blocks", "-i", str(src), "-o", str(dst)]) == 0
     assert hashlib.sha256(dst.read_bytes()).hexdigest() == digest
+
+
+def test_blocks_writes_what_json_dumps_writes(tmp_path):
+    # the command lays out the document itself, byte for byte as the
+    # encoder's indent=2: K1 has three empty lists, K2 one block, the
+    # tree cut vertices in every block
+    src, dst = tmp_path / "g.txt", tmp_path / "blocks.json"
+    for g in [*_block_inputs(), single_vertex_graph(), path_graph(2), random_connected_graph(16, 15, 12)]:
+        _write(src, to_edgelist(g))
+        assert run(["blocks", "-i", str(src), "-o", str(dst)]) == 0
+        dec = block_decomposition(parse_graph(src.read_bytes()))
+        doc = {
+            "blocks": [sorted(b.edge_ids()) for b in dec.blocks],
+            "cut_vertices": sorted(dec.cut_vertices),
+            "tree_edges": [list(t) for t in dec.tree_edges],
+        }
+        assert dst.read_text(encoding="utf-8") == json.dumps(doc, indent=2) + "\n"
 
 
 def _gapped_host():
@@ -371,6 +390,19 @@ def test_preimages(tmp_path, c3_file, capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)["payload"]
     assert len(payload) == 4
+
+
+@pytest.mark.parametrize("text, budget, want", [
+    ("a b\nb c\nc a\n", 2, ["a b\nb c\na c\na 3\n", "a b\nb c\na c\nb 3\n"]),
+    # the input names a vertex 3, so the new vertex is named 4
+    ("3 1\n1 2\n2 3\n", 1, ["3 1\n1 2\n3 2\n3 4\n"]),
+], ids=["letters", "a vertex named 3"])
+def test_preimages_keep_the_vertex_names(tmp_path, text, budget, want):
+    src, prefix = tmp_path / "g.txt", tmp_path / "p"
+    _write(src, text)
+    assert run(["preimages", "-i", str(src), "--budget", str(budget), "-o", str(prefix)]) == 0
+    assert [(tmp_path / f"p_{i}.txt").read_text() for i in range(len(want))] == want
+    assert not (tmp_path / f"p_{len(want)}.txt").exists()
 
 
 def test_preimages_not_minimal(tmp_path, p4_file, capsys):

@@ -1,6 +1,8 @@
 import copy
 import itertools
 import json
+import math
+import operator
 import pickle
 import random
 import re
@@ -9,6 +11,8 @@ import sys
 
 import networkx as nx
 import pytest
+
+import block_reference
 
 from stag import (
     Edge,
@@ -39,9 +43,9 @@ from stag.generators import (
     random_multiblock_graph,
     random_two_connected_graph,
 )
-from stag.graph_core import _components, bfs, fundamental_cycle_edges
+from stag.graph_core import _blocks, _components, bfs, fundamental_cycle_edges
 from stag.oracles import circumference, minimal_edge_cuts
-from stag.spanning_trees import _walk, count_spanning_trees
+from stag.spanning_trees import _block_count, _walk, count_spanning_trees
 
 
 def test_graph_rejects_self_loops_and_duplicates():
@@ -494,6 +498,46 @@ def test_block_decomposition_matches_networkx():
         assert by_id.tree_edges == dec.tree_edges
         assert bridges(g) == sorted(g.eid_between(*uv) for uv in nx.bridges(nxg))
         assert is_two_connected(g) == (g.n > 1 and nx.is_biconnected(nxg))
+
+
+def _reference_inputs():
+    """_block_inputs(), each shuffled-id copy also with gapped vertex ids
+    (the DFS keeps dicts, not lists, when the ids are not 0..n-1), chains
+    of scale's size (100-150 blocks of 5-9 vertices), K1, K2, and a path
+    and a cycle on 50,000 vertices."""
+    for k, g in enumerate(_block_inputs()):
+        yield g
+        if k % 2:
+            yield Graph([3 * v + 1 for v in g.vertices],
+                        [(e.eid, 3 * e.u + 1, 3 * e.v + 1) for e in g.edges])
+    rng = random.Random(43)
+    for _ in range(4):
+        sizes = [rng.randint(5, 9) for _ in range(rng.randint(100, 150))]
+        yield random_multiblock_graph(sizes, rng.randrange(1 << 30))
+    yield single_vertex_graph()
+    yield path_graph(2)
+    yield path_graph(50_000)
+    yield cycle_graph(50_000)
+
+
+def test_blocks_match_the_reference_dfs():
+    # The reference is the DFS as it stood before its frame moved into
+    # local variables: the same Edge objects, in the same order, in the
+    # same blocks, and everything derived from them.
+    for g in _reference_inputs():
+        want, want_cut = block_reference._blocks(g)
+        got, got_cut = _blocks(g)
+        assert [list(map(id, b)) for b in got] == [list(map(id, b)) for b in want]
+        assert got_cut == want_cut
+        dec, ref = block_decomposition(g), block_reference.block_decomposition(g)
+        assert len(dec.blocks) == len(ref.blocks)
+        for b, r in zip(dec.blocks, ref.blocks):
+            assert len(b.edges) == len(r.edges) and all(map(operator.is_, b.edges, r.edges))
+            assert (b.vertices, b._names) == (r.vertices, r._names)
+        assert (dec.cut_vertices, dec.tree_edges) == (ref.cut_vertices, ref.tree_edges)
+        assert bridges(g) == sorted(b[0].eid for b in want if len(b) == 1)
+        assert is_two_connected(g) == (g.m == 1 if g.n <= 2 else not want_cut)
+        assert count_spanning_trees(g) == math.prod(_block_count(b) for b in want if len(b) > 1)
 
 
 def test_block_decomposition_edge_cases():
