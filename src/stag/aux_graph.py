@@ -119,11 +119,11 @@ def ground_truth_cliques(s):
 def stag_to_json(s):
     """Compact JSON with sorted keys. Vertices are ints, so their quoted
     decimal ids need no escaping. While the graph still holds the walk's
-    rows, the edges are written one row, that is one source vertex u, at a
-    time: '["u",' and the row's labels joined by '],["u",'. Otherwise they
-    come from the graph's pairs; the bytes are the same. The trees are
-    their _labels, each in brackets: the same bytes as json.dumps of the
-    key tuples, and for a _Trees written from its masks."""
+    rows, the edges are written one row, vertex u's greater neighbours in
+    order, at a time: '["u",' and the row's labels joined by '],["u",'.
+    Otherwise they come from the graph's pairs; the bytes are the same.
+    The trees are their _labels, each in brackets: the same bytes as
+    json.dumps of the key tuples, and for a _Trees written from its masks."""
     trees = "null"
     if s.annotated:
         labels = _labels(s.trees)
@@ -133,8 +133,8 @@ def stag_to_json(s):
     edges = None
     if isinstance(rows, _Rows):
         edges = ",".join([
-            f"[{labels[u]}," + f"],[{labels[u]},".join(map(labels.__getitem__, reversed(row))) + "]"
-            for u, row in enumerate(reversed(rows.rows)) if row
+            f"[{labels[u]}," + f"],[{labels[u]},".join(map(labels.__getitem__, row)) + "]"
+            for u, row in enumerate(rows.rows) if row
         ])
     return _json_text(s.graph, labels, edges, trees=trees)
 

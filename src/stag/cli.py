@@ -7,7 +7,8 @@ one place that reads the input and the one place that writes: every
 text exists before the first write, so a command that fails writes no
 file. Exit codes: 0 ok, 1 not-a-STAG or property violated, 2 input
 error, 3 resource guard tripped. Formats follow the file extension
-(.txt edge list, .json, .dot export only)."""
+(.txt edge list, .json, .dot export only). `blocks` writes cut vertices
+as internal ids, not names: 0.. in order of first appearance."""
 
 import argparse
 import functools
@@ -36,6 +37,17 @@ from .spanning_trees import (
     enumerate_spanning_trees,
     serialize_trees,
 )
+
+
+def _count(text):
+    """A guard or budget: an int, refused when negative (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
 
 
 def _fmt_of(path):
@@ -190,9 +202,9 @@ def _build_parser():
         p.add_argument("-o", "--output")
         p.add_argument("--json", action="store_true", dest="verdict_json")
         if name in ("aux", "trees", "params", "verify-roundtrip"):
-            p.add_argument("--max-trees", type=int, default=DEFAULT_MAX_TREES)
+            p.add_argument("--max-trees", type=_count, default=DEFAULT_MAX_TREES)
         if name == "factor":
-            p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
+            p.add_argument("--max-n", type=_count, default=DEFAULT_MAX_N)
         if name == "random":
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--n", type=int, required=True)
@@ -201,7 +213,7 @@ def _build_parser():
         else:
             p.add_argument("-i", "--input", required=True)
         if name == "preimages":
-            p.add_argument("--budget", type=int, default=10)
+            p.add_argument("--budget", type=_count, default=10)
     return parser
 
 

@@ -86,18 +86,18 @@ def _distances(g, s):
     return d
 
 
-def _theta_closure(g, classes):
-    """Extract the square classes, or else merge them along Theta between
-    the edges of the BFS tree from g.vertices[0] and all edges until the
-    groups extract, and return that extraction. The groups are numbered by
+def _colourings(g, classes):
+    """The candidate colourings {eid: group} of g: the square classes
+    first, then the groups after each Theta merge between the edges of the
+    BFS tree from g.vertices[0] and all edges. The groups are numbered by
     their largest class, the order in which a finest-first search over set
     partitions lists them: before any merge, class i is colour i.
 
     The groups never get coarser than sigma, as Theta and the square
     classes lie inside it, and a product colouring no coarser than sigma
-    is sigma. So the scan stops at the first merge after which the groups
-    extract; one group always does. Stopped without one (one group, or the
-    end of the scan), it extracts once and lets ValidationFailed out."""
+    is sigma. So the first colouring that extracts is the answer, and the
+    caller stops there; one group always extracts. The scan ends at one
+    group, or at the end of the tree with no further merge."""
     uf = _UnionFind(range(len(classes)))
     members = [[g.edge(eid).endpoints() for eid in c] for c in classes]
     cls = {eid: i for i, c in enumerate(classes) for eid in c}
@@ -107,14 +107,11 @@ def _theta_closure(g, classes):
         rank = {r: b for b, r in enumerate(sorted(last, key=last.get))}
         return {eid: rank[uf.find(c)] for eid, c in cls.items()}
 
+    yield colouring()
     # BFS order lists a vertex's children together: one BFS per parent
     tree = islice(bfs(g, g.vertices[0]).items(), 1, None)
     px = None
     while uf.count > 1:
-        try:
-            return _try_extract(g, colouring())
-        except ValidationFailed:
-            pass
         before = uf.count
         for y, (x, eid) in tree:
             if x != px:
@@ -129,8 +126,8 @@ def _theta_closure(g, classes):
             if uf.count < before:
                 break
         if uf.count == before:
-            break
-    return _try_extract(g, colouring())
+            return
+        yield colouring()
 
 
 def _try_extract(g, color):
@@ -181,17 +178,24 @@ def _canon_key(g):
 
 
 def prime_factorize(g, max_n=DEFAULT_MAX_N):
-    """Prime factorization under the Cartesian product.
-
-    Factors are emitted in descending vertex count, ties broken by
-    _canon_key and then by the colour order."""
+    """Prime factorization under the Cartesian product: the first of the
+    _colourings that extracts, else the last one's ValidationFailed. Factors
+    are emitted in descending vertex count, ties broken by _canon_key and
+    then by the colour order."""
     if g.n > max_n:
         raise TooLarge(f"n={g.n} exceeds guard {max_n}")
     if not is_connected(g):
         raise Disconnected("factorization needs a connected graph")
     if g.n == 1:
         return Factorization((g,), {g.vertices[0]: (g.vertices[0],)})
-    factors, coords = _theta_closure(g, _square_classes(g))
+    for colour in _colourings(g, _square_classes(g)):
+        try:
+            factors, coords = _try_extract(g, colour)
+            break
+        except ValidationFailed as exc:
+            failure = exc
+    else:
+        raise failure
     order = sorted(range(len(factors)), key=lambda i: (-factors[i].n, _canon_key(factors[i])))
     factors = tuple(factors[i] for i in order)
     coords = {v: tuple(c[i] for i in order) for v, c in coords.items()}

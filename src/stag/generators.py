@@ -18,12 +18,7 @@ def random_connected_graph(n, m, seed):
         raise ValueError("need at least one vertex")
     if m < n - 1 or m > n * (n - 1) // 2:
         raise ValueError("edge count out of range for a connected simple graph")
-    pairs = [(rng.randrange(v), v) for v in range(1, n)]
-    present = set(pairs)
-    missing = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in present]
-    rng.shuffle(missing)
-    pairs.extend(missing[: m - (n - 1)])
-    return Graph._trusted(n, pairs)
+    return Graph._trusted(n, _chords(n, m, [(rng.randrange(v), v) for v in range(1, n)], rng))
 
 
 def random_two_connected_graph(n, m, seed):
@@ -44,15 +39,13 @@ def _two_connected_pairs(n, m, rng):
         raise ValueError("edge count out of range for a 2-connected simple graph")
     max_ears = min(m - n, n - 3)
     ears = rng.randint(0, max_ears) if max_ears > 0 else 0
-    if ears == 0:
-        base = n
-        lengths = []
-    else:
+    lengths = []
+    if ears:
         total = rng.randint(ears, n - 3)
         cuts = sorted(rng.sample(range(1, total), ears - 1)) if ears > 1 else []
         bounds = [0] + cuts + [total]
         lengths = [b - a for a, b in zip(bounds, bounds[1:])]
-        base = n - total
+    base = n - sum(lengths)
     pairs = [(i, i + 1) for i in range(base - 1)] + [(0, base - 1)]
     used = base
     for length in lengths:
@@ -63,11 +56,15 @@ def _two_connected_pairs(n, m, rng):
         chain = [a] + list(range(used, used + length)) + [b]
         pairs.extend((x, y) if x < y else (y, x) for x, y in zip(chain, chain[1:]))
         used += length
+    return _chords(n, m, pairs, rng)
+
+
+def _chords(n, m, pairs, rng):
+    """pairs (each u < v) and then m - len(pairs) chords, as rng shuffles the other pairs."""
     present = set(pairs)
     missing = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in present]
     rng.shuffle(missing)
-    pairs.extend(missing[: m - len(pairs)])
-    return pairs
+    return pairs + missing[: m - len(pairs)]
 
 
 def random_multiblock_graph(block_sizes, seed, extra_edges=2):

@@ -211,9 +211,10 @@ def single_vertex_graph():
 def parse_graph(text, fmt="edgelist"):
     """Parse EdgeList or JSON input into a Graph.
 
-    EdgeList: a line "u v" is an edge and a line "v" names a vertex; lines
-    whose first token starts with '#' and blank lines are ignored.
-    JSON: {"vertices": [names], "edges": [[u, v], ...]}.
+    EdgeList: a line "u v" is an edge and a line "v" names a vertex; a line
+    whose first token starts with '#' is a comment, as is a blank line, and
+    no other token may. JSON: {"vertices": [names], "edges": [[u, v], ...]}.
+    Either may start with one UTF-8 byte-order mark, which is dropped.
     """
     if isinstance(text, bytes):
         try:
@@ -221,6 +222,7 @@ def parse_graph(text, fmt="edgelist"):
         except UnicodeDecodeError as exc:
             line = text.count(b"\n", 0, exc.start) + 1
             raise ParseError(line, f"invalid UTF-8 byte 0x{text[exc.start]:02x}") from exc
+    text = text.removeprefix("\ufeff")
     if fmt == "edgelist":
         return _parse_edgelist(text)
     if fmt == "json":
@@ -251,6 +253,10 @@ def _parse_edgelist(text):
         pairs[pair] = None
     if not ids:
         raise ParseError(0, "empty graph")
+    if "\n#" in "\n" + "\n".join(ids):  # a second token: the first would start a comment
+        ln, v = next((ln, t[1]) for ln, t in enumerate(map(str.split, text.splitlines()), 1)
+                     if len(t) == 2 and t[1][0] == "#" and t[0][0] != "#")
+        raise ParseError(ln, f"vertex token {v!r} starts with '#', which marks a comment")
     return Graph._trusted(len(ids), list(pairs), dict(enumerate(ids)))
 
 
@@ -555,23 +561,13 @@ def fundamental_cycle_edges(g, tree_eids, eid):
 def cartesian_product(g1, g2):
     """Cartesian product; vertex (u, v) is named from the factor names and
     dense ids follow the (g1, g2) lexicographic vertex order."""
-    v1 = g1.vertices
-    v2 = g2.vertices
-    n2 = len(v2)
-    idx = {}
-    names = {}
-    for i, (a, s) in enumerate(g1.names.items()):
-        for j, (b, t) in enumerate(g2.names.items()):
-            idx[(a, b)] = i * n2 + j
-            names[i * n2 + j] = f"({s},{t})"
-    pairs = []
-    for a in v1:
-        for e in g2.edges:
-            pairs.append((idx[(a, e.u)], idx[(a, e.v)]))
-    for e in g1.edges:
-        for b in v2:
-            pairs.append((idx[(e.u, b)], idx[(e.v, b)]))
-    return Graph.from_pairs(pairs, vertices=range(len(idx)), names=names)
+    p1 = {a: i for i, a in enumerate(g1.vertices)}
+    p2 = {b: j for j, b in enumerate(g2.vertices)}
+    n2 = len(p2)
+    names = [f"({s},{t})" for s in g1.names.values() for t in g2.names.values()]
+    pairs = [(i * n2 + p2[e.u], i * n2 + p2[e.v]) for i in range(len(p1)) for e in g2.edges]
+    pairs += [(p1[e.u] * n2 + j, p1[e.v] * n2 + j) for e in g1.edges for j in range(n2)]
+    return Graph.from_pairs(pairs, vertices=range(len(names)), names=dict(enumerate(names)))
 
 
 # -- isomorphism --------------------------------------------------------------------

@@ -39,7 +39,7 @@ from itertools import count, islice
 
 from .errors import Disconnected, NotAStag, NotMinimal, ValidationFailed
 from .graph_core import Graph, bfs, bridges, single_vertex_graph
-from .spanning_trees import _fundamental_cycles, _pack, _pivot
+from .spanning_trees import _bits, _fundamental_cycles, _pack, _pivot
 
 # -- root ---------------------------------------------------------------------
 
@@ -112,12 +112,13 @@ def layout(tree, paths):
     class subdivides into a full one with the same path ends, and
     contracting a full one gives a reduced one. Complete search over the
     first node of each class: at each step the open cycle with the fewest
-    legal moves is extended by one of its remaining nodes, attached as a
-    new leaf at one end of its path. Then, in placement order, each node's
-    (u, v) becomes the path u - w1 - ... - v through its class in tree
-    order, w1, ... fresh vertices. Returns (place, ends), place[f] the
-    vertex pair of tree node f and ends[c] the two ends of c's path, or
-    None when no such tree exists."""
+    legal moves is extended by one of its unplaced nodes, attached as a
+    new leaf at one end of its path. Each step's frame holds its moves and
+    the path ends it started from: a failed branch pops it and the last
+    placement. Then, in placement order, each node's (u, v) becomes the
+    path u - w1 - ... - v through its class in tree order, w1, ... fresh
+    vertices. Returns (place, ends), place[f] the vertex pair of tree node
+    f and ends[c] the two ends of c's path, or None when no tree exists."""
     labels = {f: [] for f in tree}
     for c in sorted(paths):
         for f in paths[c]:
@@ -126,57 +127,41 @@ def layout(tree, paths):
     for f in tree:
         classes.setdefault(tuple(labels[f]), []).append(f)
     heads = {members[0]: members for members in classes.values()}
-    remaining = {c: heads.keys() & p for c, p in paths.items()}
+    heads_on = {c: sorted(heads.keys() & p) for c, p in paths.items()}
     place = {}
-    ends = {}
-    undo = []
 
-    def attach(f, u):
+    def attach(f, u, ends):
         v = len(place) + 1
         place[f] = (u, v)
-        old = [(c, ends.get(c)) for c in labels[f]]
-        for c, a in old:
+        ends = dict(ends)
+        for c in labels[f]:
+            a = ends.get(c)
             ends[c] = (u, v) if a is None else (v, a[1]) if a[0] == u else (a[0], v)
-            remaining[c].discard(f)
-        undo.append((f, old))
+        return ends
 
-    def detach():
-        f, old = undo.pop()
-        del place[f]
-        for c, a in old:
-            remaining[c].add(f)
-            if a is None:
-                del ends[c]
-            else:
-                ends[c] = a
-
-    def moves():
+    def moves(ends):
         best = []
         for c in sorted(ends):
-            if not remaining[c]:
+            if not (free := [f for f in heads_on[c] if f not in place]):
                 continue
-            legal = [
-                (f, u)
-                for f in sorted(remaining[c])
-                for u in ends[c]
-                if all(d not in ends or u in ends[d] for d in labels[f])
-            ]
+            legal = [(f, u) for f in free for u in ends[c]
+                     if all(d not in ends or u in ends[d] for d in labels[f])]
             if not legal:
                 return []
             if not best or len(legal) < len(best):
                 best = legal
         return best
 
-    attach(tree[0], 0)
+    ends = attach(tree[0], 0, {})
     frames = []
     while len(place) < len(heads):
-        frames.append(iter(moves()))
-        while (move := next(frames[-1], None)) is None:
+        frames.append((iter(moves(ends)), ends))
+        while (move := next(frames[-1][0], None)) is None:
             frames.pop()
             if not frames:
                 return None
-            detach()
-        attach(*move)
+            place.popitem()
+        ends = attach(*move, frames[-1][1])
     full = {}
     fresh = count(len(heads) + 1)
     for f, (u, v) in place.items():
@@ -258,10 +243,9 @@ def invert(h):
         chords += cycles
         next_vertex += len(tree)
     g = Graph.from_pairs(pairs, vertices=range(next_vertex))
-    top = len(pairs) - 1
-    bit = {a: 1 << (top - p) for a, p in pos.items()}
-    built = _fundamental_cycles(g, sum(bit[a] for a in trees))
-    if built != [sum(bit[a] for a in (c, *root.adj(c))) for c in chords]:
+    bit = _bits(g.edges)
+    built = _fundamental_cycles(g, g.edges, sum(bit[pos[a]] for a in trees))
+    if built != [sum(bit[pos[a]] for a in (c, *root.adj(c))) for c in chords]:
         raise ValidationFailed("layout: a chord of the reconstruction does not close its root circuit")
     return g
 

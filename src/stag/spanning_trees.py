@@ -34,17 +34,7 @@ class SpanningTree:
     __slots__ = ("key", "host", "_eset")
 
     def __init__(self, host, edge_ids):
-        self.key = tuple(sorted(edge_ids))
-        self.host = host
-        self._eset = None
-
-    @classmethod
-    def _sorted(cls, host, key):
-        """The tree of a key that is already a sorted edge-id tuple (the
-        exchange walk's), neither sorted again nor checked."""
-        t = object.__new__(cls)
-        t.key, t.host, t._eset = key, host, None
-        return t
+        self.key, self.host, self._eset = tuple(sorted(edge_ids)), host, None
 
     @classmethod
     def of(cls, host, edge_ids):
@@ -235,14 +225,14 @@ def _cycle_groups(g, tset):
 def type2_neighbors(g, t):
     """Trees reachable by deleting a tree edge and relinking the two sides of the cut."""
     keys = chain.from_iterable(_cut_groups(g, t.edge_set))
-    return {SpanningTree._sorted(g, k) for k in keys if k != t.key}
+    return {SpanningTree(g, k) for k in keys if k != t.key}
 
 
 def type1_neighbors(g, t):
     """Trees reachable by adding a non-tree edge and deleting another edge
     of the created cycle."""
     keys = chain.from_iterable(_cycle_groups(g, t.edge_set))
-    return {SpanningTree._sorted(g, k) for k in keys if k != t.key}
+    return {SpanningTree(g, k) for k in keys if k != t.key}
 
 
 def fundamental_cycle(g, t, eid):
@@ -283,8 +273,9 @@ def _walk(g, max_trees):
     greater end. The k-th tree popped takes rank N - 1 - k (N trees) and
     appends it to the row of each smaller neighbour. When a tree is popped
     every greater neighbour has been, so its row holds their ranks, each
-    once, in descending order, and the rows read backwards are the pairs
-    in ascending order.
+    once, in descending order. After the loop the list and each row are
+    reversed once, in place, so row r holds rank r's greater neighbours in
+    ascending order, and the rows read in order are the pairs in order.
 
     A pending tree's one entry in pending is [packed, rank, ...]: its
     fundamental cycles C_e, chord bit included, as one packed int (_pack),
@@ -300,7 +291,7 @@ def _walk(g, max_trees):
     m = g.m
     edges = sorted(g.edges)
     start = _greedy_tree(g, edges, reversed(range(m)))
-    cycles = _fundamental_cycles(g, start)
+    cycles = _fundamental_cycles(g, edges, start)
     full, ones = (1 << m) - 1, _pack([1] * len(cycles), m)
     slots = [s * m for s in range(len(cycles))]
     pending = {start: [_pack(cycles, m)]}
@@ -332,35 +323,42 @@ def _walk(g, max_trees):
     if len(masks) != expected:
         raise ValidationFailed(f"exchange walk found {len(masks)} of {expected} trees")
     masks.reverse()
+    rows.reverse()
+    for row in rows:
+        row.reverse()
     return masks, _Rows(rows), edges
+
+
+def _bits(edges):
+    """The walk's {eid: bit} of the edges sorted by id: position p is bit m - 1 - p."""
+    m = len(edges)
+    return {e.eid: 1 << (m - 1 - p) for p, e in enumerate(edges)}
 
 
 def _greedy_tree(g, edges, order):
     """Kruskal's greedy tree: the mask, in _walk's bit order, of the edges
     at the positions in order (into edges, sorted by id) that join two
     components when taken in that order."""
-    m = len(edges)
+    bit = _bits(edges)
     uf = _UnionFind(g.vertices)
-    return sum(1 << (m - 1 - p) for p in order if uf.union(edges[p].u, edges[p].v))
+    return sum(bit[edges[p].eid] for p in order if uf.union(edges[p].u, edges[p].v))
 
 
-def _fundamental_cycles(g, tree):
+def _fundamental_cycles(g, edges, tree):
     """The fundamental cycles of the spanning tree `tree` of g, a mask in
     the walk's bit order, as masks with the chord bit, one per non-tree
     edge in ascending id order: C_e = e | (r(u) ^ r(v)), with r(x) the mask
     of the tree path from g.vertices[0] to x, read off one BFS of the
-    tree. None when the mask is not a spanning tree of g."""
-    m = g.m
-    edges = sorted(g.edges)
-    bits = [1 << (m - 1 - p) for p in range(m)]
-    bit_of = {e.eid: b for e, b in zip(edges, bits)}
-    span = bfs(g, g.vertices[0], {eid for eid, b in bit_of.items() if tree & b})
+    tree; edges are g's edges sorted by id. None when the mask is not a
+    spanning tree of g."""
+    bit = _bits(edges)
+    span = bfs(g, g.vertices[0], {eid for eid, b in bit.items() if tree & b})
     if len(span) != g.n or tree.bit_count() != g.n - 1:
         return None
     root = {}
     for v, (up, eid) in span.items():
-        root[v] = 0 if up is None else root[up] | bit_of[eid]
-    return [b | (root[e.u] ^ root[e.v]) for e, b in zip(edges, bits) if not tree & b]
+        root[v] = 0 if up is None else root[up] | bit[eid]
+    return [b | (root[e.u] ^ root[e.v]) for e, b in zip(edges, bit.values()) if not tree & b]
 
 
 def _pack(cycles, m):
@@ -449,16 +447,15 @@ class _Trees:
 
     def _decoded(self):
         if self._trees is None:
-            host = self.host
-            self._trees = tuple([SpanningTree._sorted(host, k) for k in _keys(self.masks, self.edges)])
+            self._trees = tuple([SpanningTree(self.host, k) for k in _keys(self.masks, self.edges)])
         return self._trees
 
 
 class _Rows:
     """The walk's exchanges as a sized, re-iterable source of pairs (u, v):
-    rows[k] lists, in descending order, the ranks of the greater neighbours
-    of the k-th tree popped, rank N - 1 - k, so read backwards they are the
-    pairs in ascending order. The rows share one int per tree."""
+    rows[u] lists, in ascending order, the ranks v of the greater neighbours
+    of the tree of rank u, so read in order they are the pairs in ascending
+    order. The rows share one int per tree."""
 
     __slots__ = ("rows", "count")
 
@@ -470,8 +467,7 @@ class _Rows:
 
     def __iter__(self):
         rows = self.rows
-        pairs = map(zip, map(repeat, range(len(rows))), map(reversed, reversed(rows)))
-        return chain.from_iterable(pairs)
+        return chain.from_iterable(map(zip, map(repeat, range(len(rows))), rows))
 
 
 def _labels(trees):
@@ -500,10 +496,10 @@ def witness_edge_for_pair(g, t, e1, e2):
     if e1 == e2 or e1 not in t.edge_set or e2 not in t.edge_set:
         raise ValueError("e1, e2 must be two distinct tree edges")
     edges = sorted(g.edges)
-    bit = {e.eid: 1 << (g.m - 1 - p) for p, e in enumerate(edges)}
+    bit = _bits(edges)
     chords = [e.eid for e in edges if e.eid not in t.edge_set]
     pair = bit[e1] | bit[e2]
-    for eid, cycle in zip(chords, _fundamental_cycles(g, sum(bit[e] for e in t.edge_set))):
+    for eid, cycle in zip(chords, _fundamental_cycles(g, edges, sum(bit[e] for e in t.edge_set))):
         if cycle & pair == pair:
             return eid
     raise NoWitness(f"no witness for pair ({e1}, {e2}) on this tree")
@@ -542,11 +538,11 @@ def reverse_delete_tree(g, protected_pair=None):
         w = max(cycle - {e1, e2})
         order = [p for p in chain(map(pos.get, cycle), order) if p != pos[w]]
     mask = _greedy_tree(g, edges, order)
-    key, *cycles = _keys([mask, *_fundamental_cycles(g, mask)], edges)
+    key, *cycles = _keys([mask, *_fundamental_cycles(g, edges, mask)], edges)
     in_tree = set(key)
     chords = [e.eid for e in edges if e.eid not in in_tree]
     trace = sorted(zip(chords, cycles), key=lambda entry: (entry[0] == w, entry[0]))
-    return SpanningTree._sorted(g, key), trace
+    return SpanningTree(g, key), trace
 
 
 def _menger_cycle(g, e1, e2):

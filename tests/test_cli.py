@@ -440,6 +440,37 @@ def test_guard_exit_code(tmp_path, capsys):
     assert run(["verify-roundtrip", "-i", str(k4), "--max-trees", "10"]) == 3
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["aux", "--max-trees", "-1"], "--max-trees"),
+    (["params", "--max-trees", "-2"], "--max-trees"),
+    (["factor", "--max-n", "-1"], "--max-n"),
+    (["preimages", "--budget", "-3"], "--budget"),
+])
+def test_a_negative_guard_or_budget_is_an_input_error(tmp_path, capsys, c3_file, argv, flag):
+    out = tmp_path / "out"
+    assert run([*argv, "-i", str(c3_file), "-o", str(out)]) == 2
+    assert f"argument {flag}: must not be negative, got -" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [c3_file]
+
+
+def test_a_zero_guard_or_budget_is_allowed(tmp_path, capsys, c3_file):
+    assert run(["aux", "-i", str(c3_file), "--max-trees", "0"]) == 3  # 3 trees exceed guard 0
+    assert run(["factor", "-i", str(c3_file), "--max-n", "0", "-o", str(tmp_path / "f")]) == 3
+    assert run(["preimages", "-i", str(c3_file), "--budget", "0", "-o", str(tmp_path / "p")]) == 0
+    capsys.readouterr()
+    assert run(["aux", "-i", str(c3_file), "--max-trees", "x"]) == 2
+    assert "argument --max-trees: invalid int value: 'x'" in capsys.readouterr().err
+
+
+def test_a_byte_order_mark_reads_in_both_formats(tmp_path, capsys):
+    txt, js = tmp_path / "t.txt", tmp_path / "t.json"
+    txt.write_bytes(b"\xef\xbb\xbfa b\nb c\nc a\n")
+    js.write_bytes(b'\xef\xbb\xbf{"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["c", "a"]]}')
+    assert run(["count", "-i", str(txt)]) == 0
+    assert run(["count", "-i", str(js)]) == 0
+    assert capsys.readouterr().out == "3\n3\n"
+
+
 def test_verify_roundtrip_has_no_isomorphism_guard(tmp_path, capsys):
     # Aux of this preimage has 7,112 vertices; --max-trees alone bounds it
     g = tmp_path / "g.txt"

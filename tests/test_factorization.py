@@ -207,8 +207,8 @@ def test_failed_extraction_is_no_prime_verdict(m8, monkeypatch):
     # with the Theta step disabled, the two square classes of M8 stay apart
     monkeypatch.setattr(
         stag.factorization,
-        "_theta_closure",
-        lambda g, classes: _try_extract(g, {eid: i for i, c in enumerate(classes) for eid in c}),
+        "_colourings",
+        lambda g, classes: iter([{eid: i for i, c in enumerate(classes) for eid in c}]),
     )
     with pytest.raises(ValidationFailed, match="factors span 16 vertices"):
         prime_factorize(m8)

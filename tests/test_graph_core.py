@@ -306,6 +306,30 @@ def test_parse_edgelist_errors():
         parse_graph("a b c\n")
 
 
+@pytest.mark.parametrize("text, fmt", [
+    ("a b\nb c\nc a\n", "edgelist"),
+    ('{"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["c", "a"]]}', "json"),
+])
+def test_a_leading_byte_order_mark_is_dropped(text, fmt):
+    plain = parse_graph(text, fmt)
+    for marked in ("\ufeff" + text, b"\xef\xbb\xbf" + text.encode()):
+        g = parse_graph(marked, fmt)
+        assert g.same_labeled(plain) and g.names == plain.names == {0: "a", 1: "b", 2: "c"}
+    with pytest.raises(ParseError, match="^line 2: invalid UTF-8 byte 0xff$"):
+        parse_graph(b"\xef\xbb\xbfa b\nb \xff\n")
+    assert parse_graph("\ufeff\ufeffa b\n").names == {0: "\ufeffa", 1: "b"}  # only one
+
+
+def test_a_vertex_token_that_starts_a_comment_is_an_error():
+    # the first token of a line starting with '#' makes the line a comment,
+    # so no edge list can hold a name that starts with '#'
+    with pytest.raises(ParseError, match="^line 1: vertex token '#1' starts with '#', which marks a comment$"):
+        parse_graph("0 #1\n#1 2\n2 0\n")
+    with pytest.raises(ParseError, match="^line 3: vertex token '#b' starts with '#'"):
+        parse_graph("a b\n# a #b\nc #b\n")
+    assert parse_graph("a# b\n").names == {0: "a#", 1: "b"}
+
+
 def test_a_one_token_line_names_a_vertex():
     k1 = parse_graph("a\n")
     assert (k1.n, k1.m, k1.names) == (1, 0, {0: "a"})

@@ -11,6 +11,7 @@ import networkx as nx
 import pytest
 
 from binary_matroids import fundamental_matrix, one_flip_matrix
+from layout_reference import layout as reference_layout
 from stag.generators import random_two_connected_graph
 from stag.recognition import layout
 
@@ -167,3 +168,29 @@ def test_layout_of_nearly_graphic_matrices_returns_promptly(flip, graphic):
     assert (found is not None) == graphic
     if graphic:
         _assert_valid(tree, paths, found)
+
+
+def _has_series_class(tree, paths):
+    """Whether two tree nodes lie on exactly the same cycles."""
+    return len({frozenset(c for c, p in paths.items() if f in p) for f in tree}) < len(tree)
+
+
+def _in_order(found):
+    return found and [list(d.items()) for d in found]
+
+
+def test_layout_matches_the_reference_search():
+    # The golden corpus reaches layout through its positive inverts, where
+    # the search rarely backtracks; these matrices backtrack and fail too.
+    outcomes = []
+    for n, m in [(12, 20), (16, 24), (20, 28), (24, 32), (28, 36), (32, 40), (36, 45), (40, 50)]:
+        for seed in (0, 3):
+            graphic = fundamental_matrix(random_two_connected_graph(n, m, seed))
+            for tree, paths in [graphic, *(one_flip_matrix(n, m, seed, flip) for flip in range(3))]:
+                found = layout(tree, paths)
+                # invert numbers the edges in the order of place and ends
+                assert _in_order(found) == _in_order(reference_layout(tree, paths)), (n, m, seed)
+                outcomes.append((_has_series_class(tree, paths), found is not None))
+    assert len(outcomes) == 64
+    assert sum(s for s, _ in outcomes) >= 10
+    assert 10 <= sum(f for _, f in outcomes) <= 54
