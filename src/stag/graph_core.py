@@ -29,7 +29,8 @@ class Edge(NamedTuple):
 
 
 class Graph:
-    """Immutable simple undirected graph with stable edge ids.
+    """Immutable simple undirected graph, its edges listed by ascending
+    stable id: Graph() sorts them after checking them in input order.
 
     Its structure sits in slots that are None until built: _pairs, the
     (u, v), u < v, of edge k at index k; _edges, the Edge tuples; _adj,
@@ -75,7 +76,7 @@ class Graph:
             if len(set(names.values())) < len(names):
                 name = next(t for t, k in Counter(names.values()).items() if k > 1)
                 raise ValueError(f"two vertices are named {name!r}")
-        self._set(vs, names, None, tuple(by_id.values()), adj, by_id)
+        self._set(vs, names, None, tuple(sorted(by_id.values())), adj, by_id)
 
     def _set(self, vertices, names, pairs, edges, adj=None, by_id=None):
         self.vertices = vertices
@@ -159,9 +160,10 @@ class Graph:
         return tuple(e.eid for e in self.edges)
 
     def edge_pairs(self):
-        """(u, v), u < v, of each edge in the order of edges."""
+        """(u, v), u < v, of each edge; zip reuses its tuple if unpacked at once."""
         if self._pairs is None:
-            return map(itemgetter(1, 2), self._edges)
+            es = self._edges
+            return zip(map(itemgetter(1), es), map(itemgetter(2), es))
         return iter(self._pairs)
 
     def adj(self, v):
@@ -321,18 +323,17 @@ def to_json(g):
     return _json_text(g, {v: encode_basestring_ascii(name) for v, name in names.items()})
 
 
-def _json_text(g, labels, edges=None, **members):
+def _json_text(g, labels, edges=None, trees=None):
     """g as json.dumps(sort_keys=True, separators=(",", ":")) writes it, and a
     newline: labels[v] is vertex v's JSON string, in vertex order, edges the
-    text inside the edge list if the caller has written it, and members the
-    JSON text of each extra key that sorts between "edges" and "vertices".
-    Otherwise the edges are joined 4,096 at a time to keep few per-edge
-    strings alive."""
+    text inside the edge list if the caller has written it, and trees, if
+    given, the JSON text of a "trees" key. Otherwise the edges are joined
+    4,096 at a time to keep few per-edge strings alive."""
     if edges is None:
         pairs = g.edge_pairs()
         edges = ",".join([",".join([f"[{labels[u]},{labels[v]}]" for u, v in islice(pairs, 4096)])
                           for _ in range(0, g.m, 4096)])
-    more = "".join(f'"{key}":{text},' for key, text in members.items())
+    more = "" if trees is None else f'"trees":{trees},'
     return f'{{"edges":[{edges}],{more}"vertices":[{",".join(labels.values())}]}}\n'
 
 
@@ -421,8 +422,8 @@ def _blocks(g, needs="block decomposition needs"):
     vertices, from one iterative DFS (Hopcroft and Tarjan 1973). The DFS
     starts at vertices[0] and takes each vertex's edges by ascending id,
     from (neighbour, Edge) incidence lists filled in one pass over the
-    edges sorted by id; they and the discovery numbers are lists when the
-    ids are 0..n-1, dicts otherwise. The current frame (vertex, discovery
+    edges; they and the discovery numbers are lists when the ids are
+    0..n-1, dicts otherwise. The current frame (vertex, discovery
     number, tree edge, incidence iterator, and where that tree edge sits
     on the edge stack) is held in locals: a descent pushes the parent's
     frame and a return pops it. A block is the slice of the edge stack
@@ -438,7 +439,7 @@ def _blocks(g, needs="block decomposition needs"):
     else:
         inc = {v: [] for v in vs}
         disc = dict.fromkeys(vs, -1)
-    for e in sorted(g.edges):
+    for e in g.edges:
         inc[e[1]].append((e[2], e))
         inc[e[2]].append((e[1], e))
     v = root = vs[0]

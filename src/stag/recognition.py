@@ -244,7 +244,7 @@ def invert(h):
         next_vertex += len(tree)
     g = Graph.from_pairs(pairs, vertices=range(next_vertex))
     bit = _bits(g.edges)
-    built = _fundamental_cycles(g, g.edges, sum(bit[pos[a]] for a in trees))
+    built = _fundamental_cycles(g, sum(bit[pos[a]] for a in trees))
     if built != [sum(bit[pos[a]] for a in (c, *root.adj(c))) for c in chords]:
         raise ValidationFailed("layout: a chord of the reconstruction does not close its root circuit")
     return g

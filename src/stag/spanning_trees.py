@@ -255,12 +255,11 @@ def enumerate_spanning_trees(g, max_trees=DEFAULT_MAX_TREES):
 def _walk(g, max_trees):
     """The exchange walk on masks: (masks, pairs, edges), the trees in
     ascending key order (_keys decodes them), the index pairs (i, j), i < j,
-    of trees one exchange apart in ascending order (a _Rows), and g's edges
-    sorted by id.
+    of trees one exchange apart in ascending order (a _Rows), and g.edges.
 
-    Bit order: a tree is a bitmask in which the edge at position p of the
-    edges sorted by id is bit m - 1 - p, so a greater key is a smaller
-    mask. param_report reads the masks too, but only ORs and ANDs them.
+    Bit order: a tree is a bitmask in which the edge at position p of
+    g.edges is bit m - 1 - p, so a greater key is a smaller mask.
+    param_report reads the masks too, but only ORs and ANDs them.
 
     The walk starts from the greatest tree, Kruskal's over the positions
     in descending order, and pops masks from a min-heap, so trees come out
@@ -289,9 +288,8 @@ def _walk(g, max_trees):
     if expected > max_trees:
         raise TooManyTrees(f"{_decimal(expected)} trees exceed guard {max_trees}")
     m = g.m
-    edges = sorted(g.edges)
-    start = _greedy_tree(g, edges, reversed(range(m)))
-    cycles = _fundamental_cycles(g, edges, start)
+    start = _greedy_tree(g, reversed(range(m)))
+    cycles = _fundamental_cycles(g, start)
     full, ones = (1 << m) - 1, _pack([1] * len(cycles), m)
     slots = [s * m for s in range(len(cycles))]
     pending = {start: [_pack(cycles, m)]}
@@ -326,31 +324,32 @@ def _walk(g, max_trees):
     rows.reverse()
     for row in rows:
         row.reverse()
-    return masks, _Rows(rows), edges
+    return masks, _Rows(rows), g.edges
 
 
 def _bits(edges):
-    """The walk's {eid: bit} of the edges sorted by id: position p is bit m - 1 - p."""
+    """The walk's {eid: bit} of a graph's edges: position p is bit m - 1 - p."""
     m = len(edges)
     return {e.eid: 1 << (m - 1 - p) for p, e in enumerate(edges)}
 
 
-def _greedy_tree(g, edges, order):
+def _greedy_tree(g, order):
     """Kruskal's greedy tree: the mask, in _walk's bit order, of the edges
-    at the positions in order (into edges, sorted by id) that join two
-    components when taken in that order."""
+    at the positions in order (into g.edges) that join two components when
+    taken in that order."""
+    edges = g.edges
     bit = _bits(edges)
     uf = _UnionFind(g.vertices)
     return sum(bit[edges[p].eid] for p in order if uf.union(edges[p].u, edges[p].v))
 
 
-def _fundamental_cycles(g, edges, tree):
+def _fundamental_cycles(g, tree):
     """The fundamental cycles of the spanning tree `tree` of g, a mask in
     the walk's bit order, as masks with the chord bit, one per non-tree
     edge in ascending id order: C_e = e | (r(u) ^ r(v)), with r(x) the mask
     of the tree path from g.vertices[0] to x, read off one BFS of the
-    tree; edges are g's edges sorted by id. None when the mask is not a
-    spanning tree of g."""
+    tree. None when the mask is not a spanning tree of g."""
+    edges = g.edges
     bit = _bits(edges)
     span = bfs(g, g.vertices[0], {eid for eid, b in bit.items() if tree & b})
     if len(span) != g.n or tree.bit_count() != g.n - 1:
@@ -421,7 +420,7 @@ def _decode(masks, heads, empty):
 
 
 def _keys(masks, edges):
-    """Each mask's sorted edge-id tuple, edges sorted by id as _walk gives them."""
+    """Each mask's sorted edge-id tuple, edges as _walk gives them."""
     return _decode(masks, [(e.eid,) for e in edges], ())
 
 
@@ -495,11 +494,10 @@ def witness_edge_for_pair(g, t, e1, e2):
         raise NotTwoConnected("witness requires a 2-connected host != K2")
     if e1 == e2 or e1 not in t.edge_set or e2 not in t.edge_set:
         raise ValueError("e1, e2 must be two distinct tree edges")
-    edges = sorted(g.edges)
-    bit = _bits(edges)
-    chords = [e.eid for e in edges if e.eid not in t.edge_set]
+    bit = _bits(g.edges)
+    chords = [e.eid for e in g.edges if e.eid not in t.edge_set]
     pair = bit[e1] | bit[e2]
-    for eid, cycle in zip(chords, _fundamental_cycles(g, edges, sum(bit[e] for e in t.edge_set))):
+    for eid, cycle in zip(chords, _fundamental_cycles(g, sum(bit[e] for e in t.edge_set))):
         if cycle & pair == pair:
             return eid
     raise NoWitness(f"no witness for pair ({e1}, {e2}) on this tree")
@@ -524,7 +522,7 @@ def reverse_delete_tree(g, protected_pair=None):
     """
     if not is_connected(g):
         raise Disconnected("reverse delete needs a connected graph")
-    edges = sorted(g.edges)
+    edges = g.edges
     order = reversed(range(g.m))
     w = None
     if protected_pair is not None:
@@ -537,8 +535,8 @@ def reverse_delete_tree(g, protected_pair=None):
         cycle = _menger_cycle(g, e1, e2)
         w = max(cycle - {e1, e2})
         order = [p for p in chain(map(pos.get, cycle), order) if p != pos[w]]
-    mask = _greedy_tree(g, edges, order)
-    key, *cycles = _keys([mask, *_fundamental_cycles(g, edges, mask)], edges)
+    mask = _greedy_tree(g, order)
+    key, *cycles = _keys([mask, *_fundamental_cycles(g, mask)], edges)
     in_tree = set(key)
     chords = [e.eid for e in edges if e.eid not in in_tree]
     trace = sorted(zip(chords, cycles), key=lambda entry: (entry[0] == w, entry[0]))

@@ -120,12 +120,11 @@ def fundamental_matrix(g):
     descending order), tree the tree edge ids in ascending order and
     paths[c] the tree edges on chord c's cycle."""
     m = g.m
-    edges = sorted(g.edges)
-    start = _greedy_tree(g, edges, reversed(range(m)))
+    start = _greedy_tree(g, reversed(range(m)))
     tree = [p for p in range(m) if start >> (m - 1 - p) & 1]
     chords = [p for p in range(m) if not start >> (m - 1 - p) & 1]
     return tree, {c: {f for f in tree if cycle >> (m - 1 - f) & 1}
-                  for c, cycle in zip(chords, _fundamental_cycles(g, edges, start))}
+                  for c, cycle in zip(chords, _fundamental_cycles(g, start))}
 
 
 def one_flip_matrix(n, m, seed, flip):

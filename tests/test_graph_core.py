@@ -27,6 +27,7 @@ from stag import (
     common_cycle_classes,
     complete_graph,
     cycle_graph,
+    invert,
     is_connected,
     is_two_connected,
     parse_graph,
@@ -96,6 +97,52 @@ def test_edge_ids_are_stable(k4):
     assert list(k4.edge_ids()) == list(range(6))
     e = k4.edge(3)
     assert e.eid == 3 and e.u < e.v
+
+
+def _assert_edges_by_id(g):
+    """g lists its edges by ascending id, and edge_ids(), edge_pairs(),
+    to_edgelist, to_json and to_dot follow that order."""
+    pairs = list(g.edge_pairs())
+    text = to_edgelist(g)
+    names = g.names
+    ids = [e.eid for e in g.edges]
+    assert ids == sorted(ids) and g.edge_ids() == tuple(ids)
+    assert pairs == [(e.u, e.v) for e in g.edges]
+    assert text.splitlines() == [f"{names[u]} {names[v]}" for u, v in pairs]
+    assert json.loads(to_json(g))["edges"] == [[names[u], names[v]] for u, v in pairs]
+    assert re.findall(r' -- n\d+ \[label="(\d+)"\]', to_dot(g)) == list(map(str, ids))
+
+
+def test_every_constructor_lists_edges_by_ascending_id():
+    # Graph() checks edges in input order and then sorts them by id; ids,
+    # names and adjacency (so BFS order) keep the input
+    shuffled = [(5, 10, 20), (2, 40, 30), (9, 20, 30), (0, 40, 10), (7, 10, 30)]
+    for names in (None, {10: "a", 20: "b", 30: "c", 40: "d"}):
+        g = Graph([40, 10, 30, 20], shuffled, names)
+        _assert_edges_by_id(g)
+        assert g.edges == (Edge(0, 10, 40), Edge(2, 30, 40), Edge(5, 10, 20), Edge(7, 10, 30),
+                           Edge(9, 20, 30))
+        assert g.edge(5) == Edge(5, 10, 20)
+        assert list(g.adj(10).items()) == [(20, 5), (40, 0), (30, 7)]
+        assert list(bfs(g, 10)) == [10, 20, 40, 30]
+        for block in block_decomposition(g).blocks:
+            _assert_edges_by_id(block)
+    chain = random_multiblock_graph([4, 3, 5], 7, extra_edges=1)
+    k4 = complete_graph(4)
+    built = [
+        Graph.from_pairs([(3, 1), (0, 2), (1, 0), (2, 3)]),
+        parse_graph("b a\nc b\n# comment\na c\nc d\n"),
+        parse_graph('{"vertices": ["x", "y", "z"], "edges": [["z", "x"], ["y", "z"]]}', "json"),
+        random_connected_graph(9, 14, 3),
+        random_two_connected_graph(8, 13, 4),
+        chain,
+        *block_decomposition(chain).blocks,
+        cartesian_product(k4, cycle_graph(3)),
+        invert(build_stag(k4).graph),
+        build_stag(k4).graph,
+    ]
+    for g in built:
+        _assert_edges_by_id(g)
 
 
 def test_edge_keeps_its_api_and_works_as_a_dict_key(k4):

@@ -65,3 +65,47 @@ def test_only_build_stag_the_parsers_and_the_generators_call_graph_trusted():
         return isinstance(node, ast.Attribute) and node.attr == "_trusted"
 
     assert _found(reads_trusted, skip=TRUSTED_CALLERS) == []
+
+
+def test_no_module_sorts_a_graphs_edges():
+    # Graph lists its edges by ascending id, so no consumer sorts them again
+    def sorts_edges(node):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "sorted"
+            and any(isinstance(a, ast.Attribute) and a.attr == "edges" for a in node.args)
+        )
+
+    assert _found(sorts_edges) == []
+
+
+# calls that change state shared by the whole process, and so by every
+# other caller of the library
+PROCESS_GLOBAL = {
+    ("sys", "setrecursionlimit"),
+    ("sys", "set_int_max_str_digits"),
+    ("sys", "setswitchinterval"),
+    ("gc", "disable"),
+    ("gc", "set_threshold"),
+    ("decimal", "getcontext"),
+    ("decimal", "setcontext"),
+    ("random", "seed"),
+    ("signal", "signal"),
+}
+
+
+def _changes_process_state(node):
+    if isinstance(node, ast.ImportFrom):
+        return any((node.module, a.name) in PROCESS_GLOBAL for a in node.names)
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and (node.func.value.id, node.func.attr) in PROCESS_GLOBAL
+    )
+
+
+def test_no_module_changes_process_global_state():
+    # a library call leaves the interpreter as it found it
+    assert _found(_changes_process_state) == []
