@@ -5,38 +5,19 @@ product, decide whether an arbitrary graph is such an auxiliary graph,
 reconstruct a minimal preimage, and audit the structural parameter
 bounds. Brute-force oracles double-check everything at small scale."""
 
-from .aux_graph import (
-    CliqueClass,
-    NeighborhoodPartitions,
-    StagGraph,
-    build_stag,
-    ground_truth_cliques,
-    neighborhood_partitions,
-    stag_to_dot,
-    stag_to_json,
-)
+from .aux_graph import StagGraph, build_stag, stag_to_dot, stag_to_json
 from .errors import (
     Acyclic,
     Disconnected,
-    EdgeInTree,
-    HasBridge,
-    NoWitness,
     NotAStag,
     NotMinimal,
-    NotTwoConnected,
     ParseError,
     StagError,
     TooLarge,
     TooManyTrees,
-    Unannotated,
     ValidationFailed,
 )
-from .factorization import (
-    Factorization,
-    is_prime,
-    prime_factorize,
-    product_of_block_stags,
-)
+from .factorization import Factorization, is_prime, prime_factorize
 from .generators import (
     random_connected_graph,
     random_multiblock_graph,
@@ -50,7 +31,6 @@ from .graph_core import (
     block_decomposition,
     bridges,
     cartesian_product,
-    common_cycle_classes,
     complete_graph,
     cycle_graph,
     is_connected,
@@ -62,18 +42,13 @@ from .graph_core import (
     to_edgelist,
     to_json,
 )
-from .params import ParamReport, clique_number, exchange_diameter, param_report
+from .params import ParamReport, param_report
 from .recognition import enumerate_preimages, invert
 from .spanning_trees import (
     SpanningTree,
     count_spanning_trees,
     enumerate_spanning_trees,
-    fundamental_cycle,
-    reverse_delete_tree,
     serialize_trees,
-    type1_neighbors,
-    type2_neighbors,
-    witness_edge_for_pair,
 )
 
 __version__ = "0.1.0"

@@ -1,58 +1,23 @@
-"""Spanning tree auxiliary graph (STAG) construction and its ground-truth
-neighborhood/clique structure."""
+"""Spanning tree auxiliary graph (STAG) construction and serialisation."""
 
-from __future__ import annotations
+from collections import namedtuple
 
-from dataclasses import dataclass
-
-from .errors import Unannotated
 from .graph_core import Graph, _json_text
-from .spanning_trees import (
-    DEFAULT_MAX_TREES,
-    _cut_groups,
-    _cycle_groups,
-    _labels,
-    _Rows,
-    _Trees,
-    _walk,
-)
+from .spanning_trees import DEFAULT_MAX_TREES, _labels, _Rows, _Trees, _walk
 
 
-@dataclass(frozen=True)
-class StagGraph:
+class StagGraph(namedtuple("StagGraph", "graph trees origin")):
     """Auxiliary graph whose vertices are spanning trees of origin.
 
     trees[v] is the SpanningTree of vertex v: a _Trees from build_stag, a
     tuple from the oracle. trees/origin are None when the stag was not
     built from a known graph (recognition inputs, block products)."""
 
-    graph: Graph
-    trees: _Trees | tuple | None
-    origin: Graph | None
+    __slots__ = ()
 
     @property
     def annotated(self):
         return self.trees is not None
-
-
-@dataclass(frozen=True)
-class NeighborhoodPartitions:
-    """The two clique partitions of one stag vertex's neighborhood.
-
-    cut_classes: (tree edge id, neighbor set) per tree edge, n-1 entries.
-    cycle_classes: (non-tree edge id, neighbor set) per non-tree edge,
-    m-n+1 entries.
-    """
-
-    cut_classes: tuple
-    cycle_classes: tuple
-
-
-@dataclass(frozen=True)
-class CliqueClass:
-    members: frozenset
-    tag: str  # 'cycle' | 'cut' | 'undetermined'
-    size: int
 
 
 def build_stag(g, max_trees=DEFAULT_MAX_TREES):
@@ -70,50 +35,8 @@ def build_stag(g, max_trees=DEFAULT_MAX_TREES):
     masks (a _Trees): stag_to_json and stag_to_dot write their text from
     the masks, and the first read of a tree decodes them all into
     SpanningTree objects."""
-    masks, pairs, edges = _walk(g, max_trees)
-    return StagGraph(Graph._trusted(len(masks), pairs), _Trees(g, masks, edges), g)
-
-
-def neighborhood_partitions(s, v):
-    """Partition N(v) by deleted tree edge (cut classes) and by added
-    non-tree edge (cycle classes)."""
-    if not s.annotated:
-        raise Unannotated("stag has no tree annotations")
-    g = s.origin
-    t = s.trees[v]
-    cut = {f: set() for f in t.key}
-    cyc = {e.eid: set() for e in g.edges if e.eid not in t.edge_set}
-    for w in s.graph.adj(v):
-        t2 = s.trees[w]
-        (removed,) = t.edge_set - t2.edge_set
-        (added,) = t2.edge_set - t.edge_set
-        cut[removed].add(w)
-        cyc[added].add(w)
-    return NeighborhoodPartitions(
-        tuple((f, frozenset(ws)) for f, ws in sorted(cut.items())),
-        tuple((e, frozenset(ws)) for e, ws in sorted(cyc.items())),
-    )
-
-
-def ground_truth_cliques(s):
-    """All cycle and cut cliques of the stag, derived from the origin.
-
-    Cycle clique: fix a cycle C and a compatible forest F; members are
-    F + (C minus one edge). Cut clique: fix the two-sided forest of a tree
-    minus one edge; members reconnect it by each edge of the induced
-    minimal cut."""
-    if not s.annotated:
-        raise Unannotated("stag has no tree annotations")
-    g = s.origin
-    index = {t.key: i for i, t in enumerate(s.trees)}
-    found = {}
-    for t in s.trees:
-        cuts, cycles = _cut_groups(g, t.edge_set), _cycle_groups(g, t.edge_set)
-        for tag, groups in (("cut", cuts), ("cycle", cycles)):
-            for keys in groups:
-                members = frozenset(map(index.__getitem__, keys))
-                found[tag, members] = CliqueClass(members, tag, len(members))
-    return sorted(found.values(), key=lambda c: (c.tag, sorted(c.members)))
+    masks, pairs = _walk(g, max_trees)
+    return StagGraph(Graph._trusted(len(masks), pairs), _Trees(g, masks), g)
 
 
 def stag_to_json(s):

@@ -16,12 +16,6 @@ class Disconnected(StagError):
     pass
 
 
-class HasBridge(StagError):
-    def __init__(self, edge_id):
-        self.edge_id = edge_id
-        super().__init__(f"graph has a bridge (edge {edge_id})")
-
-
 class TooLarge(StagError):
     pass
 
@@ -31,22 +25,6 @@ class TooManyTrees(StagError):
 
 
 class Acyclic(StagError):
-    pass
-
-
-class EdgeInTree(StagError):
-    pass
-
-
-class NotTwoConnected(StagError):
-    pass
-
-
-class NoWitness(StagError):
-    pass
-
-
-class Unannotated(StagError):
     pass
 
 

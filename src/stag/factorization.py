@@ -1,4 +1,4 @@
-"""Cartesian-product prime factorization and the block-product construction.
+"""Cartesian-product prime factorization.
 
 The prime factors are the classes of the product relation
 sigma = (Theta | tau)*: Theta is the Djokovic-Winkler relation, tau relates
@@ -17,35 +17,26 @@ incident edges on no common chordless square (Feder 1992; Imrich & Klavzar
    If it fails, ValidationFailed names the failed check.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations, islice
 from math import prod
 
-from .aux_graph import StagGraph, build_stag
 from .errors import Disconnected, TooLarge, ValidationFailed
-from .graph_core import (
-    Graph,
-    _components,
-    _UnionFind,
-    bfs,
-    block_decomposition,
-    cartesian_product,
-    is_connected,
-)
-from .spanning_trees import DEFAULT_MAX_TREES
+from .graph_core import Graph, _components, _UnionFind, bfs, is_connected
 
 DEFAULT_MAX_N = 4096
 
 
-@dataclass(eq=False)
 class Factorization:
-    """Prime factors plus per-vertex coordinates into the factors."""
+    """Prime factors plus per-vertex coordinates into the factors:
+    coordinates maps each input vertex to its tuple of factor vertices."""
 
-    factors: tuple
-    coordinates: dict  # input vertex -> tuple of factor vertices
+    __slots__ = ("factors", "coordinates")
+
+    def __init__(self, factors, coordinates):
+        self.factors, self.coordinates = factors, coordinates
+
+    def __repr__(self):
+        return f"Factorization(factors={self.factors!r}, coordinates={self.coordinates!r})"
 
     @property
     def is_prime(self):
@@ -206,14 +197,3 @@ def is_prime(g, max_n=DEFAULT_MAX_N):
     """True iff g has no nontrivial Cartesian factorization (K1 is prime
     by convention)."""
     return prime_factorize(g, max_n).is_prime
-
-
-def product_of_block_stags(g, max_trees=DEFAULT_MAX_TREES):
-    """Iterated Cartesian product of Aux(B) over the blocks B of g."""
-    if not is_connected(g):
-        raise Disconnected("block product needs a connected graph")
-    blocks = block_decomposition(g).blocks
-    if not blocks:
-        return StagGraph(Graph([0], []), None, None)
-    stags = [build_stag(b, max_trees).graph for b in blocks]
-    return StagGraph(reduce(cartesian_product, stags), None, None)

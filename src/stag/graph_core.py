@@ -1,28 +1,22 @@
-"""Simple undirected graphs: parsing, connectivity, blocks, fundamental
-cycles, Cartesian products and isomorphism testing.
+"""Simple undirected graphs: parsing, connectivity, blocks, Cartesian
+products and isomorphism testing.
 
 Vertex ids are integers (dense when parsed; subgraphs inherit host ids).
 Edge ids are stable integers assigned at construction and preserved by all
 read-only operations.
 """
 
-from __future__ import annotations
-
 import json
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import combinations, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import NamedTuple
 
-from .errors import Disconnected, HasBridge, ParseError
+from .errors import Disconnected, ParseError
 
 
-class Edge(NamedTuple):
-    eid: int
-    u: int
-    v: int
+class Edge(namedtuple("Edge", "eid u v")):
+    __slots__ = ()
 
     def endpoints(self):
         return (self.u, self.v)
@@ -407,14 +401,11 @@ def is_connected(g):
     return len(bfs(g, g.vertices[0])) == g.n
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(namedtuple("BlockDecomposition", "blocks cut_vertices tree_edges")):
     """Blocks (maximal 2-connected subgraphs), cut vertices and the
     block-cutpoint tree given as (block index, cut vertex) incidences."""
 
-    blocks: tuple
-    cut_vertices: frozenset
-    tree_edges: tuple
+    __slots__ = ()
 
 
 def _blocks(g, needs="block decomposition needs"):
@@ -525,35 +516,6 @@ def is_two_connected(g):
         return not _blocks(g)[1]
     except Disconnected:
         return False
-
-
-def common_cycle_classes(g):
-    """Equivalence classes of the lie-on-a-common-cycle edge relation.
-
-    Defined for bridgeless connected graphs; the classes coincide with the
-    per-block edge sets.
-    """
-    blocks = _blocks(g, "common cycle classes need")[0]
-    for b in blocks:
-        if len(b) == 1:
-            raise HasBridge(b[0].eid)
-    return sorted((frozenset(map(itemgetter(0), b)) for b in blocks), key=min)
-
-
-# -- fundamental cycles ------------------------------------------------------------
-
-
-def fundamental_cycle_edges(g, tree_eids, eid):
-    """Cycle of tree+e as an ordered edge-id list: e, then the tree path
-    from e's higher end v to its lower end u, read off a BFS from v over
-    the tree edges."""
-    _, u, v = g.edge(eid)
-    tree = bfs(g, v, tree_eids)
-    path = []
-    while u != v:
-        u, k = tree[u]
-        path.append(k)
-    return [eid, *reversed(path)]
 
 
 # -- Cartesian product -------------------------------------------------------------

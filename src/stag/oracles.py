@@ -1,9 +1,6 @@
 """Brute-force reference implementations used to validate the fast paths."""
 
-from __future__ import annotations
-
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -160,10 +157,8 @@ def brute_force_is_stag(h):
     return None
 
 
-@dataclass(frozen=True)
-class EdgeCut:
-    edge_ids: frozenset
-    sides: tuple
+class EdgeCut(namedtuple("EdgeCut", "edge_ids sides")):
+    __slots__ = ()
 
 
 def minimal_edge_cuts(g):

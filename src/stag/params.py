@@ -1,10 +1,7 @@
 """Parameter relations between a graph and its spanning tree auxiliary graph:
 degree bounds, diameter bound and the clique-number identity."""
 
-from __future__ import annotations
-
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from math import isqrt
 
 from .errors import Disconnected
@@ -12,18 +9,14 @@ from .graph_core import bfs
 from .spanning_trees import DEFAULT_MAX_TREES, _walk
 
 
-@dataclass(frozen=True)
-class ParamReport:
-    n: int
-    m: int
-    aux_vertices: int
-    delta_aux: int
-    Delta_aux: int
-    diam_aux: int
-    omega_aux: int
-    circumference_g: int | None
-    max_minimal_cut_g: int
-    verdicts: dict  # name -> (ok: bool | None for skipped, slack: int | None)
+class ParamReport(namedtuple("ParamReport", "n m aux_vertices delta_aux Delta_aux diam_aux "
+                             "omega_aux circumference_g max_minimal_cut_g verdicts")):
+    """The sizes and parameters of g and Aux(g) that param_report reads;
+    circumference_g is None when g is acyclic, and verdicts maps each
+    relation's name to (ok, slack): ok is None when the relation is
+    skipped and slack None when it has none."""
+
+    __slots__ = ()
 
 
 def _neighbours(n, pairs):
@@ -33,12 +26,6 @@ def _neighbours(n, pairs):
         nbrs[u].append(v)
         nbrs[v].append(u)
     return nbrs
-
-
-def _positions(g):
-    """Neighbour lists of g over its vertex positions."""
-    idx = {v: k for k, v in enumerate(g.vertices)}
-    return [[idx[w] for w in g.adj(v)] for v in g.vertices]
 
 
 def _masks(nbrs):
@@ -67,11 +54,6 @@ def _all_pairs_diameter(nbrs):
     return diam
 
 
-def clique_number(g):
-    """Size of a largest clique of g."""
-    return _clique_number(_masks(_positions(g)))
-
-
 def _clique_number(adj):
     """Size of a largest clique of the graph whose vertex k has the
     neighbour mask adj[k], by branch and bound (Carraghan & Pardalos
@@ -94,8 +76,8 @@ def _clique_number(adj):
     return best
 
 
-def exchange_diameter(s):
-    """Largest |T1 - T2| over two spanning trees of s.origin.
+def _exchange_diameter(g):
+    """Largest |T1 - T2| over two spanning trees of g.
 
     That is max |T1 ∪ T2| - (n - 1), and as every forest of a connected
     graph extends to a spanning tree, max |T1 ∪ T2| is the largest union of
@@ -107,10 +89,6 @@ def exchange_diameter(s):
     the other forest. An edge refused once stays refused, as the union of
     the two forests only grows.
     """
-    return _exchange_diameter(s.origin)
-
-
-def _exchange_diameter(g):
     home = {}  # edge id -> the forest (0 or 1) holding it
     for e in g.edges:
         _augment(g, home, e.eid)
@@ -164,7 +142,7 @@ def param_report(g, max_trees=DEFAULT_MAX_TREES):
     are taken on the walk's tree masks; the degrees, the diameter and the
     clique number of Aux(g) on neighbour lists and masks built once from
     the walk's pairs."""
-    masks, pairs, _ = _walk(g, max_trees)
+    masks, pairs = _walk(g, max_trees)
     unions = Counter(masks[u] | masks[v] for u, v in pairs)
     meets = Counter(masks[u] & masks[v] for u, v in pairs)
     nbrs = _neighbours(len(masks), pairs)

@@ -33,8 +33,6 @@ layout
 Every rejection names the failed necessary condition.
 """
 
-from __future__ import annotations
-
 from itertools import count, islice
 
 from .errors import Disconnected, NotAStag, NotMinimal, ValidationFailed

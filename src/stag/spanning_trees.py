@@ -1,28 +1,12 @@
-"""Spanning tree enumeration, counting, unit transformations and the
-reverse-delete construction with a protected edge pair."""
-
-from __future__ import annotations
+"""Spanning tree counting, and enumeration with the exchanges between the
+trees by one walk over tree masks."""
 
 from decimal import Decimal
 from heapq import heapify, heappop, heappush
 from itertools import chain, repeat
 
-from .errors import (
-    Disconnected,
-    EdgeInTree,
-    NotTwoConnected,
-    NoWitness,
-    TooManyTrees,
-    ValidationFailed,
-)
-from .graph_core import (
-    _blocks,
-    _UnionFind,
-    bfs,
-    fundamental_cycle_edges,
-    is_connected,
-    is_two_connected,
-)
+from .errors import TooManyTrees, ValidationFailed
+from .graph_core import _blocks, _UnionFind, bfs
 
 DEFAULT_MAX_TREES = 100_000
 
@@ -202,60 +186,20 @@ def _catch_up(row, s, t):
     return row if s == t else {j: x * s // t for j, x in row.items()}
 
 
-def _cut_groups(g, tset):
-    """For each tree edge f of the tree with edge-id set tset, the keys of
-    T - f + e over the edges e of f's fundamental cut, f included (which
-    gives T): the two sides of T - f by one BFS."""
-    for f in tset:
-        base = tset - {f}
-        side = bfs(g, g.edge(f).u, base)
-        yield [tuple(sorted(base | {e.eid})) for e in g.edges if (e.u in side) != (e.v in side)]
-
-
-def _cycle_groups(g, tset):
-    """For each chord e of the tree with edge-id set tset, the keys of
-    T - f + e over the edges f of e's fundamental cycle, e included (which
-    gives T)."""
-    for e in g.edges:
-        if e.eid not in tset:
-            grown = tset | {e.eid}
-            yield [tuple(sorted(grown - {f})) for f in fundamental_cycle_edges(g, tset, e.eid)]
-
-
-def type2_neighbors(g, t):
-    """Trees reachable by deleting a tree edge and relinking the two sides of the cut."""
-    keys = chain.from_iterable(_cut_groups(g, t.edge_set))
-    return {SpanningTree(g, k) for k in keys if k != t.key}
-
-
-def type1_neighbors(g, t):
-    """Trees reachable by adding a non-tree edge and deleting another edge
-    of the created cycle."""
-    keys = chain.from_iterable(_cycle_groups(g, t.edge_set))
-    return {SpanningTree(g, k) for k in keys if k != t.key}
-
-
-def fundamental_cycle(g, t, eid):
-    """Ordered edge list of the unique cycle of t + e."""
-    if eid in t.edge_set:
-        raise EdgeInTree(f"edge {eid} is in the tree")
-    return fundamental_cycle_edges(g, t.edge_set, eid)
-
-
 def enumerate_spanning_trees(g, max_trees=DEFAULT_MAX_TREES):
     """All spanning trees, sorted by canonical key, from the exchange walk
     (_walk), as a _Trees: the SpanningTree objects are decoded on the
     first read, and serialize_trees writes them from the masks. The
     Kirchhoff count is the size guard (TooManyTrees) and the completeness
     check (ValidationFailed)."""
-    masks, _, edges = _walk(g, max_trees)
-    return _Trees(g, masks, edges)
+    masks, _ = _walk(g, max_trees)
+    return _Trees(g, masks)
 
 
 def _walk(g, max_trees):
-    """The exchange walk on masks: (masks, pairs, edges), the trees in
-    ascending key order (_keys decodes them), the index pairs (i, j), i < j,
-    of trees one exchange apart in ascending order (a _Rows), and g.edges.
+    """The exchange walk on masks: (masks, pairs), the trees in ascending
+    key order (_keys decodes them with g.edges), and the index pairs (i, j),
+    i < j, of trees one exchange apart in ascending order (a _Rows).
 
     Bit order: a tree is a bitmask in which the edge at position p of
     g.edges is bit m - 1 - p, so a greater key is a smaller mask.
@@ -324,7 +268,7 @@ def _walk(g, max_trees):
     rows.reverse()
     for row in rows:
         row.reverse()
-    return masks, _Rows(rows), g.edges
+    return masks, _Rows(rows)
 
 
 def _bits(edges):
@@ -420,20 +364,21 @@ def _decode(masks, heads, empty):
 
 
 def _keys(masks, edges):
-    """Each mask's sorted edge-id tuple, edges as _walk gives them."""
+    """Each mask's sorted edge-id tuple, edges the walked graph's edges."""
     return _decode(masks, [(e.eid,) for e in edges], ())
 
 
 class _Trees:
     """The walk's trees as a sized, re-iterable sequence of SpanningTree,
-    held as (host, masks, edges), what _walk returns besides the pairs.
-    The first index or iteration decodes every mask once and keeps the
-    trees; _labels decodes the masks straight to text and makes no tree."""
+    held as the walked graph, host, and the masks that _walk returns
+    besides the pairs. The first index or iteration decodes every mask
+    once, by host.edges, and keeps the trees; _labels decodes the masks
+    straight to text and makes no tree."""
 
-    __slots__ = ("host", "masks", "edges", "_trees")
+    __slots__ = ("host", "masks", "_trees")
 
-    def __init__(self, host, masks, edges):
-        self.host, self.masks, self.edges, self._trees = host, masks, edges, None
+    def __init__(self, host, masks):
+        self.host, self.masks, self._trees = host, masks, None
 
     def __len__(self):
         return len(self.masks)
@@ -446,7 +391,8 @@ class _Trees:
 
     def _decoded(self):
         if self._trees is None:
-            self._trees = tuple([SpanningTree(self.host, k) for k in _keys(self.masks, self.edges)])
+            host = self.host
+            self._trees = tuple([SpanningTree(host, k) for k in _keys(self.masks, host.edges)])
         return self._trees
 
 
@@ -474,116 +420,9 @@ def _labels(trees):
     them; a _Trees's by the text decode of its masks, each id followed by
     a comma and the last comma cut."""
     if isinstance(trees, _Trees):
-        return [k[:-1] for k in _decode(trees.masks, [f"{e.eid}," for e in trees.edges], "")]
+        return [k[:-1] for k in _decode(trees.masks, [f"{e.eid}," for e in trees.host.edges], "")]
     return [",".join(map(str, t.key)) for t in trees]
 
 
 def serialize_trees(trees):
     return "".join([f"t: {k}\n" for k in _labels(trees)])
-
-
-def witness_edge_for_pair(g, t, e1, e2):
-    """Non-tree edge whose fundamental cycle contains both tree edges.
-
-    Not every tree admits one for a given pair (a diamond with the tree
-    {01, 02, 23} separates 01 from 23), but the tree reverse_delete_tree
-    builds with the pair protected always does: the chord it deletes last
-    closes the cycle through both edges that it keeps in the tree. The
-    witness is the least such chord, read off one _fundamental_cycles BFS."""
-    if not is_two_connected(g) or g.n == 2:
-        raise NotTwoConnected("witness requires a 2-connected host != K2")
-    if e1 == e2 or e1 not in t.edge_set or e2 not in t.edge_set:
-        raise ValueError("e1, e2 must be two distinct tree edges")
-    bit = _bits(g.edges)
-    chords = [e.eid for e in g.edges if e.eid not in t.edge_set]
-    pair = bit[e1] | bit[e2]
-    for eid, cycle in zip(chords, _fundamental_cycles(g, sum(bit[e] for e in t.edge_set))):
-        if cycle & pair == pair:
-            return eid
-    raise NoWitness(f"no witness for pair ({e1}, {e2}) on this tree")
-
-
-def reverse_delete_tree(g, protected_pair=None):
-    """Spanning tree by repeated deletion of cycle edges (reverse Kruskal),
-    built directly: the tree is a greedy tree and its chords are the
-    deleted edges.
-
-    Without a pair the edges are deleted in ascending id order, which
-    leaves Kruskal's tree over descending ids, _walk's start tree. With
-    protected_pair=(e1, e2) on a 2-connected host, _menger_cycle gives a
-    cycle C through both edges and w is C's greatest edge other than e1
-    and e2: the greedy order takes C - w first and leaves w out, and the
-    chords are deleted in ascending id order with w last, so the last
-    deleted edge closes C.
-
-    Returns (tree, trace); each trace entry is (deleted edge id, the sorted
-    edge ids of its fundamental cycle in the tree). The tree survives every
-    deletion, so that cycle is a cycle of the surviving graph at its step.
-    """
-    if not is_connected(g):
-        raise Disconnected("reverse delete needs a connected graph")
-    edges = g.edges
-    order = reversed(range(g.m))
-    w = None
-    if protected_pair is not None:
-        e1, e2 = protected_pair
-        if e1 == e2:
-            raise ValueError("protected edges must be distinct")
-        if not is_two_connected(g) or g.n == 2:
-            raise NotTwoConnected("protected pair requires a 2-connected host != K2")
-        pos = {e.eid: p for p, e in enumerate(edges)}
-        cycle = _menger_cycle(g, e1, e2)
-        w = max(cycle - {e1, e2})
-        order = [p for p in chain(map(pos.get, cycle), order) if p != pos[w]]
-    mask = _greedy_tree(g, order)
-    key, *cycles = _keys([mask, *_fundamental_cycles(g, mask)], edges)
-    in_tree = set(key)
-    chords = [e.eid for e in edges if e.eid not in in_tree]
-    trace = sorted(zip(chords, cycles), key=lambda entry: (entry[0] == w, entry[0]))
-    return SpanningTree(g, key), trace
-
-
-def _menger_cycle(g, e1, e2):
-    """The edge ids of a cycle of the 2-connected g through its edges e1
-    and e2. Subdivide e1 by a vertex s and e2 by a vertex t: the result is
-    2-connected, so by Menger's theorem two s-t paths share no vertex but
-    s and t, and together they are such a cycle. They are a flow of value
-    two with unit vertex capacities: each vertex v is split into (v, 0),
-    the head of its in-arcs, and (v, 1), the tail of its out-arcs, joined
-    by one arc. Each of the two augmentations is one BFS of the residual
-    graph, which follows an arc without flow forwards or one with flow
-    backwards; the paths are then read off the flow from s."""
-    adj = {(v, 0): [(v, 1)] for v in g.vertices}
-    for v in g.vertices:
-        adj[v, 1] = [(x, 0) for x, eid in g.adj(v).items() if eid != e1 and eid != e2]
-    adj["s"], adj["t"] = [(v, 0) for v in g.edge(e1).endpoints()], []
-    for v in g.edge(e2).endpoints():
-        adj[v, 1].append("t")
-    flow, into = set(), {x: [] for x in adj}
-    for _ in range(2):
-        parent = {"s": None}
-        queue = ["s"]
-        for x in queue:
-            for y in chain([y for y in adj[x] if (x, y) not in flow], into[x]):
-                if y not in parent:
-                    parent[y] = x
-                    queue.append(y)
-        y = "t"
-        while y != "s":
-            x = parent[y]
-            if (y, x) in flow:
-                flow.remove((y, x))
-                into[x].remove(y)
-            else:
-                flow.add((x, y))
-                into[y].append(x)
-            y = x
-    succ = dict(flow)
-    cycle = {e1, e2}
-    for x in adj["s"]:
-        while x != "t":
-            y = succ[x]
-            if x[1] and y != "t":
-                cycle.add(g.eid_between(x[0], y[0]))
-            x = y
-    return cycle

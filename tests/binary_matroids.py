@@ -23,8 +23,9 @@ from itertools import combinations
 
 from stag import Graph, to_edgelist
 from stag.generators import random_two_connected_graph
-from stag.graph_core import bfs, fundamental_cycle_edges
+from stag.graph_core import bfs
 from stag.spanning_trees import _fundamental_cycles, _greedy_tree
+from paper_lemmas import fundamental_cycle_edges
 
 # Standard representations [I | A], columns as ints over the rows.
 F7 = [1, 2, 4, 3, 5, 6, 7]

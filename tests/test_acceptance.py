@@ -17,16 +17,10 @@ from stag import (
     count_spanning_trees,
     cycle_graph,
     enumerate_spanning_trees,
-    fundamental_cycle,
     invert,
     is_prime,
     param_report,
     path_graph,
-    product_of_block_stags,
-    reverse_delete_tree,
-    type1_neighbors,
-    type2_neighbors,
-    witness_edge_for_pair,
 )
 from stag.cli import run
 from stag.generators import (
@@ -36,6 +30,14 @@ from stag.generators import (
 )
 from stag.graph_core import Graph
 from stag.oracles import brute_force_is_stag, brute_force_stag, brute_force_trees
+from paper_lemmas import (
+    fundamental_cycle,
+    product_of_block_stags,
+    reverse_delete_tree,
+    type1_neighbors,
+    type2_neighbors,
+    witness_edge_for_pair,
+)
 
 
 def _report(capfd, criterion, ok, detail=""):

@@ -18,7 +18,6 @@ from stag import (
     is_prime,
     path_graph,
     prime_factorize,
-    product_of_block_stags,
     single_vertex_graph,
 )
 from stag.errors import Disconnected
@@ -28,6 +27,7 @@ from stag.generators import (
     random_multiblock_graph,
     random_two_connected_graph,
 )
+from paper_lemmas import product_of_block_stags
 
 
 def _product(graphs):

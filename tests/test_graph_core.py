@@ -17,14 +17,12 @@ import block_reference
 from stag import (
     Edge,
     Graph,
-    HasBridge,
     ParseError,
     are_isomorphic,
     block_decomposition,
     bridges,
     build_stag,
     cartesian_product,
-    common_cycle_classes,
     complete_graph,
     cycle_graph,
     invert,
@@ -44,9 +42,10 @@ from stag.generators import (
     random_multiblock_graph,
     random_two_connected_graph,
 )
-from stag.graph_core import _blocks, _components, bfs, fundamental_cycle_edges
+from stag.graph_core import _blocks, _components, bfs
 from stag.oracles import circumference, minimal_edge_cuts
 from stag.spanning_trees import _block_count, _walk, count_spanning_trees
+from paper_lemmas import HasBridge, common_cycle_classes, fundamental_cycle_edges
 
 
 def test_graph_rejects_self_loops_and_duplicates():
@@ -158,7 +157,7 @@ def test_edge_keeps_its_api_and_works_as_a_dict_key(k4):
 
 def test_trusted_constructor_matches_graph(k4, k5):
     for g in (k4, k5, random_two_connected_graph(6, 9, 3), random_two_connected_graph(7, 10, 8)):
-        masks, pairs, _ = _walk(g, 10_000)
+        masks, pairs = _walk(g, 10_000)
         pairs = list(pairs)
         fast = Graph._trusted(len(masks), pairs)
         slow = Graph(range(len(masks)), [(k, u, v) for k, (u, v) in enumerate(pairs)])
@@ -171,7 +170,7 @@ def test_trusted_constructor_matches_graph(k4, k5):
 
 
 def _walk_graph(g):
-    masks, pairs, _ = _walk(g, 10_000)
+    masks, pairs = _walk(g, 10_000)
     return Graph._trusted(len(masks), pairs)
 
 

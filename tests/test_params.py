@@ -10,7 +10,6 @@ from stag import (
     build_stag,
     complete_graph,
     count_spanning_trees,
-    exchange_diameter,
     param_report,
 )
 from stag.graph_core import block_decomposition, bridges
@@ -20,7 +19,8 @@ from stag.generators import (
     random_two_connected_graph,
 )
 from stag.oracles import circumference, minimal_edge_cuts
-from stag.params import clique_number, report_to_json, report_to_text
+from stag.params import report_to_json, report_to_text
+from paper_lemmas import clique_number, exchange_diameter
 
 
 def _nx_clique_number(h):

@@ -18,7 +18,6 @@ from stag import (
     cycle_graph,
     enumerate_preimages,
     invert,
-    neighborhood_partitions,
     parse_graph,
     single_vertex_graph,
     to_edgelist,
@@ -28,6 +27,7 @@ from stag.oracles import brute_force_is_stag
 from stag.graph_core import bfs
 from stag.recognition import _certify, layout, neighborhood_root
 from stag.spanning_trees import _fundamental_cycles, _pack, _pivot, _walk
+from paper_lemmas import neighborhood_partitions
 
 REJECTIONS = (
     "no triangle",
@@ -368,7 +368,7 @@ def test_packed_pivot_equals_the_fundamental_cycles_of_every_exchange():
     assert len(graphs) >= 40
     k2 = Graph.from_pairs([(0, 1)])
     for g in graphs:
-        masks, pairs, edges = _walk(g, 10_000)
+        masks, pairs = _walk(g, 10_000)
         m, c = g.m, g.m - g.n + 1
         full, ones = (1 << m) - 1, _pack([1] * c, m)
         cycles = [_fundamental_cycles(g, t) for t in masks]

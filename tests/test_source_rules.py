@@ -2,6 +2,8 @@
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "stag"
 
@@ -109,3 +111,63 @@ def _changes_process_state(node):
 def test_no_module_changes_process_global_state():
     # a library call leaves the interpreter as it found it
     assert _found(_changes_process_state) == []
+
+
+# dataclasses pulls in inspect, and it and typing were most of the cost of
+# import stag; records are namedtuple subclasses instead
+MACHINERY = {"dataclasses", "typing"}
+
+
+def _imports_machinery(node):
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] in MACHINERY for a in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in MACHINERY
+
+
+def test_no_module_imports_dataclasses_or_typing():
+    assert _found(_imports_machinery) == []
+
+
+_NO_MACHINERY = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import stag, stag.cli, stag.oracles
+print(" ".join(m for m in ("dataclasses", "typing", "inspect") if m in sys.modules))
+"""
+
+
+def test_importing_stag_loads_no_dataclass_typing_or_inspect():
+    # -S: no site hooks, so the modules seen are the ones stag imports
+    done = subprocess.run([sys.executable, "-S", "-c", _NO_MACHINERY, str(SRC.parent)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
+
+
+# Exports that no other src/stag module uses: the graph constructors and
+# predicates, is_prime and the multi-block generator, which are entry
+# points in their own right.
+ENTRY_POINTS = {
+    "cartesian_product",
+    "complete_graph",
+    "cycle_graph",
+    "path_graph",
+    "is_prime",
+    "is_two_connected",
+    "random_multiblock_graph",
+}
+
+
+def test_every_export_is_used_by_the_library_or_is_an_entry_point():
+    # the library is its jobs: a function that only tests call lives in tests/
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    exported = {a.name for node in init.body if isinstance(node, ast.ImportFrom) for a in node.names}
+    used = {
+        node.id
+        for p in SRC.rglob("*.py")
+        if p.name != "__init__.py"
+        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"), str(p)))
+        if isinstance(node, ast.Name)
+    }
+    assert sorted(exported - used - ENTRY_POINTS) == []
+    assert sorted(ENTRY_POINTS - exported) == []

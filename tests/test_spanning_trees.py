@@ -11,9 +11,7 @@ import networkx as nx
 import pytest
 
 from stag import (
-    EdgeInTree,
     Graph,
-    NotTwoConnected,
     SpanningTree,
     TooManyTrees,
     block_decomposition,
@@ -22,18 +20,12 @@ from stag import (
     count_spanning_trees,
     cycle_graph,
     enumerate_spanning_trees,
-    exchange_diameter,
-    fundamental_cycle,
-    reverse_delete_tree,
     serialize_trees,
     single_vertex_graph,
-    type1_neighbors,
-    type2_neighbors,
-    witness_edge_for_pair,
 )
 from stag import spanning_trees
 from stag.aux_graph import StagGraph, stag_to_json
-from stag.errors import Disconnected, NoWitness, ValidationFailed
+from stag.errors import Disconnected, ValidationFailed
 from stag.graph_core import bfs
 from stag.generators import (
     random_connected_graph,
@@ -41,7 +33,19 @@ from stag.generators import (
     random_two_connected_graph,
 )
 from stag.oracles import brute_force_stag, brute_force_trees
-from stag.params import _all_pairs_diameter, _positions
+from stag.params import _all_pairs_diameter
+from paper_lemmas import (
+    EdgeInTree,
+    NoWitness,
+    NotTwoConnected,
+    _positions,
+    exchange_diameter,
+    fundamental_cycle,
+    reverse_delete_tree,
+    type1_neighbors,
+    type2_neighbors,
+    witness_edge_for_pair,
+)
 
 
 def test_frozen_counts(c3, k4, diamond, theta, bowtie, k5):
@@ -223,8 +227,8 @@ def _walk_inputs():
 
 def test_exchange_walk_emits_each_exchange_once():
     for g in _walk_inputs():
-        masks, pairs, edges = spanning_trees._walk(g, 10_000)
-        keys, count = spanning_trees._keys(masks, edges), len(pairs)
+        masks, pairs = spanning_trees._walk(g, 10_000)
+        keys, count = spanning_trees._keys(masks, g.edges), len(pairs)
         pairs = list(pairs)
         assert count == len(pairs) == len(set(pairs))
         assert len(keys) == count_spanning_trees(g)
@@ -242,8 +246,8 @@ def test_exchange_walk_emits_each_exchange_once():
 def test_exchange_walk_matches_brute_force_stag():
     # K6 and a chain of three blocks: trees in key order, pairs already sorted
     for g in (complete_graph(6), random_multiblock_graph([4, 4, 4], 0)):
-        masks, pairs, edges = spanning_trees._walk(g, 10_000)
-        keys, count = spanning_trees._keys(masks, edges), len(pairs)
+        masks, pairs = spanning_trees._walk(g, 10_000)
+        keys, count = spanning_trees._keys(masks, g.edges), len(pairs)
         s = brute_force_stag(g)
         assert keys == [t.key for t in s.trees]
         assert list(pairs) == [(e.u, e.v) for e in s.graph.edges]
@@ -251,14 +255,15 @@ def test_exchange_walk_matches_brute_force_stag():
 
 
 def test_exchange_walk_on_k1_and_on_trees():
-    masks, pairs, edges = spanning_trees._walk(single_vertex_graph(), 1)
-    keys, count = spanning_trees._keys(masks, edges), len(pairs)
+    k1 = single_vertex_graph()
+    masks, pairs = spanning_trees._walk(k1, 1)
+    keys, count = spanning_trees._keys(masks, k1.edges), len(pairs)
     assert (keys, list(pairs), count) == ([()], [], 0)
     # m = n - 1: the start tree has no chords, so nothing is exchanged
     for seed in range(10):
         g = random_connected_graph(seed + 2, seed + 1, seed)
-        masks, pairs, edges = spanning_trees._walk(g, 1)
-        keys, count = spanning_trees._keys(masks, edges), len(pairs)
+        masks, pairs = spanning_trees._walk(g, 1)
+        keys, count = spanning_trees._keys(masks, g.edges), len(pairs)
         assert (keys, list(pairs), count) == ([tuple(sorted(g.edge_ids()))], [], 0)
 
 
@@ -266,8 +271,9 @@ def test_exchange_walk_on_cycles_gives_complete_graphs():
     # Aux(C_n) = K_n; from n = 65 on the tree masks exceed 64 bits
     for n in range(3, 71):
         ids = sorted(cycle_graph(n).edge_ids())
-        masks, pairs, edges = spanning_trees._walk(cycle_graph(n), n)
-        keys, count = spanning_trees._keys(masks, edges), len(pairs)
+        g = cycle_graph(n)
+        masks, pairs = spanning_trees._walk(g, n)
+        keys, count = spanning_trees._keys(masks, g.edges), len(pairs)
         # dropping a greater edge id gives a smaller key
         assert keys == [tuple(x for x in ids if x != drop) for drop in reversed(ids)]
         assert list(pairs) == list(itertools.combinations(range(n), 2))
@@ -281,8 +287,8 @@ def test_exchange_walk_on_block_chains_counts_product_edges():
         aux = [brute_force_stag(b).graph for b in block_decomposition(g).blocks]
         orders = [a.n for a in aux]
         expected = sum(a.m * math.prod(orders) // a.n for a in aux)
-        masks, pairs, edges = spanning_trees._walk(g, 100_000)
-        keys, count = spanning_trees._keys(masks, edges), len(pairs)
+        masks, pairs = spanning_trees._walk(g, 100_000)
+        keys, count = spanning_trees._keys(masks, g.edges), len(pairs)
         assert len(keys) == math.prod(orders)
         assert count == len(list(pairs)) == expected
 
@@ -313,7 +319,7 @@ def test_walk_output_is_pinned():
     masks_h, pairs_h = hashlib.sha256(), hashlib.sha256()
     counts = Counter()
     for make, args in _walk_sweep():
-        masks, pairs, _ = spanning_trees._walk(make(*args), 20_000)
+        masks, pairs = spanning_trees._walk(make(*args), 20_000)
         masks_h.update(f"# {args}\n{','.join(map(str, masks))}\n".encode())
         pairs_h.update(f"# {args}\n{' '.join(f'{i}-{j}' for i, j in pairs)}\n".encode())
         counts[make.__name__] += 1
@@ -346,7 +352,8 @@ def _decode_corpus():
 
 def test_table_decode_matches_the_per_position_decode():
     for g in _decode_corpus():
-        masks, _, edges = spanning_trees._walk(g, 10_000)
+        masks, _ = spanning_trees._walk(g, 10_000)
+        edges = g.edges
         m = len(edges)
         eids = [e.eid for e in edges]
         bits = [1 << (m - 1 - p) for p in range(m)]
@@ -354,15 +361,16 @@ def test_table_decode_matches_the_per_position_decode():
         keys = spanning_trees._keys(masks, edges)
         assert keys == reference
         assert keys == sorted(keys) and all(len(k) == g.n - 1 for k in keys)
-    masks, _, edges = spanning_trees._walk(single_vertex_graph(), 1)
-    assert spanning_trees._keys(masks, edges) == [()]
+    k1 = single_vertex_graph()
+    masks, _ = spanning_trees._walk(k1, 1)
+    assert spanning_trees._keys(masks, k1.edges) == [()]
 
 
 def test_text_decode_is_the_json_of_the_tuple_decode():
     for g in _decode_corpus():
-        masks, _, edges = spanning_trees._walk(g, 10_000)
-        keys = spanning_trees._keys(masks, edges)
-        labels = spanning_trees._labels(spanning_trees._Trees(g, masks, edges))
+        masks, _ = spanning_trees._walk(g, 10_000)
+        keys = spanning_trees._keys(masks, g.edges)
+        labels = spanning_trees._labels(spanning_trees._Trees(g, masks))
         assert labels == [",".join(map(str, k)) for k in keys]
         s = build_stag(g)
         member = '"trees":' + json.dumps(keys, separators=(",", ":"))

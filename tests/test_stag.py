@@ -8,15 +8,11 @@ import pytest
 
 from stag import (
     Graph,
-    Unannotated,
     build_stag,
     complete_graph,
     count_spanning_trees,
     cycle_graph,
     enumerate_spanning_trees,
-    ground_truth_cliques,
-    neighborhood_partitions,
-    product_of_block_stags,
     serialize_trees,
     single_vertex_graph,
     stag_to_dot,
@@ -30,6 +26,12 @@ from stag.generators import (
 )
 from stag import spanning_trees
 from stag.oracles import brute_force_stag, brute_force_trees
+from paper_lemmas import (
+    Unannotated,
+    ground_truth_cliques,
+    neighborhood_partitions,
+    product_of_block_stags,
+)
 
 
 def test_cycle_gives_complete_stag():
