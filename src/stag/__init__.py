@@ -7,7 +7,6 @@ bounds. Brute-force oracles double-check everything at small scale."""
 
 from .aux_graph import StagGraph, build_stag, stag_to_dot, stag_to_json
 from .errors import (
-    Acyclic,
     Disconnected,
     NotAStag,
     NotMinimal,

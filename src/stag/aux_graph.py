@@ -10,8 +10,8 @@ class StagGraph(namedtuple("StagGraph", "graph trees origin")):
     """Auxiliary graph whose vertices are spanning trees of origin.
 
     trees[v] is the SpanningTree of vertex v: a _Trees from build_stag, a
-    tuple from the oracle. trees/origin are None when the stag was not
-    built from a known graph (recognition inputs, block products)."""
+    tuple from the oracle. Only callers leave trees/origin None, for an Aux
+    not built from a known graph (the tests and their block product)."""
 
     __slots__ = ()
 

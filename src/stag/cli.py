@@ -4,15 +4,17 @@ Each command is a function (g, args) -> (status, outputs) of the input
 graph g, None for `random`, the one command without -i; outputs lists
 (path, text) in write order, a None path meaning stdout. run() is the
 one place that reads the input and the one place that writes: every
-text exists before the first write, so a command that fails writes no
-file. Exit codes: 0 ok, 1 not-a-STAG or property violated, 2 input
-error, 3 resource guard tripped. Formats follow the file extension
-(.txt edge list, .json, .dot export only). `blocks` writes cut vertices
-as internal ids, not names: 0.. in order of first appearance."""
+text exists before the first write, and a failed write removes the files
+written before it, so a command that fails leaves no file. Exit codes: 0
+ok, 1 not-a-STAG or property violated, 2 input error, 3 resource guard
+tripped. Formats follow the file extension (.txt edge list, .json, .dot
+export only). `blocks` writes cut vertices as internal ids, not names:
+0.. in order of first appearance."""
 
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 
@@ -68,15 +70,24 @@ def _load_graph(path):
 
 def _write(outputs):
     """Write each (path, text) in order, a None path to stdout with a
-    final newline, and return the paths written."""
+    final newline, and return the paths written; a failed write first
+    removes the files this call opened, a partly written one too."""
     paths = []
-    for path, text in outputs:
-        if path is None:
-            sys.stdout.write(text if text.endswith("\n") else text + "\n")
-            continue
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        paths.append(path)
+    try:
+        for path, text in outputs:
+            if path is None:
+                sys.stdout.write(text if text.endswith("\n") else text + "\n")
+                continue
+            with open(path, "w", encoding="utf-8") as fh:
+                paths.append(path)
+                fh.write(text)
+    except BaseException:
+        for path in paths:
+            try:
+                os.remove(path)
+            except OSError:
+                pass
+        raise
     return paths
 
 

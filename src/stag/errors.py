@@ -24,10 +24,6 @@ class TooManyTrees(StagError):
     pass
 
 
-class Acyclic(StagError):
-    pass
-
-
 class NotAStag(StagError):
     def __init__(self, reason):
         self.reason = reason

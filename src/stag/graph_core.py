@@ -175,10 +175,6 @@ class Graph:
     def degree_sequence(self):
         return tuple(sorted(map(len, (self._adj or self._adjacency()).values())))
 
-    def same_labeled(self, other):
-        """Equality as labeled graphs (ignoring edge ids and names)."""
-        return self.vertices == other.vertices and set(self.edge_pairs()) == set(other.edge_pairs())
-
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
 

@@ -137,8 +137,8 @@ def param_report(g, max_trees=DEFAULT_MAX_TREES):
     |D| trees T - f + d, d in D, are pairwise adjacent: |D|(|D| - 1)/2 Aux
     edges meet in T - f. An Aux edge's union is a tree plus a chord and its
     meet a tree less an edge, so the largest groups by union and by meet
-    give the two (Maurer 1973). The tests check both against the oracles'
-    brute-force circumference and minimal_edge_cuts. The unions and meets
+    give the two (Maurer 1973). The tests check both against the
+    brute-force circumference and minimal_edge_cuts of tests/oracles.py. The unions and meets
     are taken on the walk's tree masks; the degrees, the diameter and the
     clique number of Aux(g) on neighbour lists and masks built once from
     the walk's pairs."""

@@ -377,6 +377,20 @@ def test_factor_refuses_names_an_edge_list_cannot_hold(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c4.json"]
 
 
+@pytest.mark.parametrize("command, text, blocked", [
+    (["factor"], "0 1\n1 2\n2 3\n3 0\n", "out_1.txt"),
+    (["preimages", "--budget", "4"], "0 1\n1 2\n2 0\n", "out_2.txt"),
+], ids=["factor", "preimages"])
+def test_a_failed_write_removes_the_files_written_before_it(tmp_path, capsys, command, text, blocked):
+    src = tmp_path / "g.txt"
+    _write(src, text)
+    (tmp_path / blocked).mkdir()  # a directory where a later output goes
+    assert run(command + ["-i", str(src), "-o", str(tmp_path / "out"), "--json"]) == 2
+    assert json.loads(capsys.readouterr().out)["payload"] == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["g.txt", blocked])
+    assert (tmp_path / blocked).is_dir()
+
+
 def test_verify_roundtrip(c3_file, capsys):
     rc = run(["verify-roundtrip", "-i", str(c3_file), "--json"])
     assert rc == 0

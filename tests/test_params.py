@@ -5,7 +5,6 @@ from itertools import combinations
 import networkx as nx
 
 from stag import (
-    Acyclic,
     Graph,
     build_stag,
     complete_graph,
@@ -18,8 +17,8 @@ from stag.generators import (
     random_multiblock_graph,
     random_two_connected_graph,
 )
-from stag.oracles import circumference, minimal_edge_cuts
 from stag.params import report_to_json, report_to_text
+from oracles import Acyclic, circumference, minimal_edge_cuts
 from paper_lemmas import clique_number, exchange_diameter
 
 

@@ -144,30 +144,57 @@ def test_importing_stag_loads_no_dataclass_typing_or_inspect():
     assert done.stdout.split() == []
 
 
-# Exports that no other src/stag module uses: the graph constructors and
-# predicates, is_prime and the multi-block generator, which are entry
-# points in their own right.
+# Definitions kept for callers though the library and the bench need not
+# name them, each with its reason.
 ENTRY_POINTS = {
-    "cartesian_product",
-    "complete_graph",
-    "cycle_graph",
-    "path_graph",
-    "is_prime",
-    "is_two_connected",
-    "random_multiblock_graph",
+    "cartesian_product": "builds the products that prime_factorize takes apart",
+    "complete_graph": "a constructor of a named graph family",
+    "cycle_graph": "a constructor of a named graph family",
+    "path_graph": "a constructor of a named graph family",
+    "is_prime": "the yes/no form of prime_factorize",
+    "is_two_connected": "the paper's condition for Aux(G) to be prime",
+    "random_multiblock_graph": "the seeded generator of graphs with given block sizes",
+    "SpanningTree.of": "builds a tree from a caller's edge ids and rejects malformed ones",
 }
 
 
-def test_every_export_is_used_by_the_library_or_is_an_entry_point():
-    # the library is its jobs: a function that only tests call lives in tests/
-    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
-    exported = {a.name for node in init.body if isinstance(node, ast.ImportFrom) for a in node.names}
-    used = {
-        node.id
-        for p in SRC.rglob("*.py")
-        if p.name != "__init__.py"
+def _definitions(tree):
+    """'name' of each module-level function or class and 'Class.name' of
+    each of its non-dunder methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}"
+
+
+def _named(paths):
+    """Every identifier that an ast.Name or an ast.Attribute names in paths."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for p in paths
         for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"), str(p)))
-        if isinstance(node, ast.Name)
+        if isinstance(node, (ast.Name, ast.Attribute))
     }
-    assert sorted(exported - used - ENTRY_POINTS) == []
-    assert sorted(ENTRY_POINTS - exported) == []
+
+
+def test_each_definition_is_named_by_the_library_or_bench_or_is_an_entry_point():
+    # the library is its jobs: a function that only tests call lives in tests/
+    modules = sorted(SRC.glob("*.py"))
+    defined = {
+        f"{p.stem}.{name}": name
+        for p in modules
+        for name in _definitions(ast.parse(p.read_text(encoding="utf-8"), str(p)))
+    }
+    named = _named(p for p in modules if p.name != "__init__.py")
+    named |= _named(sorted((SRC.parent.parent / "perfbench").glob("*.py")))
+    unreached = [
+        where for where, name in defined.items()
+        if name.rsplit(".", 1)[-1] not in named and name not in ENTRY_POINTS
+    ]
+    assert unreached == []
+    assert sorted(set(ENTRY_POINTS) - set(defined.values())) == []
