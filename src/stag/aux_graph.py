@@ -66,12 +66,9 @@ def stag_to_dot(s):
     """Graphviz text; an annotated vertex's tooltip is its tree, "t: " and
     the edge ids joined by commas, read from the masks of a _Trees."""
     out = ["graph Aux {"]
-    labels = _labels(s.trees) if s.annotated else None
-    for v in s.graph.vertices:
-        if s.annotated:
-            out.append(f'  n{v} [label="{v}" tooltip="t: {labels[v]}"];')
-        else:
-            out.append(f'  n{v} [label="{v}"];')
+    tips = [f' tooltip="t: {k}"' for k in _labels(s.trees)] if s.annotated else [""] * s.graph.n
+    for v, tip in zip(s.graph.vertices, tips):
+        out.append(f'  n{v} [label="{v}"{tip}];')
     for u, v in s.graph.edge_pairs():
         out.append(f"  n{u} -- n{v};")
     out.append("}")

@@ -17,6 +17,7 @@ incident edges on no common chordless square (Feder 1992; Imrich & Klavzar
    If it fails, ValidationFailed names the failed check.
 """
 
+from collections import namedtuple
 from itertools import combinations, islice
 from math import prod
 
@@ -26,17 +27,11 @@ from .graph_core import Graph, _components, _UnionFind, bfs, is_connected
 DEFAULT_MAX_N = 4096
 
 
-class Factorization:
+class Factorization(namedtuple("Factorization", "factors coordinates")):
     """Prime factors plus per-vertex coordinates into the factors:
     coordinates maps each input vertex to its tuple of factor vertices."""
 
-    __slots__ = ("factors", "coordinates")
-
-    def __init__(self, factors, coordinates):
-        self.factors, self.coordinates = factors, coordinates
-
-    def __repr__(self):
-        return f"Factorization(factors={self.factors!r}, coordinates={self.coordinates!r})"
+    __slots__ = ()
 
     @property
     def is_prime(self):

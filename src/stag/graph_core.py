@@ -291,19 +291,19 @@ def _parse_json(text):
 
 
 def to_edgelist(g):
-    names = g._names  # None: the ids, each one token that never starts with '#'
-    if names is not None:
-        joined = "\n".join(names.values())  # each name one token, and no comment
-        if joined.split() != list(names.values()) or "\n#" in "\n" + joined:
-            v = next(v for v, t in names.items() if t.split() != [t] or t[0] == "#")
-            raise ValueError(f"vertex {v} is named {names[v]!r}, which an edge list cannot hold")
+    labels = g._names
+    if labels is None:  # the ids, each one token that never starts with '#'
+        labels = {v: str(v) for v in g.vertices}
+    else:
+        joined = "\n".join(labels.values())  # each name one token, and no comment
+        if joined.split() != list(labels.values()) or "\n#" in "\n" + joined:
+            v = next(v for v, t in labels.items() if t.split() != [t] or t[0] == "#")
+            raise ValueError(f"vertex {v} is named {labels[v]!r}, which an edge list cannot hold")
     if not g.m:
-        return "\n".join(map(str, g.vertices) if names is None else names.values()) + "\n"
+        return "\n".join(labels.values()) + "\n"
     pairs = g.edge_pairs()
     chunks = (islice(pairs, 4096) for _ in range(0, g.m, 4096))
-    if names is None:
-        return "".join(["".join([f"{u} {v}\n" for u, v in c]) for c in chunks])
-    return "".join(["".join([f"{names[u]} {names[v]}\n" for u, v in c]) for c in chunks])
+    return "".join(["".join([f"{labels[u]} {labels[v]}\n" for u, v in c]) for c in chunks])
 
 
 def to_json(g):

@@ -8,7 +8,7 @@ from itertools import combinations
 
 from .aux_graph import StagGraph
 from .errors import TooLarge
-from .graph_core import Graph
+from .graph_core import Graph, _UnionFind
 from .spanning_trees import SpanningTree
 
 _MAX_M = 24  # brute_force_trees filters C(m, n - 1) edge subsets
@@ -28,21 +28,8 @@ def brute_force_trees(g):
 
 
 def _is_spanning_tree(g, eids):
-    parent = {v: v for v in g.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for eid in eids:
-        e = g.edge(eid)
-        ru, rv = find(e.u), find(e.v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return len(eids) == g.n - 1
+    uf = _UnionFind(g.vertices)
+    return len(eids) == g.n - 1 and all(uf.union(e.u, e.v) for e in map(g.edge, eids))
 
 
 def brute_force_stag(g, max_trees=2000):

@@ -60,20 +60,21 @@ def _clique_number(adj):
     1990): each candidate set P is taken lowest vertex first, the clique
     grown by it and P cut to its neighbours, and the vertex dropped from P
     once its branch is done. A branch whose clique plus all of P cannot
-    beat the best stops."""
-    best = 0
-
-    def expand(size, p):
-        nonlocal best
-        if not p:
-            best = max(best, size)
-        while p and size + p.bit_count() > best:
+    beat the best stops. The stack holds each ancestor's P, so the clique's
+    size is its length, and a long cycle's Aux, a clique of every tree,
+    needs no recursion."""
+    best, p = 0, (1 << len(adj)) - 1
+    stack = []
+    while True:
+        while p and len(stack) + p.bit_count() > best:
             low = p & -p
-            p ^= low
-            expand(size + 1, p & adj[low.bit_length() - 1])
-
-    expand(0, (1 << len(adj)) - 1)
-    return best
+            stack.append(p ^ low)
+            p &= adj[low.bit_length() - 1]
+            if not p:
+                best = max(best, len(stack))
+        if not stack:
+            return best
+        p = stack.pop()
 
 
 def _exchange_diameter(g):

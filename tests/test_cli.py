@@ -531,6 +531,15 @@ def test_a_stag_error_raised_inside_a_command_is_exit_2(c3_file, capsys, monkeyp
     assert verdict["message"] == "layout: a chord does not close its root circuit"
 
 
+def test_verify_roundtrip_fails_when_the_preimage_has_another_aux(c3_file, tmp_path, capsys, monkeypatch):
+    # Aux(C4) is K4, not Aux(C3) = K3, so the rebuilt Aux does not match
+    monkeypatch.setattr(cli, "invert", lambda h: cycle_graph(4))
+    out = tmp_path / "rt.txt"
+    assert run(["verify-roundtrip", "-i", str(c3_file), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == "not_a_stag: round trip failed\n"
+    assert not out.exists()
+
+
 def test_flags_a_command_does_not_read_are_rejected(c3_file):
     for name in ("aux", "count", "trees", "invert"):  # one route per command
         assert run([name, "-i", str(c3_file), "--oracle"]) == 2

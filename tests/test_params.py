@@ -17,7 +17,7 @@ from stag.generators import (
     random_multiblock_graph,
     random_two_connected_graph,
 )
-from stag.params import report_to_json, report_to_text
+from stag.params import _clique_number, report_to_json, report_to_text
 from oracles import Acyclic, circumference, minimal_edge_cuts
 from paper_lemmas import clique_number, exchange_diameter
 
@@ -57,6 +57,12 @@ def test_clique_number_edge_cases(diamond):
     assert clique_number(diamond) == 3
     for k in range(1, 9):
         assert clique_number(complete_graph(k)) == k
+
+
+def test_clique_number_of_a_clique_deeper_than_the_recursion_limit():
+    # Aux(C1200) is K1200: the search holds one branch per clique vertex
+    full = (1 << 1200) - 1
+    assert _clique_number([full ^ (1 << v) for v in range(1200)]) == 1200
 
 
 def test_exchange_diameter_equals_graph_diameter(c4, k4, theta):
