@@ -7,9 +7,9 @@ one place that reads the input and the one place that writes: every
 text exists before the first write, and a failed write removes the files
 written before it, so a command that fails leaves no file. Exit codes: 0
 ok, 1 not-a-STAG or property violated, 2 input error, 3 resource guard
-tripped. Formats follow the file extension (.txt edge list, .json, .dot
-export only). `blocks` writes cut vertices as internal ids, not names:
-0.. in order of first appearance."""
+tripped or out of memory. Formats follow the file extension (.txt edge
+list, .json, .dot export only). `blocks` writes cut vertices as internal
+ids, not names: 0.. in order of first appearance."""
 
 import argparse
 import functools
@@ -245,6 +245,8 @@ def run(argv):
         status, message, code = "not_a_stag", str(exc), 1
     except (TooLarge, TooManyTrees) as exc:
         status, message, code = "error", str(exc), 3
+    except MemoryError:
+        status, message, code = "error", "out of memory", 3
     except (StagError, OSError, ValueError) as exc:
         status, message, code = "error", str(exc), 2
     if args.verdict_json:

@@ -3,9 +3,15 @@
 Each generator returns a Graph that holds only its (u, v) pairs, u < v, in
 edge id order: m, edge_pairs() and the serialisers read the pairs, and the
 Edge tuples, adjacency and id index are built on first read, as for a
-parsed graph. tests/test_generators.py pins the bytes each one writes."""
+parsed graph. tests/test_generators.py pins the bytes each one writes.
+
+Chords come last: _chords shuffles the indices of the absent pairs, in
+lexicographic pair order, with the generator's own Random, which nothing
+reads after it. It takes one int of memory and one draw per absent pair,
+so both grow with n squared."""
 
 import random
+from bisect import bisect_right
 
 from .graph_core import Graph
 
@@ -60,11 +66,28 @@ def _two_connected_pairs(n, m, rng):
 
 
 def _chords(n, m, pairs, rng):
-    """pairs (each u < v) and then m - len(pairs) chords, as rng shuffles the other pairs."""
-    present = set(pairs)
-    missing = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in present]
+    """pairs (each u < v), extended in place by m - len(pairs) chords as rng
+    shuffles the other pairs.
+
+    The absent pairs are shuffled as their indices in lexicographic pair
+    order, one int each, and only the kept ones are decoded. A shuffle's
+    draws depend only on the list's length, so this writes the same pairs
+    as shuffling the (u, v) tuples. No caller reads rng afterwards, so a
+    shuffle that would keep nothing is skipped."""
+    if m == len(pairs):
+        return pairs
+    starts = [u * (2 * n - u - 1) // 2 for u in range(n)]
+    missing = []
+    gap = 0
+    for i in sorted({starts[u] + v - u - 1 for u, v in pairs}):
+        missing.extend(range(gap, i))
+        gap = i + 1
+    missing.extend(range(gap, n * (n - 1) // 2))
     rng.shuffle(missing)
-    return pairs + missing[: m - len(pairs)]
+    for i in missing[: m - len(pairs)]:
+        u = bisect_right(starts, i) - 1
+        pairs.append((u, i - starts[u] + u + 1))
+    return pairs
 
 
 def random_multiblock_graph(block_sizes, seed, extra_edges=2):

@@ -531,6 +531,28 @@ def test_a_stag_error_raised_inside_a_command_is_exit_2(c3_file, capsys, monkeyp
     assert verdict["message"] == "layout: a chord does not close its root circuit"
 
 
+def test_running_out_of_memory_is_a_guard(c3_file, tmp_path, capsys, monkeypatch):
+    first = tmp_path / "first.txt"
+
+    def outputs():
+        yield str(first), "0 1\n"
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "count", lambda g, args: ("ok", outputs()))
+    assert run(["count", "-i", str(c3_file), "--json"]) == 3
+    verdict = json.loads(capsys.readouterr().out)
+    assert (verdict["status"], verdict["message"], verdict["payload"]) == (
+        "error", "out of memory", [])
+    assert not first.exists()  # the write that ran out removed its file
+
+    def fail(g, args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "count", fail)
+    assert run(["count", "-i", str(c3_file)]) == 3
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
 def test_verify_roundtrip_fails_when_the_preimage_has_another_aux(c3_file, tmp_path, capsys, monkeypatch):
     # Aux(C4) is K4, not Aux(C3) = K3, so the rebuilt Aux does not match
     monkeypatch.setattr(cli, "invert", lambda h: cycle_graph(4))

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -74,6 +75,37 @@ def test_generator_output_is_pinned(name):
     assert count >= 100
     assert {write.__name__: h.hexdigest() for write, h in hashes.items()} == {
         write.__name__: digest for write, digest in digests.items()}
+
+
+# Past n = 30 the lists of absent pairs run to 500,000 entries, so these pin
+# the index decode of _chords at sizes the sweeps above do not reach: sha256
+# over the edge lists of the graphs in the order given.
+_LARGE_BLOCKS = [3 + 7 * i % 38 for i in range(120)]
+
+
+@pytest.mark.parametrize("make, calls, digest", [
+    (random_connected_graph,
+     [(n, m, seed) for n, m in ((150, 450), (400, 1200), (1000, 2000)) for seed in range(3)],
+     "8881e0febb63c16cb38f94b7fe87f698c1580f15e51663a986ce09b3adcc1aa7"),
+    (random_multiblock_graph, [(_LARGE_BLOCKS, 1, extra) for extra in range(3)],
+     "01627480183676b030b5302c9c926e2c5e221fb3fab24c9518037774d6f035b5"),
+], ids=["connected", "multiblock"])
+def test_large_draws_are_pinned(make, calls, digest):
+    h = hashlib.sha256()
+    for args in calls:
+        h.update(to_edgelist(make(*args)).encode())
+    assert h.hexdigest() == digest
+
+
+def test_chords_take_one_int_per_absent_pair():
+    # 124,000 absent pairs: 4.8 MiB as ints, 10.5 MiB as (u, v) tuples
+    tracemalloc.start()
+    try:
+        random_connected_graph(500, 1000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.5 * 2**20
 
 
 @pytest.mark.parametrize("make, args, message", [
