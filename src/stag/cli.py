@@ -18,11 +18,12 @@ import os
 import sys
 import time
 
-from .aux_graph import build_stag, stag_to_dot, stag_to_json
+from .aux_graph import StagGraph, build_stag, stag_to_dot, stag_to_json
 from .errors import NotAStag, NotMinimal, StagError, TooLarge, TooManyTrees
 from .factorization import DEFAULT_MAX_N, prime_factorize
 from .generators import random_connected_graph, random_two_connected_graph
 from .graph_core import (
+    Graph,
     are_isomorphic,
     block_decomposition,
     parse_graph,
@@ -30,7 +31,7 @@ from .graph_core import (
     to_edgelist,
     to_json,
 )
-from .params import param_report, report_to_json, report_to_text
+from .params import ParamReport, param_report, report_to_json, report_to_text
 from .recognition import enumerate_preimages, invert
 from .spanning_trees import (
     DEFAULT_MAX_TREES,
@@ -91,25 +92,23 @@ def _write(outputs):
     return paths
 
 
-def _graph_text(g, path):
-    fmt = _fmt_of(path or "")
-    if fmt == "json":
-        return to_json(g)
-    if fmt == "dot":
-        return to_dot(g)
-    return to_edgelist(g)
+# each output format's writer of a Graph, a StagGraph and a ParamReport
+_WRITERS = {
+    "json": {Graph: to_json, StagGraph: stag_to_json, ParamReport: report_to_json},
+    "dot": {Graph: to_dot, StagGraph: stag_to_dot, ParamReport: report_to_text},
+    "edgelist": {Graph: to_edgelist, StagGraph: lambda s: to_edgelist(s.graph),
+                 ParamReport: report_to_text},
+}
+
+
+def _text(x, path, default="edgelist"):
+    """x in the format of path's extension, or in default with no path."""
+    return _WRITERS[_fmt_of(path) if path else default][type(x)](x)
 
 
 def _cmd_aux(g, args):
     s = build_stag(g, max_trees=args.max_trees)
-    fmt = _fmt_of(args.output) if args.output else "json"
-    if fmt == "dot":
-        text = stag_to_dot(s)
-    elif fmt == "edgelist":
-        text = to_edgelist(s.graph)
-    else:
-        text = stag_to_json(s)
-    return "ok", [(args.output, text)]
+    return "ok", [(args.output, _text(s, args.output, "json"))]
 
 
 def _cmd_count(g, args):
@@ -152,7 +151,7 @@ def _cmd_factor(g, args):
 
 
 def _cmd_invert(g, args):
-    return "ok", [(args.output, _graph_text(invert(g), args.output))]
+    return "ok", [(args.output, _text(invert(g), args.output))]
 
 
 def _cmd_preimages(g, args):
@@ -163,9 +162,8 @@ def _cmd_preimages(g, args):
 
 def _cmd_params(g, args):
     report = param_report(g, max_trees=args.max_trees)
-    text = (report_to_json if _fmt_of(args.output or "") == "json" else report_to_text)(report)
     violated = any(ok is False for ok, _ in report.verdicts.values())
-    return ("not_a_stag" if violated else "ok"), [(args.output, text)]
+    return ("not_a_stag" if violated else "ok"), [(args.output, _text(report, args.output))]
 
 
 def _cmd_verify_roundtrip(g, args):
@@ -177,7 +175,7 @@ def _cmd_verify_roundtrip(g, args):
     s2 = build_stag(g2, max_trees=args.max_trees)
     if not are_isomorphic(s.graph, s2.graph)[0]:
         raise NotAStag("round trip failed")
-    return "ok", [(args.output, _graph_text(g2, args.output))]
+    return "ok", [(args.output, _text(g2, args.output))]
 
 
 def _cmd_random(_, args):
@@ -185,7 +183,7 @@ def _cmd_random(_, args):
         g = random_two_connected_graph(args.n, args.m, args.seed)
     else:
         g = random_connected_graph(args.n, args.m, args.seed)
-    return "ok", [(args.output, _graph_text(g, args.output))]
+    return "ok", [(args.output, _text(g, args.output))]
 
 
 _COMMANDS = {

@@ -40,14 +40,15 @@ class Factorization(namedtuple("Factorization", "factors coordinates")):
 
 def _square_classes(g):
     """Edge classes of the triangle/square relation (finer than or equal
-    to the product coloring)."""
+    to the product coloring). Once one class is left every later union
+    falls inside it, so the scan stops, within a vertex's pairs too."""
     uf = _UnionFind(g.edge_ids())
     adjset = {v: set(g.adj(v)) for v in g.vertices}
     for u in g.vertices:
-        if uf.count == 1:
-            break
         inc = sorted(g.adj(u).items())  # (neighbor, eid)
         for (v, e), (w, f) in combinations(inc, 2):
+            if uf.count == 1:
+                return [frozenset(g.edge_ids())]
             if w in adjset[v]:
                 uf.union(e, f)
                 continue

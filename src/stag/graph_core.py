@@ -295,9 +295,9 @@ def to_edgelist(g):
     if labels is None:  # the ids, each one token that never starts with '#'
         labels = {v: str(v) for v in g.vertices}
     else:
-        joined = "\n".join(labels.values())  # each name one token, and no comment
-        if joined.split() != list(labels.values()) or "\n#" in "\n" + joined:
-            v = next(v for v, t in labels.items() if t.split() != [t] or t[0] == "#")
+        joined = "\n" + "\n".join(labels.values())  # one token each, no '#' or U+FEFF first
+        if joined.split() != list(labels.values()) or "\n#" in joined or "\n\ufeff" in joined:
+            v = next(v for v, t in labels.items() if t.split() != [t] or t[0] in "#\ufeff")
             raise ValueError(f"vertex {v} is named {labels[v]!r}, which an edge list cannot hold")
     if not g.m:
         return "\n".join(labels.values()) + "\n"

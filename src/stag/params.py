@@ -5,7 +5,7 @@ from collections import Counter, namedtuple
 from math import isqrt
 
 from .errors import Disconnected
-from .graph_core import bfs
+from .graph_core import bfs, bridges
 from .spanning_trees import DEFAULT_MAX_TREES, _walk
 
 
@@ -88,12 +88,15 @@ def _exchange_diameter(g):
     edge x, forest i is a sink if F_i + x is a forest; otherwise x may enter
     F_i in place of any y on the cycle of F_i + x, and y must then move to
     the other forest. An edge refused once stays refused, as the union of
-    the two forests only grows.
+    the two forests only grows. A bridge lies in every tree, a coloop of
+    the union too: it adds one to the rank and is never offered.
     """
+    cut = set(bridges(g))
     home = {}  # edge id -> the forest (0 or 1) holding it
     for e in g.edges:
-        _augment(g, home, e.eid)
-    return len(home) - (g.n - 1)
+        if e.eid not in cut:
+            _augment(g, home, e.eid)
+    return len(home) + len(cut) - (g.n - 1)
 
 
 def _augment(g, home, eid):

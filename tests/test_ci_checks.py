@@ -4,6 +4,7 @@ that a change which breaks one of them fails the tests as well."""
 
 import hashlib
 import itertools
+import json
 
 from binary_matroids import write_crafted, write_one_flip_basis_graph
 from stag.cli import run
@@ -67,3 +68,27 @@ def test_a_nearly_graphic_basis_graph_is_rejected_in_5_s(tmp_path):
     write_one_flip_basis_graph(18, 22, 3, 2, series)
     with _deadline(5):
         assert run(["invert", "-i", str(series)]) == 1
+
+
+def test_params_takes_a_20000_edge_path_in_20_s(tmp_path):
+    path = tmp_path / "path.txt"
+    path.write_text("".join(f"{i} {i + 1}\n" for i in range(20000)))
+    with _deadline(20):
+        assert run(["params", "-i", str(path)]) == 0
+
+
+def test_factor_takes_a_4000_leaf_star_in_20_s(tmp_path):
+    star = tmp_path / "star.txt"
+    star.write_text("".join(f"0 {i}\n" for i in range(1, 4001)))
+    with _deadline(20):
+        assert run(["factor", "-i", str(star), "-o", str(tmp_path / "star")]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["star.txt", "star_0.txt", "star_coords.json"]
+
+
+def test_factor_refuses_a_name_that_starts_with_a_byte_order_mark(tmp_path):
+    # parse_graph drops one leading U+FEFF, so the line "\ufeffa a" would
+    # read back as a self-loop at a
+    bom = tmp_path / "bomname.json"
+    bom.write_text(json.dumps({"vertices": ["\ufeffa", "a", "b"], "edges": [["\ufeffa", "a"], ["a", "b"]]}))
+    assert run(["factor", "-i", str(bom), "-o", str(tmp_path / "bomf")]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bomname.json"]

@@ -28,6 +28,7 @@ from stag.generators import (
     random_two_connected_graph,
 )
 from oracles import same_labeled
+from test_layout import _deadline
 from paper_lemmas import product_of_block_stags
 
 
@@ -135,6 +136,15 @@ def test_three_way_product():
 def test_factor_guard():
     with pytest.raises(TooLarge):
         prime_factorize(cycle_graph(5), max_n=4)
+
+
+def test_a_star_of_4000_leaves_is_prime_in_2_s():
+    # the hub's first pairs leave one square class, and the scan stops there
+    # instead of at the last of its C(4000, 2) pairs
+    star = Graph(range(4001), [(i, 0, i + 1) for i in range(4000)])
+    with _deadline(2):
+        fz = prime_factorize(star)
+    assert len(fz.factors) == 1 and fz.factors[0].m == 4000
 
 
 def test_aux_of_two_connected_is_prime():

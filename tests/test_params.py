@@ -10,6 +10,7 @@ from stag import (
     complete_graph,
     count_spanning_trees,
     param_report,
+    path_graph,
 )
 from stag.graph_core import block_decomposition, bridges
 from stag.generators import (
@@ -20,6 +21,7 @@ from stag.generators import (
 from stag.params import _clique_number, report_to_json, report_to_text
 from oracles import Acyclic, circumference, minimal_edge_cuts
 from paper_lemmas import clique_number, exchange_diameter
+from test_layout import _deadline
 
 
 def _nx_clique_number(h):
@@ -89,9 +91,34 @@ def test_exchange_diameter_matches_the_pair_loop():
     for _ in range(30):
         sizes = [rng.randint(3, 4) for _ in range(rng.randint(2, 3))]
         graphs.append(random_multiblock_graph(sizes, rng.randrange(1 << 30)))
+    for _ in range(20):  # trees with one to three pendant triangles: bridges around few cycles
+        n = rng.randint(1, 8)
+        tree = random_connected_graph(n, n - 1, rng.randrange(1 << 30))
+        edges = [(e.eid, e.u, e.v) for e in tree.edges]
+        for k in range(rng.randint(1, 3)):
+            v, a, b = rng.choice(tree.vertices), n + 2 * k, n + 2 * k + 1
+            edges += [(len(edges), v, a), (len(edges) + 1, v, b), (len(edges) + 2, a, b)]
+        graphs.append(Graph(range(n + 2 * k + 2), edges))
     for g in graphs:
         s = build_stag(g)
         assert exchange_diameter(s) == _pair_loop_diameter(s)
+
+
+def _star(leaves):
+    return Graph(range(leaves + 1), [(i, 0, i + 1) for i in range(leaves)])
+
+
+def test_param_report_is_linear_on_long_trees_and_bridged_paths():
+    # the matroid partition offers no bridge, so one spanning tree costs no
+    # augmenting search however long it is
+    with _deadline(5):
+        for g in (path_graph(20_001), _star(4000)):
+            r = param_report(g)
+            assert r.aux_vertices == 1 and r.verdicts["diameter_matches_exchange"] == (True, None)
+        # an 8,000-edge path ending in a triangle: three trees, 8,000 bridges
+        g = Graph.from_pairs([(i, i + 1) for i in range(8001)] + [(8001, 8002), (8000, 8002)])
+        r = param_report(g)
+        assert r.aux_vertices == 3 and r.verdicts["diameter_matches_exchange"] == (True, None)
 
 
 def test_report_values_c4(c4):
