@@ -2,10 +2,9 @@
 degree bounds, diameter bound and the clique-number identity."""
 
 from collections import Counter, namedtuple
-from math import isqrt
 
 from .errors import Disconnected
-from .graph_core import bfs, bridges
+from .graph_core import _UnionFind
 from .spanning_trees import DEFAULT_MAX_TREES, _walk
 
 
@@ -77,86 +76,61 @@ def _clique_number(adj):
         p = stack.pop()
 
 
-def _exchange_diameter(g):
-    """Largest |T1 - T2| over two spanning trees of g.
+def _exchange_diameter(g, masks):
+    """Largest |T1 - T2| over two spanning trees of g, given every tree's
+    mask in _walk's bit order.
 
-    That is max |T1 ∪ T2| - (n - 1), and as every forest of a connected
-    graph extends to a spanning tree, max |T1 ∪ T2| is the largest union of
-    two forests: the rank of the union of the cycle matroid with itself
-    (Nash-Williams 1964; Edmonds 1965). Edges are offered one at a time and
-    kept when a shortest augmenting path exists (matroid partition): from an
-    edge x, forest i is a sink if F_i + x is a forest; otherwise x may enter
-    F_i in place of any y on the cycle of F_i + x, and y must then move to
-    the other forest. An edge refused once stays refused, as the union of
-    the two forests only grows. A bridge lies in every tree, a coloop of
-    the union too: it adds one to the rank and is never offered.
-    """
-    cut = set(bridges(g))
-    home = {}  # edge id -> the forest (0 or 1) holding it
-    for e in g.edges:
-        if e.eid not in cut:
-            _augment(g, home, e.eid)
-    return len(home) + len(cut) - (g.n - 1)
-
-
-def _augment(g, home, eid):
-    """Add eid to the two forests in home along a shortest augmenting path,
-    found by a BFS over edges; leave home as it is when there is none."""
-    forests = [{f for f, h in home.items() if h == i} for i in (0, 1)]
-    came_from = {eid: None}
-    queue = [eid]
-    for x in queue:
-        u, v = g.edge(x).endpoints()
-        for i in (0, 1):
-            if home.get(x) == i:
-                continue
-            tree = bfs(g, u, forests[i])
-            if v not in tree:
-                while x is not None:
-                    home[x], i = i, home.get(x)
-                    x = came_from[x]
-                return
-            w = v
-            while w != u:
-                w, y = tree[w]
-                if y not in came_from:
-                    came_from[y] = x
-                    queue.append(y)
-
-
-def _clique_order(edges):
-    """k, for a clique with k(k - 1)/2 edges."""
-    return (1 + isqrt(8 * edges + 1)) // 2
+    Fix T1. Then T2 - T1 is a forest in E - T1, and a largest forest of
+    E - T1 extends to a spanning tree with edges of T1, so the largest
+    |T2 - T1| is the rank r(E - T1) = n - components(V, E - T1). As
+    |T2 - T1| is at most |T1| = n - 1 and at most |E - T1| = m - n + 1,
+    the scan stops once a tree reaches min(n - 1, m - n + 1)."""
+    n, m = g.n, g.m
+    bound, best = min(n - 1, m - n + 1), 0
+    for mask in masks:
+        uf = _UnionFind(g.vertices)
+        rank = sum(uf.union(e.u, e.v) for e, bit in zip(g.edges, f"{mask:0{m}b}") if bit == "0")
+        best = max(best, rank)
+        if best >= bound:
+            break
+    return best
 
 
 def param_report(g, max_trees=DEFAULT_MAX_TREES):
     """Evaluate the degree, diameter and clique-number relations on Aux(g).
 
-    The circumference and the largest bond are read off Aux(g), so the tree
-    count is the only bound. Each cycle C is the fundamental cycle of a
-    chord e of some tree T (extend the path C - e), and the |C| trees in
-    T + e, T + e - f for f on C, are pairwise adjacent: |C|(|C| - 1)/2 Aux
-    edges have the union T + e. Each bond D is the fundamental cut of an
-    edge f of some T (join trees of its two connected sides by f), and the
-    |D| trees T - f + d, d in D, are pairwise adjacent: |D|(|D| - 1)/2 Aux
-    edges meet in T - f. An Aux edge's union is a tree plus a chord and its
-    meet a tree less an edge, so the largest groups by union and by meet
-    give the two (Maurer 1973). The tests check both against the
-    brute-force circumference and minimal_edge_cuts of tests/oracles.py. The unions and meets
-    are taken on the walk's tree masks; the degrees, the diameter and the
-    clique number of Aux(g) on neighbour lists and masks built once from
-    the walk's pairs."""
+    Every number is read off the walk's tree masks and exchange pairs, so
+    the tree count is the only bound: the degrees, the diameter and the
+    clique number of Aux(g) from neighbour lists and masks built once from
+    the pairs, and the exchange diameter from a rank per tree.
+
+    The circumference and the largest bond come from groups of pairs
+    (Maurer 1973). Each cycle C is the fundamental cycle of a chord e of
+    some tree T (extend the path C - e), and the trees T + e - f, f on C,
+    form a clique of Aux(g). Its member u0 of lowest index meets every
+    other member in a pair (u0, v) in which v adds the same edge to u0, so
+    grouped by u and the edge that v adds, u0's group holds |C| - 1 pairs.
+    Any other group (u, a) lies within C_a(u) - a, so the circumference is
+    1 + the largest group. Each bond D is likewise the fundamental cut of a
+    tree edge f of some T (join trees of its two sides by f), the trees
+    T - f + d, d in D, form a clique, and the groups by u and the edge that
+    v removes give the largest bond. A tree with edges has no pairs and
+    every edge a bond of one; K1 has none. The tests check both against
+    the brute-force circumference and minimal_edge_cuts of tests/oracles.py."""
     masks, pairs = _walk(g, max_trees)
-    unions = Counter(masks[u] | masks[v] for u, v in pairs)
-    meets = Counter(masks[u] & masks[v] for u, v in pairs)
-    nbrs = _neighbours(len(masks), pairs)
     n, m = g.n, g.m
+    w = m + 1  # an edge bit's bit_length is 1..m
+    added = max(Counter(u * w + (masks[v] & ~masks[u]).bit_length() for u, v in pairs).values(),
+                default=0)
+    removed = max(Counter(u * w + (masks[u] & ~masks[v]).bit_length() for u, v in pairs).values(),
+                  default=0)
+    nbrs = _neighbours(len(masks), pairs)
     degs = list(map(len, nbrs))
     delta, big_delta = min(degs), max(degs)
     diam = _all_pairs_diameter(nbrs)
     omega = _clique_number(_masks(nbrs))
-    circ = _clique_order(max(unions.values())) if unions else None
-    max_cut = _clique_order(max(meets.values(), default=0)) if m else 0
+    circ = added + 1 if added else None
+    max_cut = removed + 1 if m else 0
     cyclomatic = m - n + 1
     verdicts = {
         "max_degree_bound": (
@@ -165,7 +139,7 @@ def param_report(g, max_trees=DEFAULT_MAX_TREES):
         ),
         "min_degree_bound": (delta >= 2 * cyclomatic, delta - 2 * cyclomatic),
         "diameter_bound": (diam <= n - 1, (n - 1) - diam),
-        "diameter_matches_exchange": (diam == _exchange_diameter(g), None),
+        "diameter_matches_exchange": (diam == _exchange_diameter(g, masks), None),
     }
     if circ is None:
         verdicts["clique_number"] = (None, None)  # acyclic: Aux is K1, skipped

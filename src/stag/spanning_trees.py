@@ -203,7 +203,8 @@ def _walk(g, max_trees):
 
     Bit order: a tree is a bitmask in which the edge at position p of
     g.edges is bit m - 1 - p, so a greater key is a smaller mask.
-    param_report reads the masks too, but only ORs and ANDs them.
+    param_report reads the masks too: the edge each exchange adds and
+    removes, and each tree's complement.
 
     The walk starts from the greatest tree, Kruskal's over the positions
     in descending order, and pops masks from a min-heap, so trees come out

@@ -330,6 +330,6 @@ def clique_number(g):
 
 
 def exchange_diameter(s):
-    """Largest |T1 - T2| over two spanning trees of s.origin, by the
-    matroid partition that param_report runs (params._exchange_diameter)."""
-    return _exchange_diameter(s.origin)
+    """Largest |T1 - T2| over two spanning trees of s.origin, by the rank
+    of E - T per tree that param_report takes (params._exchange_diameter)."""
+    return _exchange_diameter(s.origin, s.trees.masks)

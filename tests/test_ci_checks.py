@@ -77,6 +77,13 @@ def test_params_takes_a_20000_edge_path_in_20_s(tmp_path):
         assert run(["params", "-i", str(path)]) == 0
 
 
+def test_params_takes_a_1000_cycle_in_10_s(tmp_path):
+    cycle = tmp_path / "c1000.txt"
+    cycle.write_text("".join(f"{i} {(i + 1) % 1000}\n" for i in range(1000)))
+    with _deadline(10):
+        assert run(["params", "-i", str(cycle)]) == 0
+
+
 def test_factor_takes_a_4000_leaf_star_in_20_s(tmp_path):
     star = tmp_path / "star.txt"
     star.write_text("".join(f"0 {i}\n" for i in range(1, 4001)))

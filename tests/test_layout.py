@@ -143,11 +143,12 @@ def test_layout_agrees_with_the_pruefer_oracle():
 
 @contextmanager
 def _deadline(seconds):
-    """Raise TimeoutError in the body once seconds have passed, so that a
-    search that hangs fails the test instead."""
+    """Fail the test once the body has run for seconds, so that a search
+    that hangs fails the test instead. The failure carries no traceback:
+    pytest cannot render one for some of the frames an alarm interrupts."""
 
     def expire(signum, frame):
-        raise TimeoutError(f"layout ran past {seconds} s")
+        pytest.fail(f"ran past {seconds} s", pytrace=False)
 
     old = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, seconds)
@@ -156,6 +157,14 @@ def _deadline(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
+
+
+def test_an_overrun_fails_the_test_without_a_traceback():
+    with pytest.raises(pytest.fail.Exception, match=r"^ran past 0\.05 s$") as failed:
+        with _deadline(0.05):
+            while True:
+                pass
+    assert not failed.value.pytrace
 
 
 @pytest.mark.parametrize("flip, graphic", [(2, False), (7, False), (3, True)])

@@ -3,12 +3,14 @@ import random
 from itertools import combinations
 
 import networkx as nx
+import pytest
 
 from stag import (
     Graph,
     build_stag,
     complete_graph,
     count_spanning_trees,
+    cycle_graph,
     param_report,
     path_graph,
 )
@@ -99,6 +101,12 @@ def test_exchange_diameter_matches_the_pair_loop():
             v, a, b = rng.choice(tree.vertices), n + 2 * k, n + 2 * k + 1
             edges += [(len(edges), v, a), (len(edges) + 1, v, b), (len(edges) + 2, a, b)]
         graphs.append(Graph(range(n + 2 * k + 2), edges))
+    # K5 glued to C4 and to C6 at one vertex: the largest rank of E - T is
+    # 4 + 1 = 5, short of min(n - 1, m - n + 1) = 7, so every tree is ranked
+    for k in (4, 6):
+        ring = [0, *range(5, 4 + k)]
+        graphs.append(Graph.from_pairs([*combinations(range(5), 2),
+                                        *((ring[i - 1], ring[i]) for i in range(k))]))
     for g in graphs:
         s = build_stag(g)
         assert exchange_diameter(s) == _pair_loop_diameter(s)
@@ -109,8 +117,9 @@ def _star(leaves):
 
 
 def test_param_report_is_linear_on_long_trees_and_bridged_paths():
-    # the matroid partition offers no bridge, so one spanning tree costs no
-    # augmenting search however long it is
+    # the rank scan's bound min(n - 1, m - n + 1) is 0 on a tree and 1 on
+    # the bridged path, and the first tree reaches it, so each scan ranks
+    # one tree however long the graph is
     with _deadline(5):
         for g in (path_graph(20_001), _star(4000)):
             r = param_report(g)
@@ -119,6 +128,35 @@ def test_param_report_is_linear_on_long_trees_and_bridged_paths():
         g = Graph.from_pairs([(i, i + 1) for i in range(8001)] + [(8001, 8002), (8000, 8002)])
         r = param_report(g)
         assert r.aux_vertices == 3 and r.verdicts["diameter_matches_exchange"] == (True, None)
+
+
+def _theta(a, b, c):
+    """Three paths of a, b and c edges between vertices 0 and 1."""
+    pairs, nxt = [], 2
+    for length in (a, b, c):
+        ends = [0, *range(nxt, nxt + length - 1), 1]
+        pairs += zip(ends, ends[1:])
+        nxt += length - 1
+    return Graph.from_pairs(pairs)
+
+
+@pytest.mark.parametrize("g, circ, bond, diam", [
+    (cycle_graph(62), 62, 2, 1),
+    (cycle_graph(130), 130, 2, 1),
+    (cycle_graph(1000), 1000, 2, 1),
+    (_theta(20, 21, 22), 43, 3, 2),
+    (_theta(2, 60, 3), 63, 3, 2),
+], ids=["C62", "C130", "C1000", "theta(20,21,22)", "theta(2,60,3)"])
+def test_report_values_past_61_edges(g, circ, bond, diam):
+    # Aux(C_k) is K_k. A theta's longest cycle takes its two longest paths,
+    # its largest bond one edge of each path, and any two trees differ in
+    # at most the two edges that each leaves out.
+    with _deadline(3):
+        r = param_report(g)
+    assert g.m > 61
+    assert (r.circumference_g, r.max_minimal_cut_g) == (circ, bond)
+    assert r.omega_aux == max(circ, bond) and r.diam_aux == diam
+    assert all(ok for ok, _ in r.verdicts.values())
 
 
 def test_report_values_c4(c4):
