@@ -57,10 +57,10 @@ def count_spanning_trees(g):
     one tree and is skipped. Each other block grounds a vertex of highest
     degree and is eliminated in minimum-degree order up to the point where
     the rest is a clique (_elimination_order): fraction-free on sparse dict
-    rows, then on plain list rows for that clique (_block_count). Every
-    division is exact, as each leading principal minor of a connected
-    graph's reduced Laplacian is positive in any symmetric order. Raises
-    Disconnected if g is not connected."""
+    rows, then on plain list rows for that clique, two pivots per pass
+    (_block_count). Every division is exact, as each leading principal
+    minor of a connected graph's reduced Laplacian is positive in any
+    symmetric order. Raises Disconnected if g is not connected."""
     count = 1
     for block in _blocks(g, "spanning trees need")[0]:
         if len(block) > 1:
@@ -92,7 +92,24 @@ def _block_count(edges):
     exactly the columns of the pivot row, and the nonzero entries are the
     symbolic fill. The tail that the order ends with is a clique of that
     fill, a dense matrix: its rows are caught up once and become plain
-    lists over their columns j >= i, each step one comprehension per row.
+    lists over their columns j >= i.
+
+    The tail takes two steps per pass (Bareiss's two-step method). With
+    q = p_(s-1) and the step-s entries p = a_ss, b = a_s,s+1, c = a_s+1,s+1,
+    Sylvester's identity makes every 2x2 minor of rows s and s+1 q times a
+    minor of order s + 2, an integer. So e = (pc - b^2) / q, the leading
+    principal minor of order s + 2 (positive, the next pivot),
+    c1_j = (c a_sj - b a_s+1,j) / q and c2_j = (p a_s+1,j - b a_sj) / q are
+    exact. The step-(s+2) entry a_ij is 1/q^2 times the determinant of the
+    step-s entries on rows s, s+1, i and columns s, s+1, j (Sylvester again),
+    and expanding that along row i gives q (e a_ij - a_is c1_j -
+    a_i,s+1 c2_j). So a_ij goes to (e a_ij - a_is c1_j - a_i,s+1 c2_j) / q,
+    exact. The divisor is q, not the q^2 of the undivided form, because c1,
+    c2 and e are divided first: the undivided form's products of three
+    step-s entries grow faster than the passes it saves. Each entry costs
+    three products and one division, for the four and two of two single
+    steps, and the rows are rebuilt half as often. An odd tail ends on its
+    last diagonal entry, an even one on e.
     """
     nbrs = {}
     for _, u, v in edges:
@@ -132,13 +149,19 @@ def _block_count(edges):
     for i in range(len(order), size):
         row = _catch_up(rows[i], prev, scale[seen[i]])
         dense.append([row.get(j, 0) for j in range(i, size)])
-    for k, pivot in enumerate(dense):
-        p = pivot[0]
-        for i in range(k + 1, len(dense)):
-            a = pivot[i - k]
-            dense[i] = [(x * p - a * b) // prev for x, b in zip(dense[i], pivot[i - k:])]
-        prev = p
-    return p
+    t = len(dense)
+    for s in range(0, t - 1, 2):
+        r0, r1 = dense[s], dense[s + 1]
+        p, b, c = r0[0], r0[1], r1[0]
+        e = (p * c - b * b) // prev
+        c1 = [(c * x - b * y) // prev for x, y in zip(r0[2:], r1[1:])]
+        c2 = [(p * y - b * x) // prev for x, y in zip(r0[2:], r1[1:])]
+        for i in range(s + 2, t):
+            a0, a1, off = r0[i - s], r1[i - s - 1], i - s - 2
+            dense[i] = [(e * x - a0 * u - a1 * v) // prev
+                        for x, u, v in zip(dense[i], c1[off:], c2[off:])]
+        prev = e
+    return dense[-1][0] if t % 2 else prev
 
 
 def _elimination_order(nbrs):

@@ -48,6 +48,15 @@ def test_count_of_the_7x7_grid(tmp_path, capsys):
     assert capsys.readouterr().out == "19872369301840986112\n"
 
 
+def test_count_of_the_q7_hypercube(tmp_path, capsys):
+    q7 = tmp_path / "q7.txt"
+    q7.write_text("".join(f"{v} {v | 1 << k}\n" for v in range(128) for k in range(7) if not v >> k & 1))
+    assert run(["count", "-i", str(q7)]) == 0
+    assert capsys.readouterr().out == (
+        "1538508443498146604871005399943811782815679423930557612575606776447188692484751360000000000"
+        "00000000000\n")
+
+
 def test_a_dense_aux_less_one_edge_is_not_a_stag(tmp_path):
     g7, aux7, cut7 = (tmp_path / name for name in ("g7.txt", "aux7.txt", "cut7.txt"))
     assert run(["random", "--n", "7", "--m", "16", "--two-connected", "--seed", "0", "-o", str(g7)]) == 0

@@ -69,8 +69,18 @@ def test_count_trivia(p4):
 
 
 def test_cayley_formula():
-    for n in range(2, 13):
+    # the dense tail of K_n has n - 1 vertices, so this covers odd and even
+    # tails of every length up to 59
+    for n in range(2, 61):
         assert count_spanning_trees(complete_graph(n)) == n ** (n - 2)
+
+
+def test_hypercube_closed_form():
+    # tau(Q_d) = 2^(2^d - d - 1) prod_{k=1..d} k^C(d, k); Q7 has 128 vertices,
+    # 448 edges and a count of 102 digits
+    for d in range(2, 8):
+        want = 2 ** (2 ** d - d - 1) * math.prod(k ** math.comb(d, k) for k in range(1, d + 1))
+        assert count_spanning_trees(_hypercube(d)) == want
 
 
 def test_closed_forms():
@@ -102,6 +112,11 @@ def _grid(rows, cols):
     pairs = [(i * cols + j, i * cols + j + 1) for i in range(rows) for j in range(cols - 1)]
     pairs += [(i * cols + j, (i + 1) * cols + j) for i in range(rows - 1) for j in range(cols)]
     return Graph(range(rows * cols), [(k, u, v) for k, (u, v) in enumerate(pairs)])
+
+
+def _hypercube(d):
+    """The d-cube Q_d: vertices 0 .. 2^d - 1, adjacent when they differ in one bit."""
+    return Graph.from_pairs([(v, v | 1 << k) for v in range(1 << d) for k in range(d) if not v >> k & 1])
 
 
 def _clique_chain(k, b):

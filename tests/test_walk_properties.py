@@ -1,5 +1,6 @@
-"""Property tests of the exchange walk against the brute-force oracles, and
-of invert against networkx and the atlas oracle."""
+"""Property tests of the exchange walk against the brute-force oracles, of
+the tree count on dense graphs against elimination over Fractions, and of
+invert against networkx and the atlas oracle."""
 
 import pytest
 
@@ -12,6 +13,7 @@ from stag import Disconnected, Graph, NotAStag, build_stag, count_spanning_trees
 from stag import spanning_trees  # noqa: E402
 from stag.oracles import brute_force_is_stag, brute_force_stag  # noqa: E402
 from test_recognition import REJECTIONS  # noqa: E402
+from test_spanning_trees import _fraction_count  # noqa: E402
 
 # the same examples on every run; the counts keep tier-1 short
 _settings = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -53,6 +55,25 @@ def _nx(g):
     h.add_nodes_from(g.vertices)
     h.add_edges_from(g.edge_pairs())
     return h
+
+
+@st.composite
+def dense_connected_graphs(draw, max_n):
+    """A random tree plus every other pair but a few, vertices shuffled: the
+    count's minimum-degree order stops early, so the dense tail is most of
+    the block."""
+    n = draw(st.integers(2, max_n))
+    tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    others = [(u, v) for v in range(n) for u in range(v) if (u, v) not in tree]
+    missing = set(draw(st.lists(st.sampled_from(others), unique=True, max_size=n))) if others else set()
+    pairs = sorted(tree) + [p for p in others if p not in missing]
+    return Graph(draw(st.permutations(range(n))), [(k, u, v) for k, (u, v) in enumerate(pairs)])
+
+
+@_settings
+@given(dense_connected_graphs(max_n=25))
+def test_count_of_a_dense_graph_matches_fraction_elimination(g):
+    assert count_spanning_trees(g) == _fraction_count(g)
 
 
 @_settings
