@@ -37,7 +37,7 @@ from itertools import count, islice
 
 from .errors import Disconnected, NotAStag, NotMinimal, ValidationFailed
 from .graph_core import Graph, bfs, bridges, single_vertex_graph
-from .spanning_trees import _bits, _fundamental_cycles, _pack, _pivot
+from .matroid import _bits, _fundamental_cycles, _pack, exchange
 
 # -- root ---------------------------------------------------------------------
 
@@ -266,10 +266,9 @@ def _certify(h, span, t0, phi, cycles, m):
     of exchanges of phi(w), the sum over its chords c of |C_c| - 1. No
     basis is enumerated. A degree that does not match is reported only
     after every image has been found a basis, so a map off the bases is
-    named as such. The circuits of each basis travel as one packed int.
-    The chord e of v lies on no circuit but its own, which gives its slot
-    and C_e; w = v - f + e is one spanning_trees._pivot from v, or not one
-    exchange if f is off C_e.
+    named as such. The circuits of each basis travel as one packed int:
+    w = v - f + e is one matroid.exchange from v, or not one exchange if f
+    is off C_e.
 
     Lemma: let h be connected and phi a one-to-one map into the bases of
     a matroid under which every edge of h is an exchange and every degree
@@ -322,15 +321,12 @@ def _certify(h, span, t0, phi, cycles, m):
             if v != parent:  # a BFS parent's children are contiguous in span
                 parent, packed = v, packed_of.pop(v)
             pv = phi[v]
-            e, f = phi[w] & ~pv, pv & ~phi[w]
-            slot = ((packed >> (e.bit_length() - 1)) & ones).bit_length() - 1
-            ce = (packed >> slot) & full
-            if not ce & f:
+            packed_of[w] = own = exchange(packed, phi[w] & ~pv, pv & ~phi[w], ones, full)
+            if own is None:
                 raise NotAStag(
                     f"certificate does not extend: vertex {w} is not one exchange "
                     f"from vertex {v}"
                 )
-            packed_of[w] = own = _pivot(packed, slot, ce, f, ones)
         k = own.bit_count() - c
         if short is None and len(h.adj(w)) != k:
             short = (w, len(h.adj(w)), k)

@@ -6,7 +6,8 @@ from heapq import heapify, heappop, heappush
 from itertools import chain, repeat
 
 from .errors import TooManyTrees, ValidationFailed
-from .graph_core import _blocks, _UnionFind, bfs
+from .graph_core import _blocks, bfs
+from .matroid import _fundamental_cycles, _greedy_tree, _pack, basis_walk
 
 DEFAULT_MAX_TREES = 100_000
 
@@ -224,68 +225,19 @@ def _walk(g, max_trees):
     key order (_keys decodes them with g.edges), and the index pairs (i, j),
     i < j, of trees one exchange apart in ascending order (a _Rows).
 
-    Bit order: a tree is a bitmask in which the edge at position p of
-    g.edges is bit m - 1 - p, so a greater key is a smaller mask.
-    param_report reads the masks too: the edge each exchange adds and
-    removes, and each tree's complement.
-
-    The walk starts from the greatest tree, Kruskal's over the positions
-    in descending order, and pops masks from a min-heap, so trees come out
-    in descending key order. By induction: a tree T that is not the greatest
-    has an exchange T - f + e with a greater key, as a matroid basis is
-    lexicographically greatest iff no single exchange makes it greater
-    (Gale 1968); that tree was popped before T and pushed it. From each
-    tree the walk follows only the exchanges to smaller keys, T - f + e
-    with pos(e) < pos(f), so each exchange is recorded once, at its
-    greater end. The k-th tree popped takes rank N - 1 - k (N trees) and
-    appends it to the row of each smaller neighbour. When a tree is popped
-    every greater neighbour has been, so its row holds their ranks, each
-    once, in descending order. After the loop the list and each row are
-    reversed once, in place, so row r holds rank r's greater neighbours in
-    ascending order, and the rows read in order are the pairs in order.
-
-    A pending tree's one entry in pending is [packed, rank, ...]: its
-    fundamental cycles C_e, chord bit included, as one packed int (_pack),
-    then its row so far; popping the tree takes the int off the front. The
-    f of its exchanges T - f + e are the tree bits of C_e, and those with
-    pos(e) < pos(f) the bits of C_e below e. The start tree's cycles come
-    from _fundamental_cycles; a tree found for the first time gets its own
-    by one _pivot of the slot and the C_e that the loop holds.
-    """
+    The Kirchhoff count is the size guard (TooManyTrees) and the
+    completeness check (ValidationFailed). The walk (basis_walk) starts
+    from the greatest tree, Kruskal's over the positions in descending
+    order, with its fundamental cycles, and finds the trees in descending
+    key order. After it the list and each row are reversed once, in place,
+    so row r holds rank r's greater neighbours in ascending order, and the
+    rows read in order are the pairs in order."""
     expected = count_spanning_trees(g)
     if expected > max_trees:
         raise TooManyTrees(f"{_decimal(expected)} trees exceed guard {max_trees}")
     m = g.m
     start = _greedy_tree(g, reversed(range(m)))
-    cycles = _fundamental_cycles(g, start)
-    full, ones = (1 << m) - 1, _pack([1] * len(cycles), m)
-    slots = [s * m for s in range(len(cycles))]
-    pending = {start: [_pack(cycles, m)]}
-    heap = [start]
-    masks = []
-    rows = []
-    rank = expected
-    while heap:
-        cur = heappop(heap)
-        rank -= 1
-        masks.append(cur)
-        rows.append(row := pending.pop(cur))
-        packed = row.pop(0)
-        for s in slots:
-            ce = packed >> s & full
-            e = ce & ~cur
-            below = ce & (e - 1)
-            base = cur | e
-            while below:
-                f = below & -below
-                below ^= f
-                nxt = base ^ f
-                row = pending.get(nxt)
-                if row is None:
-                    pending[nxt] = [_pivot(packed, s, ce, f, ones), rank]
-                    heappush(heap, nxt)
-                else:
-                    row.append(rank)
+    masks, rows = basis_walk(start, _pack(_fundamental_cycles(g, start), m), m, expected)
     if len(masks) != expected:
         raise ValidationFailed(f"exchange walk found {len(masks)} of {expected} trees")
     masks.reverse()
@@ -293,69 +245,6 @@ def _walk(g, max_trees):
     for row in rows:
         row.reverse()
     return masks, _Rows(rows)
-
-
-def _bits(edges):
-    """The walk's {eid: bit} of a graph's edges: position p is bit m - 1 - p."""
-    m = len(edges)
-    return {e.eid: 1 << (m - 1 - p) for p, e in enumerate(edges)}
-
-
-def _greedy_tree(g, order):
-    """Kruskal's greedy tree: the mask, in _walk's bit order, of the edges
-    at the positions in order (into g.edges) that join two components when
-    taken in that order."""
-    edges = g.edges
-    bit = _bits(edges)
-    uf = _UnionFind(g.vertices)
-    return sum(bit[edges[p].eid] for p in order if uf.union(edges[p].u, edges[p].v))
-
-
-def _fundamental_cycles(g, tree):
-    """The fundamental cycles of the spanning tree `tree` of g, a mask in
-    the walk's bit order, as masks with the chord bit, one per non-tree
-    edge in ascending id order: C_e = e | (r(u) ^ r(v)), with r(x) the mask
-    of the tree path from g.vertices[0] to x, read off one BFS of the
-    tree. None when the mask is not a spanning tree of g."""
-    edges = g.edges
-    bit = _bits(edges)
-    span = bfs(g, g.vertices[0], {eid for eid, b in bit.items() if tree & b})
-    if len(span) != g.n or tree.bit_count() != g.n - 1:
-        return None
-    root = {}
-    for v, (up, eid) in span.items():
-        root[v] = 0 if up is None else root[up] | bit[eid]
-    return [b | (root[e.u] ^ root[e.v]) for e, b in zip(edges, bit.values()) if not tree & b]
-
-
-def _pack(cycles, m):
-    """The cycles, masks of m bits, as one int: slot s, the m bits from
-    bit s * m, holds cycle s (the cycle of a tree's s-th chord)."""
-    return sum(cycle << s * m for s, cycle in enumerate(cycles))
-
-
-def _pivot(packed, slot, ce, f, ones):
-    """The packed cycles of the tree T - f + e from those of T: ce is C_e,
-    the cycle of the chord e, at bit slot of packed, and f, a one-bit mask,
-    a tree edge of T on C_e; ones is _pack([1] * c, m). The walk holds slot
-    and C_e as it draws f from C_e, and _certify looks them up.
-
-    Chord f gets C_e, and each other chord c keeps C_c if f is not in C_c,
-    else gets C_c ^ C_e. Both are exact: C_e is a cycle of T' = T - f + e
-    whose one non-tree edge is f; if f is not in C_c, C_c lies in T' + c;
-    otherwise C_c ^ C_e is a nonzero sum in the cycle space whose edges
-    are c, e and edges of T other than f (f cancels), all in T' + c, and
-    the only nonzero element of the cycle space of T' + c is its one
-    cycle. The same holds for the fundamental circuits of any binary
-    matroid, its cycle space the GF(2) row space of the circuits.
-
-    With pos(f) the bit index of f, (P >> pos(f)) & ones marks the slots
-    whose cycle holds f; times C_e it holds C_e in each of those slots,
-    with no carry between slots, and the XOR pivots them. f is on C_e, so
-    e's slot is among them and becomes 0; the OR then writes C_e there,
-    the cycle of the new chord f. The number of exchanges of the tree is
-    the popcount less the number of chords."""
-    return packed ^ ((packed >> (f.bit_length() - 1)) & ones) * ce | ce << slot
 
 
 _CHUNK = 7

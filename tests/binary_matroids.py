@@ -24,7 +24,7 @@ from itertools import combinations
 from stag import Graph, to_edgelist
 from stag.generators import random_two_connected_graph
 from stag.graph_core import bfs
-from stag.spanning_trees import _fundamental_cycles, _greedy_tree
+from stag.matroid import _fundamental_cycles, _greedy_tree
 from paper_lemmas import fundamental_cycle_edges
 
 # Standard representations [I | A], columns as ints over the rows.
@@ -59,6 +59,26 @@ def bases(columns):
     r = rank(columns)
     return [b for b in combinations(range(len(columns)), r)
             if rank([columns[i] for i in b]) == r]
+
+
+def fundamental_circuits(columns, basis):
+    """{e: mask} for each element e off basis, in ascending order: the basis
+    elements i, as bits 1 << i, whose columns sum to column e over GF(2)."""
+    pivots = {}  # top bit: (column reduced over basis, the elements summed into it)
+    for f in sorted(basis):
+        v, used = columns[f], 1 << f
+        while v.bit_length() - 1 in pivots:
+            w, more = pivots[v.bit_length() - 1]
+            v, used = v ^ w, used ^ more
+        pivots[v.bit_length() - 1] = (v, used)
+    circuits = {}
+    for e in sorted(set(range(len(columns))) - set(basis)):
+        v, used = columns[e], 0
+        while v:
+            w, more = pivots[v.bit_length() - 1]
+            v, used = v ^ w, used ^ more
+        circuits[e] = used
+    return circuits
 
 
 def basis_graph(bs):
@@ -145,24 +165,14 @@ def one_flip_basis_graph(n, m, seed, flip):
     the start tree reaches them, so vertex 0 is the start tree."""
     tree, paths = one_flip_matrix(n, m, seed, flip)
     row = {f: 1 << i for i, f in enumerate(tree)}
-    columns = {f: row[f] for f in tree} | {c: sum(row[f] for f in p) for c, p in paths.items()}
+    column = {f: row[f] for f in tree} | {c: sum(row[f] for f in p) for c, p in paths.items()}
+    columns = [column[p] for p in range(len(column))]
     start = frozenset(tree)
     index = {start: 0}
     order = [start]
     pairs = []
     for i, b in enumerate(order):  # grows as the BFS finds new bases
-        pivots = {}  # top bit: (column reduced over b, the elements of b summed into it)
-        for f in sorted(b):
-            v, used = columns[f], 1 << f
-            while v.bit_length() - 1 in pivots:
-                w, more = pivots[v.bit_length() - 1]
-                v, used = v ^ w, used ^ more
-            pivots[v.bit_length() - 1] = (v, used)
-        for e in sorted(columns.keys() - b):
-            v, used = columns[e], 0
-            while v:
-                w, more = pivots[v.bit_length() - 1]
-                v, used = v ^ w, used ^ more
+        for e, used in fundamental_circuits(columns, b).items():
             for f in sorted(f for f in b if used >> f & 1):  # e's circuit in b
                 nb = b - {f} | {e}
                 if nb not in index:

@@ -28,14 +28,8 @@ from stag.graph_core import (
     is_two_connected,
 )
 from stag.params import _clique_number, _exchange_diameter, _masks
-from stag.spanning_trees import (
-    DEFAULT_MAX_TREES,
-    SpanningTree,
-    _bits,
-    _fundamental_cycles,
-    _greedy_tree,
-    _keys,
-)
+from stag.matroid import _bits, _fundamental_cycles, _greedy_tree
+from stag.spanning_trees import DEFAULT_MAX_TREES, SpanningTree, _keys
 
 
 class HasBridge(StagError):

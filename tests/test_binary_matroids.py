@@ -1,5 +1,6 @@
 """invert against brute-force binary matroids: the certificate accepts the
-basis graph of every binary matroid and runs before any layout."""
+basis graph of every binary matroid and runs before any layout. The
+exchange walk lists the bases and exchanges of every binary matroid."""
 
 import itertools
 import random
@@ -13,11 +14,13 @@ from binary_matroids import (
     basis_graph,
     crafted_negative,
     dual,
+    fundamental_circuits,
     has_parallel_pair_component,
     random_binary_matrix,
 )
 from stag import NotAStag, ValidationFailed, are_isomorphic, build_stag, complete_graph, invert
 from stag import recognition
+from stag.matroid import _pack, basis_walk
 
 NO_REALIZATION = ("neither side is graphic", "no simple graph realizes")
 CRAFTED = [(*case, flip) for case in ((20, 30, 3), (30, 45, 1), (40, 60, 2), (60, 80, 1))
@@ -67,6 +70,46 @@ def test_parallel_elements_are_named(columns, message):
     with pytest.raises(NotAStag) as exc:
         invert(basis_graph(bases(columns)))
     assert str(exc.value) == f"no simple graph realizes root block 0 of N(0), {message}"
+
+
+def _walked(columns, bs):
+    """basis_walk on the matroid of the columns, its bases bs, element i at
+    bit m - 1 - i as the walk orders a graph's edges, from its least basis
+    mask: the bases as sorted index tuples and the exchange pairs, both read
+    in ascending key order as spanning_trees._walk reads them."""
+    m = len(columns)
+    bit = [1 << (m - 1 - i) for i in range(m)]
+    start = min(sum(bit[i] for i in b) for b in bs)
+    basis = [i for i in range(m) if start & bit[i]]
+    circuits = [bit[e] | sum(bit[f] for f in basis if used >> f & 1)
+                for e, used in fundamental_circuits(columns, basis).items()]
+    masks, rows = basis_walk(start, _pack(circuits, m), m, len(bs))
+    keys = [tuple(i for i in range(m) if mask & bit[i]) for mask in reversed(masks)]
+    return keys, [(u, v) for u, row in enumerate(reversed(rows)) for v in reversed(row)]
+
+
+@pytest.mark.parametrize(
+    "columns, counts",
+    [(F7, (28, 126)), (dual(F7, 3), (28, 126)), (R10, (162, 1305))],
+    ids=["F7", "F7*", "R10"],
+)
+def test_the_walk_lists_the_bases_of_non_graphic_matroids(columns, counts):
+    bs = bases(columns)
+    keys, pairs = _walked(columns, bs)
+    assert (len(keys), len(pairs)) == counts
+    assert keys == bs
+    assert pairs == list(basis_graph(bs).edge_pairs())
+
+
+def test_the_walk_lists_the_bases_of_random_binary_matroids():
+    # loops, parallel elements, coloops and rank 0 all occur
+    rng = random.Random(4301)
+    for _ in range(300):
+        columns = random_binary_matrix(rng)
+        bs = bases(columns)
+        keys, pairs = _walked(columns, bs)
+        assert keys == bs, columns
+        assert pairs == list(basis_graph(bs).edge_pairs()), columns
 
 
 def test_every_binary_basis_graph_passes_the_certificate(monkeypatch):

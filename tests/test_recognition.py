@@ -26,7 +26,8 @@ from stag.generators import random_multiblock_graph, random_two_connected_graph
 from stag.oracles import brute_force_is_stag
 from stag.graph_core import bfs
 from stag.recognition import _certify, layout, neighborhood_root
-from stag.spanning_trees import _fundamental_cycles, _pack, _pivot, _walk
+from stag.matroid import _fundamental_cycles, _pack, exchange
+from stag.spanning_trees import _walk
 from paper_lemmas import neighborhood_partitions
 
 REJECTIONS = (
@@ -360,10 +361,11 @@ def _pivot_inputs():
 
 
 def test_packed_pivot_equals_the_fundamental_cycles_of_every_exchange():
-    # Each exchange T -> T' = T - f + e of the walk, both ways, given e's slot
-    # and C_e as read off T's packed int: the c fields of m bits of the pivoted
-    # int are the fundamental cycles of T', it needs no more than c * m bits,
-    # and its popcount less c is the degree of T' in Aux.
+    # Each exchange T -> T' = T - f + e of the walk, both ways, by
+    # matroid.exchange on T's packed int: e is on one cycle of T, its own,
+    # and f on it; the c fields of m bits of the pivoted int are the
+    # fundamental cycles of T', it needs no more than c * m bits, and its
+    # popcount less c is the degree of T' in Aux.
     graphs = _pivot_inputs()
     assert len(graphs) >= 40
     k2 = Graph.from_pairs([(0, 1)])
@@ -380,12 +382,11 @@ def test_packed_pivot_equals_the_fundamental_cycles_of_every_exchange():
         for i, j in pairs:
             for a, b in ((i, j), (j, i)):
                 t, t2 = masks[a], masks[b]
-                e = t2 & ~t
-                slot = ((packed[a] >> (e.bit_length() - 1)) & ones).bit_length() - 1
-                ce = (packed[a] >> slot) & full
-                assert slot % m == 0 and ce in cycles[a] and ce & e
-                out = _pivot(packed[a], slot, ce, t & ~t2, ones)
-                assert out.bit_length() <= c * m
+                e, f = t2 & ~t, t & ~t2
+                own = [ce for ce in cycles[a] if ce & e]
+                assert len(own) == 1 and own[0] & f
+                out = exchange(packed[a], e, f, ones, full)
+                assert out is not None and out.bit_length() <= c * m
                 assert sorted((out >> s * m) & full for s in range(c)) == sorted(cycles[b])
                 assert out.bit_count() - c == degree[b]
         # f off the cycle of e is no exchange: the certificate names it
@@ -394,6 +395,7 @@ def test_packed_pivot_equals_the_fundamental_cycles_of_every_exchange():
             for p in range(m):
                 f = 1 << p
                 if t & f and not ce & f:
+                    assert exchange(packed[0], ce & ~t, f, ones, full) is None
                     args = (k2, bfs(k2, 0), t, {1: (t ^ f) | (ce & ~t)}, cycles[0], m)
                     with pytest.raises(NotAStag) as exc:
                         _certify(*args)

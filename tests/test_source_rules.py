@@ -23,14 +23,18 @@ def _found(matches, skip=()):
     ]
 
 
-def _imports_oracles(node):
-    if isinstance(node, ast.Import):
-        return any(a.name == "stag.oracles" for a in node.names)
-    if isinstance(node, ast.ImportFrom):
-        return node.module in ("oracles", "stag.oracles") or (
-            node.module in (None, "stag") and any(a.name == "oracles" for a in node.names)
-        )
-    return False
+def _imports(name):
+    """A match for an import of the module stag.<name>, or of a name from it."""
+    def matches(node):
+        if isinstance(node, ast.Import):
+            return any(a.name == f"stag.{name}" for a in node.names)
+        if isinstance(node, ast.ImportFrom):
+            return node.module in (name, f"stag.{name}") or (
+                node.module in (None, "stag") and any(a.name == name for a in node.names)
+            )
+        return False
+
+    return matches
 
 
 def test_no_assert_statements():
@@ -40,7 +44,25 @@ def test_no_assert_statements():
 
 def test_no_module_imports_the_oracles():
     # the oracles cross-check the library from the tests; the library never calls them
-    assert _found(_imports_oracles) == []
+    assert _found(_imports("oracles")) == []
+
+
+def test_recognition_imports_nothing_from_spanning_trees():
+    # the binary matroid that the certificate checks is stag.matroid's
+    others = {p.name for p in SRC.glob("*.py")} - {"recognition.py"}
+    assert _found(_imports("spanning_trees"), skip=others) == []
+
+
+def test_every_source_file_parses_as_python_3_10():
+    # CI runs 3.10 too: a newer syntax would fail there first
+    root = SRC.parent.parent
+    failed = []
+    for p in sorted(p for top in ("src", "tests", "perfbench") for p in (root / top).rglob("*.py")):
+        try:
+            ast.parse(p.read_text(encoding="utf-8"), str(p), feature_version=(3, 10))
+        except SyntaxError as exc:
+            failed.append(f"{p.relative_to(root)}:{exc.lineno}: {exc.msg}")
+    assert failed == []
 
 
 def _imports_networkx(node):
