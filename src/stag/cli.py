@@ -2,14 +2,16 @@
 
 Each command is a function (g, args) -> (status, outputs) of the input
 graph g, None for `random`, the one command without -i; outputs lists
-(path, text) in write order, a None path meaning stdout. run() is the
-one place that reads the input and the one place that writes: every
-text exists before the first write, and a failed write removes the files
-written before it, so a command that fails leaves no file. Exit codes: 0
-ok, 1 not-a-STAG or property violated, 2 input error, 3 resource guard
-tripped or out of memory. Formats follow the file extension (.txt edge
-list, .json, .dot export only). `blocks` writes cut vertices as internal
-ids, not names: 0.. in order of first appearance."""
+(path, text) in write order, a None path meaning stdout. run() alone
+reads the input and writes: every text exists before the first write,
+and a failed write removes the files written before it, so a command
+that fails leaves no file. Exit codes: 0 ok, 1 not-a-STAG or property
+violated, 2 input error, 3 resource guard tripped or out of memory. The
+input and the graph outputs of aux, invert, verify-roundtrip and random
+follow the file extension (.txt edge list, .json, .dot export only),
+params writes JSON only to .json, and the rest keep one format. `blocks`
+writes cut vertices as internal ids, not names: 0.. in order of first
+appearance."""
 
 import argparse
 import functools

@@ -75,18 +75,15 @@ def _distances(g, s):
 
 def _colourings(g, classes):
     """The candidate colourings {eid: group} of g: the square classes
-    first, then the groups after each Theta merge between the edges of the
-    BFS tree from g.vertices[0] and all edges. The groups are numbered by
-    their largest class, the order in which a finest-first search over set
-    partitions lists them: before any merge, class i is colour i.
-
-    The groups never get coarser than sigma, as Theta and the square
-    classes lie inside it, and a product colouring no coarser than sigma
-    is sigma. So the first colouring that extracts is the answer, and the
-    caller stops there; one group always extracts. The scan ends at one
-    group, or at the end of the tree with no further merge."""
+    first, then the groups after each edge xy of the BFS tree from
+    g.vertices[0] whose Theta merges join two groups. The groups are
+    numbered by their largest class, the order in which a finest-first
+    search over set partitions lists them: before any merge, class i is
+    colour i. The groups never get coarser than sigma, as Theta and the
+    square classes lie inside it, and a product colouring no coarser than
+    sigma is sigma. So the first colouring that extracts is the answer,
+    and the caller stops there; one group always extracts."""
     uf = _UnionFind(range(len(classes)))
-    members = [[g.edge(eid).endpoints() for eid in c] for c in classes]
     cls = {eid: i for i, c in enumerate(classes) for eid in c}
 
     def colouring():
@@ -96,34 +93,29 @@ def _colourings(g, classes):
 
     yield colouring()
     # BFS order lists a vertex's children together: one BFS per parent
-    tree = islice(bfs(g, g.vertices[0]).items(), 1, None)
     px = None
-    while uf.count > 1:
-        before = uf.count
-        for y, (x, eid) in tree:
-            if x != px:
-                px, dx = x, _distances(g, x)
-            dy = _distances(g, y)
-            # xy Theta uv iff d(x,u) - d(y,u) != d(x,v) - d(y,v)
-            delta = {v: dx[v] - dy[v] for v in dy}
-            a = cls[eid]
-            for c, pairs in enumerate(members):
-                if uf.find(c) != uf.find(a) and any(delta[u] != delta[v] for u, v in pairs):
-                    uf.union(a, c)
-            if uf.count < before:
-                break
-        if uf.count == before:
-            return
-        yield colouring()
+    for y, (x, eid) in islice(bfs(g, g.vertices[0]).items(), 1, None):
+        if x != px:
+            px, dx = x, _distances(g, x)
+        # xy Theta uv iff d(x,u) - d(y,u) != d(x,v) - d(y,v)
+        delta = {v: dx[v] - d for v, d in _distances(g, y).items()}
+        before, a = uf.count, cls[eid]
+        for f, u, v in g.edges:
+            if delta[u] != delta[v]:
+                uf.union(a, cls[f])
+        if uf.count < before:
+            yield colouring()
 
 
 def _try_extract(g, color):
-    """Factors and coordinates for an edge colouring {eid: 0..k-1}.
+    """Factors and coordinates for an edge colouring {eid: 0..k-1} ({} for K1).
 
     The colouring is accepted only when every vertex gets a unique
     coordinate tuple and the edge set matches the rebuilt product exactly;
-    otherwise ValidationFailed names the check that failed."""
-    k = 1 + max(color.values())
+    otherwise ValidationFailed names the check that failed. An edge of
+    colour i is checked only along factor i: coordinate j != i is read off
+    the components over the edges not of colour j, which hold the edge."""
+    k = 1 + max(color.values(), default=0)
     factors = []
     for i in range(k):
         layer = bfs(g, g.vertices[0], {eid for eid, c in color.items() if c == i})
@@ -147,8 +139,7 @@ def _try_extract(g, color):
         raise ValidationFailed("two vertices get the same coordinates")
     for e in g.edges:
         i = color[e.eid]
-        cu, cv = coords[e.u], coords[e.v]
-        if cu[:i] + cu[i + 1 :] != cv[:i] + cv[i + 1 :] or not factors[i].has_edge(cu[i], cv[i]):
+        if not factors[i].has_edge(coords[e.u][i], coords[e.v][i]):
             raise ValidationFailed(f"edge {e.eid} is not a step along factor {i}")
     expected_m = sum(f.m * (total // f.n) for f in factors)
     if expected_m != g.m:
@@ -173,8 +164,6 @@ def prime_factorize(g, max_n=DEFAULT_MAX_N):
         raise TooLarge(f"n={g.n} exceeds guard {max_n}")
     if not is_connected(g):
         raise Disconnected("factorization needs a connected graph")
-    if g.n == 1:
-        return Factorization((g,), {g.vertices[0]: (g.vertices[0],)})
     for colour in _colourings(g, _square_classes(g)):
         try:
             factors, coords = _try_extract(g, colour)

@@ -21,7 +21,7 @@ from stag import (
     single_vertex_graph,
 )
 from stag.errors import Disconnected
-from stag.factorization import _canon_key, _square_classes, _try_extract
+from stag.factorization import _canon_key, _colourings, _square_classes, _try_extract
 from stag.generators import (
     random_connected_graph,
     random_multiblock_graph,
@@ -223,6 +223,37 @@ def test_failed_extraction_is_no_prime_verdict(m8, monkeypatch):
     )
     with pytest.raises(ValidationFailed, match="factors span 16 vertices"):
         prime_factorize(m8)
+
+
+@pytest.mark.parametrize(
+    "pairs, colours, message",
+    [
+        ("0-1 0-2 1-2", "001", "a layer of the other factors meets factor 0 twice"),
+        ("0-1 0-3 1-2", "011", "a layer of the other factors misses factor 1"),
+        ("0-4 0-5 1-2 1-4 2-4 3-4", "010120", "two vertices get the same coordinates"),
+        ("0-1 0-4 0-5 1-2 2-3 3-4 3-5", "0011010", "edge 4 is not a step along factor 0"),
+        # the triangular prism less its edge 4-5
+        ("0-1 1-2 0-2 0-3 1-4 2-5 3-4 3-5", "00011100", "the product has 9 edges, the graph 8"),
+    ],
+    ids=["meets-twice", "misses", "same-coordinates", "not-a-step", "edge-count"],
+)
+def test_extraction_names_the_check_that_fails(pairs, colours, message):
+    g = Graph.from_pairs([tuple(map(int, p.split("-"))) for p in pairs.split()])
+    with pytest.raises(ValidationFailed, match=f"^{message}$"):
+        _try_extract(g, {e.eid: int(c) for e, c in zip(g.edges, colours)})
+
+
+def test_the_colourings_start_at_the_square_classes_and_coarsen():
+    merges = 0
+    for g in _reference_corpus():
+        classes = _square_classes(g)
+        chain = list(_colourings(g, classes))
+        assert chain[0] == {eid: i for i, c in enumerate(classes) for eid in c}
+        for finer, coarser in zip(chain, chain[1:]):
+            merge = {(finer[eid], coarser[eid]) for eid in finer}
+            assert len(merge) == len(set(finer.values())) > len(set(coarser.values()))
+        merges += len(chain) - 1
+    assert merges >= 20
 
 
 # -- the exhaustive search the factorization used to run, as the reference ----
