@@ -18,15 +18,6 @@ class ParamReport(namedtuple("ParamReport", "n m aux_vertices delta_aux Delta_au
     __slots__ = ()
 
 
-def _neighbours(n, pairs):
-    """Neighbour lists of the graph on vertices 0..n-1 with edges pairs."""
-    nbrs = [[] for _ in range(n)]
-    for u, v in pairs:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    return nbrs
-
-
 def _masks(nbrs):
     """Each vertex's neighbours as an int bitmask over positions."""
     return [sum(1 << w for w in ws) for ws in nbrs]
@@ -99,10 +90,10 @@ def _exchange_diameter(g, masks):
 def param_report(g, max_trees=DEFAULT_MAX_TREES):
     """Evaluate the degree, diameter and clique-number relations on Aux(g).
 
-    Every number is read off the walk's tree masks and exchange pairs, so
+    Every number is read off the walk's tree masks and exchange rows, so
     the tree count is the only bound: the degrees, the diameter and the
     clique number of Aux(g) from neighbour lists and masks built once from
-    the pairs, and the exchange diameter from a rank per tree.
+    the rows, and the exchange diameter from a rank per tree.
 
     The circumference and the largest bond come from groups of pairs
     (Maurer 1973). Each cycle C is the fundamental cycle of a chord e of
@@ -120,11 +111,16 @@ def param_report(g, max_trees=DEFAULT_MAX_TREES):
     masks, pairs = _walk(g, max_trees)
     n, m = g.n, g.m
     w = m + 1  # an edge bit's bit_length is 1..m
-    added = max(Counter(u * w + (masks[v] & ~masks[u]).bit_length() for u, v in pairs).values(),
-                default=0)
-    removed = max(Counter(u * w + (masks[u] & ~masks[v]).bit_length() for u, v in pairs).values(),
-                  default=0)
-    nbrs = _neighbours(len(masks), pairs)
+    rows = list(zip(range(len(masks)), masks, pairs.rows))
+    added = max(Counter(u * w + (masks[v] & ~mu).bit_length()
+                        for u, mu, row in rows for v in row).values(), default=0)
+    removed = max(Counter(u * w + (mu & ~masks[v]).bit_length()
+                          for u, mu, row in rows for v in row).values(), default=0)
+    nbrs = [[] for _ in masks]
+    for u, _, row in rows:
+        nbrs[u] += row
+        for v in row:
+            nbrs[v].append(u)
     degs = list(map(len, nbrs))
     delta, big_delta = min(degs), max(degs)
     diam = _all_pairs_diameter(nbrs)

@@ -168,18 +168,29 @@ def layout(tree, paths):
     return full, ends
 
 
-def _block(tree, cycles, root):
-    """Layout of one root component with the given side as tree edges, or
-    the reason that side describes no simple graph: "elements a and b are
-    parallel" for a chord whose path is one tree node or two chords with
-    the same path, "not graphic" when layout finds no tree."""
-    paths = {c: set(root.adj(c)) for c in cycles}
-    first = {}
-    for c, p in paths.items():
-        twin = min(p) if len(p) == 1 else first.setdefault(frozenset(p), c)
-        if twin != c:
-            return f"elements {min(c, twin)} and {max(c, twin)} are parallel"
-    return layout(tree, paths) or "not graphic"
+def _block(root, small, large, where):
+    """(tree, cycles, (place, ends)) for the first side of one root
+    component, (small, large) then (large, small), whose tree lays out. A
+    side describes no simple graph when two elements are parallel (a chord
+    whose path is one tree node, or two chords with one path) or layout
+    finds no tree; if both fail, NotAStag names where and both reasons."""
+    reasons = []
+    for tree, cycles in ((small, large), (large, small)):
+        paths = {c: set(root.adj(c)) for c in cycles}
+        first = {}
+        for c, p in paths.items():
+            twin = min(p) if len(p) == 1 else first.setdefault(frozenset(p), c)
+            if twin != c:
+                reasons.append(f"elements {min(c, twin)} and {max(c, twin)} are parallel")
+                break
+        else:
+            if found := layout(tree, paths):
+                return tree, cycles, found
+            reasons.append("not graphic")
+    matroid = f"{where}, a binary matroid on {len(small + large)} elements of rank {len(small)}"
+    if reasons == ["not graphic"] * 2:
+        raise NotAStag(f"neither side is graphic: no tree realizes {matroid}")
+    raise NotAStag(f"no simple graph realizes {matroid}: {reasons[0]}; in its dual, {reasons[1]}")
 
 
 # -- inversion ----------------------------------------------------------------
@@ -216,31 +227,16 @@ def invert(h):
     pos = {}
     trees = []
     chords = []
-    next_vertex = 1
     for block, (small, large) in zip(blocks, sides):
-        reasons = []
-        for tree, cycles in ((small, large), (large, small)):
-            found = _block(tree, cycles, root)
-            if not isinstance(found, str):
-                break
-            reasons.append(found)
-        else:
-            matroid = (
-                f"root block {block[0][0]} of N({x}), "
-                f"a binary matroid on {len(small) + len(large)} elements of rank {len(small)}"
-            )
-            if reasons == ["not graphic"] * 2:
-                raise NotAStag(f"neither side is graphic: no tree realizes {matroid}")
-            raise NotAStag(f"no simple graph realizes {matroid}: {reasons[0]}; in its dual, {reasons[1]}")
-        place, path_ends = found
-        base = next_vertex - 1
-        for a, (u, v) in [*place.items(), *((c, path_ends[c]) for c in cycles)]:
+        base = len(trees)
+        where = f"root block {block[0][0]} of N({x})"
+        tree, cycles, (place, ends) = _block(root, small, large, where)
+        for a, (u, v) in [*place.items(), *((c, ends[c]) for c in cycles)]:
             pos[a] = len(pairs)
             pairs.append((u + base if u else 0, v + base if v else 0))
         trees += tree
         chords += cycles
-        next_vertex += len(tree)
-    g = Graph.from_pairs(pairs, vertices=range(next_vertex))
+    g = Graph.from_pairs(pairs, vertices=range(len(trees) + 1))
     bit = _bits(g.edges)
     built = _fundamental_cycles(g, sum(bit[pos[a]] for a in trees))
     if built != [sum(bit[pos[a]] for a in (c, *root.adj(c))) for c in chords]:

@@ -391,6 +391,22 @@ def test_a_failed_write_removes_the_files_written_before_it(tmp_path, capsys, co
     assert (tmp_path / blocked).is_dir()
 
 
+def test_a_cleanup_that_cannot_remove_a_file_still_raises_the_write_error(tmp_path, monkeypatch):
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    remove = os.remove
+
+    def stuck(path):
+        if path == str(first):
+            raise PermissionError(path)
+        remove(path)
+
+    monkeypatch.setattr(os, "remove", stuck)
+    third = tmp_path / "missing" / "third.txt"  # its directory does not exist
+    with pytest.raises(FileNotFoundError):
+        cli._write([(str(first), "a\n"), (str(second), "b\n"), (str(third), "c\n")])
+    assert first.read_text() == "a\n" and not second.exists()
+
+
 def test_verify_roundtrip(c3_file, capsys):
     rc = run(["verify-roundtrip", "-i", str(c3_file), "--json"])
     assert rc == 0

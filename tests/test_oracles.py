@@ -16,6 +16,11 @@ def test_brute_force_trees_guard():
         brute_force_trees(complete_graph(8))
 
 
+def test_brute_force_stag_guard():
+    with pytest.raises(TooLarge, match="^16 trees exceed guard 15$"):
+        brute_force_stag(complete_graph(4), max_trees=15)
+
+
 def test_brute_force_stag_matches_fast_path(theta, bowtie):
     for g in (theta, bowtie):
         fast = build_stag(g)
