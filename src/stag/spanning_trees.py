@@ -58,10 +58,13 @@ def count_spanning_trees(g):
     one tree and is skipped. Each other block grounds a vertex of highest
     degree and is eliminated in minimum-degree order up to the point where
     the rest is a clique (_elimination_order): fraction-free on sparse dict
-    rows, then on plain list rows for that clique, two pivots per pass
-    (_block_count). Every division is exact, as each leading principal
-    minor of a connected graph's reduced Laplacian is positive in any
-    symmetric order. Raises Disconnected if g is not connected."""
+    rows, where an entry is rescaled only when a pivot reads it, by the
+    telescoped ratio of two pivots, then on plain list rows for that
+    clique, three pivots per pass in Bareiss's divided form (_block_count).
+    Every division is exact: each leading principal minor of a connected
+    graph's reduced Laplacian is positive in any symmetric order, and by
+    Sylvester's identity every quotient taken is, up to sign, a minor of
+    it. Raises Disconnected if g is not connected."""
     count = 1
     for block in _blocks(g, "spanning trees need")[0]:
         if len(block) > 1:
@@ -83,34 +86,39 @@ def _block_count(edges):
     0..k-1, i and columns 0..k-1, j: an integer, symmetric in i and j. So
     row i keeps only its columns j >= i, as a dict of nonzero entries, and
     reads a_ik from the pivot row k. Step k sends a_ij to
-    (a_ij p_k - a_ik a_kj) / p_(k-1). Where a_ik = 0 that is a scaling by
-    p_k / p_(k-1), and successive scalings telescope: a row that holds its
-    entries after t steps is brought to k steps by p_(k-1) / p_(t-1), with
-    p_(-1) = 1. So each row records its step count and is touched only when
-    it becomes the pivot or its pivot-column entry is nonzero. Eliminating
+    (a_ij p_k - a_ik a_kj) / p_(k-1). Where a_ik or a_kj is 0 that is a
+    scaling by p_k / p_(k-1), and successive scalings telescope: an entry
+    written at step t is brought to step k by p_(k-1) / p_(t-1), with
+    p_(-1) = 1, exact because the result is the step-k entry. So beside its
+    dict each row keeps the step at which each entry was written, and step
+    k writes only the entries (i, j) with both i and j among the pivot
+    row's columns, each caught up first if it is stale; every other entry
+    waits. The pivot row is caught up once, when it pivots. Eliminating
     part of a Laplacian leaves a Laplacian (off-diagonal entries <= 0, the
-    two terms above never cancel), so the rows updated at step k are
-    exactly the columns of the pivot row, and the nonzero entries are the
-    symbolic fill. The tail that the order ends with is a clique of that
-    fill, a dense matrix: its rows are caught up once and become plain
-    lists over their columns j >= i.
+    two terms above never cancel), so the entries written at step k are
+    exactly the pairs of columns of the pivot row, and the nonzero entries
+    are the symbolic fill. The tail that the order ends with is a clique of
+    that fill, a dense matrix: the stale entries of its rows are caught up
+    once, and each row becomes a plain list over its columns j >= i.
 
-    The tail takes two steps per pass (Bareiss's two-step method). With
-    q = p_(s-1) and the step-s entries p = a_ss, b = a_s,s+1, c = a_s+1,s+1,
-    Sylvester's identity makes every 2x2 minor of rows s and s+1 q times a
-    minor of order s + 2, an integer. So e = (pc - b^2) / q, the leading
-    principal minor of order s + 2 (positive, the next pivot),
-    c1_j = (c a_sj - b a_s+1,j) / q and c2_j = (p a_s+1,j - b a_sj) / q are
-    exact. The step-(s+2) entry a_ij is 1/q^2 times the determinant of the
-    step-s entries on rows s, s+1, i and columns s, s+1, j (Sylvester again),
-    and expanding that along row i gives q (e a_ij - a_is c1_j -
-    a_i,s+1 c2_j). So a_ij goes to (e a_ij - a_is c1_j - a_i,s+1 c2_j) / q,
-    exact. The divisor is q, not the q^2 of the undivided form, because c1,
-    c2 and e are divided first: the undivided form's products of three
-    step-s entries grow faster than the passes it saves. Each entry costs
-    three products and one division, for the four and two of two single
-    steps, and the rows are rebuilt half as often. An odd tail ends on its
-    last diagonal entry, an even one on e.
+    The tail takes three steps per pass (Bareiss's divided multistep
+    method). Let q = p_(s-1) and B the symmetric 3x3 block of step-s
+    entries on rows and columns s, s+1, s+2. Sylvester's identity makes
+    every r x r determinant of step-s entries q^(r-1) times a minor of
+    order s + r, an integer. So:
+    A = adj(B) / q is exact, its entries being 2x2 minors; the next pivot
+    e = p_(s+2) = det(B) / q^2 = (b_00 A_00 + b_01 A_01 + b_02 A_02) / q is
+    exact; and so is c_lj = (A_l0 a_sj + A_l1 a_s+1,j + A_l2 a_s+2,j) / q,
+    the l-th entry of adj(B) times column j over q^2, each a 3x3
+    determinant. The step-(s+3) entry a_ij is 1/q^3 times the 4x4
+    determinant of B bordered by row i and column j, and its Schur
+    expansion det(B) a_ij - (row i) adj(B) (column j) makes that
+    (e a_ij - a_is c_0j - a_i,s+1 c_1j - a_i,s+2 c_2j) / q, exact. Each
+    entry costs four products and one division per three steps, for the
+    six and three of three single steps, and the rows are rebuilt a third
+    as often. A tail of 3r rows ends on e. One row more ends on its
+    diagonal entry, and two more on one two-step pass: the 2x2 minor of
+    their step-s entries over q, (a_ss a_s+1,s+1 - a_s,s+1^2) / q.
     """
     nbrs = {}
     for _, u, v in edges:
@@ -128,41 +136,62 @@ def _block_count(edges):
             i, j = j, i
         if j < size:
             rows[i][j] = -1
-    # scale[t] = p_(t-1), scale[0] = 1; seen[i] = steps applied to row i
+    # scale[t] = p_(t-1), scale[0] = 1; steps[i][j] = the step at which
+    # entry (i, j) was written
+    steps = [dict.fromkeys(row, 0) for row in rows]
     scale = [1]
-    seen = [0] * size
     for k in range(len(order)):
         prev = scale[k]
-        pivot = _catch_up(rows[k], prev, scale[seen[k]])
-        rows[k] = None
-        p = pivot.pop(k)
+        pivot, written = rows[k], steps[k]
+        rows[k] = steps[k] = None
+        below = sorted((j, x * prev // scale[written[j]]) for j, x in pivot.items())
+        p = below.pop(0)[1]  # column k sorts first
         scale.append(p)
-        below = sorted(pivot.items())
         for r, (i, a) in enumerate(below):
-            row = _catch_up(rows[i], prev, scale[seen[i]])
-            new = {j: (row.pop(j, 0) * p - a * b) // prev for j, b in below[r:]}
-            for j, x in row.items():
-                new[j] = x * p // prev
-            rows[i] = new
-            seen[i] = k + 1
-    prev = scale[-1]
-    dense = []
-    for i in range(len(order), size):
-        row = _catch_up(rows[i], prev, scale[seen[i]])
-        dense.append([row.get(j, 0) for j in range(i, size)])
-    t = len(dense)
-    for s in range(0, t - 1, 2):
-        r0, r1 = dense[s], dense[s + 1]
-        p, b, c = r0[0], r0[1], r1[0]
-        e = (p * c - b * b) // prev
-        c1 = [(c * x - b * y) // prev for x, y in zip(r0[2:], r1[1:])]
-        c2 = [(p * y - b * x) // prev for x, y in zip(r0[2:], r1[1:])]
-        for i in range(s + 2, t):
-            a0, a1, off = r0[i - s], r1[i - s - 1], i - s - 2
-            dense[i] = [(e * x - a0 * u - a1 * v) // prev
-                        for x, u, v in zip(dense[i], c1[off:], c2[off:])]
-        prev = e
-    return dense[-1][0] if t % 2 else prev
+            row, written = rows[i], steps[i]
+            for j, b in below[r:]:
+                x = row.get(j)
+                if x is None:
+                    row[j] = -a * b // prev
+                else:
+                    t = written[j]
+                    if t != k:
+                        x = x * prev // scale[t]
+                    row[j] = (x * p - a * b) // prev
+                written[j] = k + 1
+    q, first = scale[-1], len(order)
+    for row, written in zip(rows[first:], steps[first:]):
+        for j, t in written.items():
+            if t != first:
+                row[j] = row[j] * q // scale[t]
+    dense = [[row.get(j, 0) for j in range(i, size)]
+             for i, row in zip(range(first, size), rows[first:])]
+    n = len(dense)
+    for s in range(0, n - 2, 3):
+        r0, r1, r2 = dense[s], dense[s + 1], dense[s + 2]
+        b00, b01, b02, b11, b12, b22 = r0[0], r0[1], r0[2], r1[0], r1[1], r2[0]
+        a00 = (b11 * b22 - b12 * b12) // q
+        a01 = (b02 * b12 - b01 * b22) // q
+        a02 = (b01 * b12 - b02 * b11) // q
+        a11 = (b00 * b22 - b02 * b02) // q
+        a12 = (b01 * b02 - b00 * b12) // q
+        a22 = (b00 * b11 - b01 * b01) // q
+        e = (b00 * a00 + b01 * a01 + b02 * a02) // q
+        cols = list(zip(r0[3:], r1[2:], r2[1:]))
+        c0 = [(a00 * x + a01 * y + a02 * z) // q for x, y, z in cols]
+        c1 = [(a01 * x + a11 * y + a12 * z) // q for x, y, z in cols]
+        c2 = [(a02 * x + a12 * y + a22 * z) // q for x, y, z in cols]
+        for i in range(s + 3, n):
+            u0, u1, u2, off = r0[i - s], r1[i - s - 1], r2[i - s - 2], i - s - 3
+            dense[i] = [(e * x - u0 * y0 - u1 * y1 - u2 * y2) // q
+                        for x, y0, y1, y2 in zip(dense[i], c0[off:], c1[off:], c2[off:])]
+        q = e
+    if n % 3 == 1:
+        return dense[-1][0]
+    if n % 3 == 2:
+        (p, b), (c,) = dense[-2:]
+        return (p * c - b * b) // q
+    return q
 
 
 def _elimination_order(nbrs):
@@ -203,11 +232,6 @@ def _decimal(count):
     digits, a limit that only a process-wide setting raises; a Decimal made
     from the int is exact and prints all of its digits."""
     return str(Decimal(count))
-
-
-def _catch_up(row, s, t):
-    """row * s / t, exact: the telescoped scalings of the skipped steps."""
-    return row if s == t else {j: x * s // t for j, x in row.items()}
 
 
 def enumerate_spanning_trees(g, max_trees=DEFAULT_MAX_TREES):

@@ -39,13 +39,27 @@ def test_blocks_of_the_k5_chain_are_pinned(tmp_path, capsys):
         "80c0a14da3025d543b2a86c3c8d7a7538db9c1492078ec6eb827e8f63cf91a9f")
 
 
+def _grid_text(c):
+    """The c x c grid's edge list as the workflow writes it, rows then columns."""
+    return ("".join(f"{i * c + j} {i * c + j + 1}\n" for i in range(c) for j in range(c - 1))
+            + "".join(f"{i * c + j} {(i + 1) * c + j}\n" for i in range(c - 1) for j in range(c)))
+
+
 def test_count_of_the_7x7_grid(tmp_path, capsys):
-    c = 7
     grid = tmp_path / "grid7.txt"
-    grid.write_text("".join(f"{i * c + j} {i * c + j + 1}\n" for i in range(c) for j in range(c - 1))
-                    + "".join(f"{i * c + j} {(i + 1) * c + j}\n" for i in range(c - 1) for j in range(c)))
+    grid.write_text(_grid_text(7))
     assert run(["count", "-i", str(grid)]) == 0
     assert capsys.readouterr().out == "19872369301840986112\n"
+
+
+def test_count_of_the_30x30_grid_is_pinned_in_60_s(tmp_path, capsys):
+    # 433 digits: 853 sparse pivots, then a dense tail of 46 rows
+    grid = tmp_path / "grid30.txt"
+    grid.write_text(_grid_text(30))
+    with _deadline(60):
+        assert run(["count", "-i", str(grid)]) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == (
+        "8f7d985519c06f295bdcdb4334bca73f8d172b752d556b6e43cd230c6d255b09")
 
 
 def test_count_of_the_q7_hypercube(tmp_path, capsys):

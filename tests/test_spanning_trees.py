@@ -105,6 +105,15 @@ def test_closed_forms():
     for k in range(3, 7):
         for b in (1, 2, 3, 10, 50):
             assert count_spanning_trees(_clique_chain(k, b)) == (k ** (k - 2)) ** b
+    # wheels W_n, a hub joined to every vertex of C_n: tau = L_2n - 2, L the
+    # Lucas numbers; with the hub grounded the rim is a cycle, eliminated down
+    # to a triangle, and an entry waits many steps between writes
+    lucas = [2, 1]
+    while len(lucas) <= 80:
+        lucas.append(lucas[-1] + lucas[-2])
+    for n in range(3, 41):
+        wheel = Graph.from_pairs([(i, (i + 1) % n) for i in range(n)] + [(n, i) for i in range(n)])
+        assert count_spanning_trees(wheel) == lucas[2 * n] - 2
 
 
 def _grid(rows, cols):

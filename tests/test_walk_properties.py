@@ -1,6 +1,6 @@
 """Property tests of the exchange walk against the brute-force oracles, of
-the tree count on dense graphs against elimination over Fractions, and of
-invert against networkx and the atlas oracle."""
+the tree count on dense and sparse graphs against elimination over
+Fractions, and of invert against networkx and the atlas oracle."""
 
 import pytest
 
@@ -73,6 +73,26 @@ def dense_connected_graphs(draw, max_n):
 @_settings
 @given(dense_connected_graphs(max_n=25))
 def test_count_of_a_dense_graph_matches_fraction_elimination(g):
+    assert count_spanning_trees(g) == _fraction_count(g)
+
+
+@st.composite
+def sparse_connected_graphs(draw, max_n):
+    """A random tree plus up to 2n + 1 chords, so m runs from n - 1 to 3n,
+    vertex ids relabelled by a random permutation: the count's sparse phase
+    is most of the block, and an entry can wait many steps between writes."""
+    n = draw(st.integers(2, max_n))
+    tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    others = [(u, v) for v in range(n) for u in range(v) if (u, v) not in tree]
+    chords = draw(st.lists(st.sampled_from(others), unique=True, max_size=2 * n + 1)) if others else []
+    label = draw(st.permutations(range(n)))
+    pairs = [(label[u], label[v]) for u, v in sorted(tree) + chords]
+    return Graph(range(n), [(k, u, v) for k, (u, v) in enumerate(pairs)])
+
+
+@_settings
+@given(sparse_connected_graphs(max_n=40))
+def test_count_of_a_sparse_graph_matches_fraction_elimination(g):
     assert count_spanning_trees(g) == _fraction_count(g)
 
 
